@@ -1,6 +1,8 @@
 //! The experimental rig: module under test + temperature controller +
 //! programmable V_PP supply (Fig. 2 components 3–6).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use simra_analog::params::{NOMINAL_TEMPERATURE_C, NOMINAL_VPP};
 use simra_analog::{ApaEngine, CircuitParams, EngineCounters, OperatingConditions};
 use simra_dram::{DramModule, VendorProfile};
@@ -37,8 +39,15 @@ impl std::fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
+/// Source of [`TestSetup::slot`] ids. Ids are never reused; `Relaxed`
+/// suffices because the id publishes no other data.
+static NEXT_SLOT: AtomicU64 = AtomicU64::new(0);
+
 /// One DRAM module clamped in the rig, at a controlled operating point.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: every mount is its own measurement with its own
+/// [`slot`](Self::slot) id, and a copy would share it.
+#[derive(Debug)]
 pub struct TestSetup {
     module: DramModule,
     conditions: OperatingConditions,
@@ -50,10 +59,14 @@ pub struct TestSetup {
     /// rig counts into a fresh, disabled recorder until a session
     /// re-binds it with [`set_engine_counters`](Self::set_engine_counters).
     engine_counters: EngineCounters,
+    /// Process-unique id of this mount (see [`slot`](Self::slot)).
+    /// Observational like the counters: never compared.
+    slot: u64,
 }
 
 /// Rigs compare by experimental state (module, operating point, param
-/// override); the telemetry destination is observational.
+/// override); the telemetry destination and the mount id are
+/// observational.
 impl PartialEq for TestSetup {
     fn eq(&self, other: &Self) -> bool {
         self.module == other.module
@@ -69,14 +82,23 @@ impl TestSetup {
         TestSetup::with_module(DramModule::new(profile, seed))
     }
 
-    /// Mounts an existing module.
+    /// Mounts an existing module under a fresh [`slot`](Self::slot) id.
     pub fn with_module(module: DramModule) -> Self {
         TestSetup {
             module,
             conditions: OperatingConditions::nominal(),
             params_override: None,
             engine_counters: EngineCounters::default(),
+            slot: NEXT_SLOT.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The process-unique id of this mount. Stateful backends (the
+    /// hybrid) scope their per-point history to it: a new mount starts
+    /// from a clean slate. Id *values* are allocation-order artifacts
+    /// and never influence results; only the boundaries matter.
+    pub fn slot(&self) -> u64 {
+        self.slot
     }
 
     /// Redirects the op counters of every engine this rig builds (e.g.
@@ -179,6 +201,14 @@ mod tests {
         s.reset_conditions();
         assert_eq!(s.conditions().temperature_c, 50.0);
         assert_eq!(s.conditions().vpp_v, 2.5);
+    }
+
+    #[test]
+    fn every_mount_gets_its_own_slot() {
+        let a = TestSetup::new(VendorProfile::mfr_h_m_die(), 3);
+        let b = TestSetup::with_module(a.module().clone());
+        assert_ne!(a.slot(), b.slot());
+        assert_eq!(a, b, "the slot id is not experimental state");
     }
 
     #[test]

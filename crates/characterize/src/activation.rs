@@ -19,7 +19,7 @@ use simra_core::metrics::{mean, pct, BoxStats};
 use simra_dram::ApaTiming;
 use simra_exec::TrialSpec;
 
-use crate::backend::{sweep_trial_samples, trial_point, TrialPoint};
+use crate::backend::sweep_trial_samples;
 use crate::fleet::SweepPoint;
 use crate::report::Table;
 use crate::session::Session;
@@ -49,7 +49,7 @@ pub fn fig3_activation_timing(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = FIG3_T1
+        let points: Vec<SweepPoint<TrialSpec>> = FIG3_T1
             .iter()
             .flat_map(|&t1| {
                 FIG3_T2.iter().flat_map(move |&t2| {
@@ -59,7 +59,7 @@ pub fn fig3_activation_timing(session: &Session) -> Table {
                         .map(move |&n| (n, TrialSpec::activation(timing)))
                 })
             })
-            .map(|(n, spec)| trial_point(config, n, spec))
+            .map(|(n, spec)| SweepPoint::new(n, spec))
             .collect();
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
         for &t1 in &FIG3_T1 {
@@ -91,7 +91,7 @@ pub fn fig4a_activation_temperature(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = TEMPERATURES_C
+        let points: Vec<SweepPoint<TrialSpec>> = TEMPERATURES_C
             .iter()
             .flat_map(|&t| {
                 ACTIVATION_NS.iter().map(move |&n| {
@@ -101,7 +101,7 @@ pub fn fig4a_activation_temperature(session: &Session) -> Table {
                     )
                 })
             })
-            .map(|(n, spec)| trial_point(config, n, spec))
+            .map(|(n, spec)| SweepPoint::new(n, spec))
             .collect();
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
         for &t in &TEMPERATURES_C {
@@ -129,7 +129,7 @@ pub fn fig4b_activation_voltage(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = VPP_LEVELS_V
+        let points: Vec<SweepPoint<TrialSpec>> = VPP_LEVELS_V
             .iter()
             .flat_map(|&v| {
                 ACTIVATION_NS.iter().map(move |&n| {
@@ -139,7 +139,7 @@ pub fn fig4b_activation_voltage(session: &Session) -> Table {
                     )
                 })
             })
-            .map(|(n, spec)| trial_point(config, n, spec))
+            .map(|(n, spec)| SweepPoint::new(n, spec))
             .collect();
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
         for &v in &VPP_LEVELS_V {

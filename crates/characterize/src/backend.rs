@@ -1,84 +1,31 @@
 //! Backend dispatch for the characterization layer.
 //!
 //! Every figure runner describes its trials as [`TrialSpec`] values and
-//! submits them to the fleet as [`SweepPoint<TrialPoint>`]s; the fleet
-//! executes each through the [`PudBackend`] named on the *point*. The
-//! backend therefore rides the existing sweep machinery untouched — a
-//! sweep could even mix backends across points. (The `backend_compare`
-//! bench does not: it builds one session per backend and times each
-//! figure on both.)
+//! submits them to the fleet as [`SweepPoint<TrialSpec>`]s. A campaign
+//! runs one backend, the one its config names, so
+//! [`sweep_trial_samples`] resolves it from the [`Session`] once per
+//! sweep and runs every trial through it.
 //!
-//! Backends live in the [`Session`]'s [`BackendSet`] so the surrogate's
-//! calibration cache stays warm for the whole campaign — a key one
-//! figure probed is a cache hit for every later figure — while two
-//! concurrent sessions keep fully separate caches.
+//! The backends live in the session: the surrogate and the hybrid share
+//! the session's one calibration table, which stays warm for the whole
+//! campaign — a key one figure probed is a cache hit for every later
+//! figure — while two concurrent sessions keep fully separate tables.
 
-use simra_exec::{BackendChoice, TrialSpec};
+use simra_exec::TrialSpec;
 
-// The set itself lives in `simra_exec` now that backends are
-// session-owned; re-exported here for the characterization callers.
-pub use simra_exec::BackendSet;
-
-use crate::config::ExperimentConfig;
 use crate::fleet::{run_sweep, FleetOutcome, SweepPoint};
 use crate::session::Session;
 
-#[cfg(doc)]
-use simra_exec::PudBackend;
-
-/// Sweep-point parameters of every figure runner: what to run (the
-/// spec) and how to run it (the backend). The activated row count N
-/// lives on the enclosing [`SweepPoint`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrialPoint {
-    /// The trial to execute per (module, group).
-    pub spec: TrialSpec,
-    /// Which backend executes it.
-    pub backend: BackendChoice,
-}
-
-/// A sweep point that runs `spec` at `n` rows on `config`'s backend.
-pub fn trial_point(config: &ExperimentConfig, n: u32, spec: TrialSpec) -> SweepPoint<TrialPoint> {
-    SweepPoint::new(
-        n,
-        TrialPoint {
-            spec,
-            backend: config.backend,
-        },
-    )
-}
-
-/// [`run_sweep`] over backend-dispatched trial points, each point's
-/// outcome reduced to its surviving samples (module order, then group
-/// order) — the one entry point every figure runner sweeps through. Each
-/// point's spec runs through the *session's* backend of the point's
-/// choice.
-pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialPoint>]) -> Vec<Vec<f64>> {
-    run_sweep(session, points, |point, setup, group, rng| {
-        session
-            .dispatch(point.backend)
-            .run_trial(&point.spec, setup, group, rng)
+/// [`run_sweep`] over trial specs, each point's outcome reduced to its
+/// surviving samples (module order, then group order) — the one entry
+/// point every figure runner sweeps through. Every trial runs through
+/// the session's backend for `config.backend`.
+pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialSpec>]) -> Vec<Vec<f64>> {
+    let backend = session.dispatch(session.config().backend);
+    run_sweep(session, points, |spec, setup, group, rng| {
+        backend.run_trial(spec, setup, group, rng)
     })
     .into_iter()
     .map(FleetOutcome::into_samples)
     .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simra_dram::ApaTiming;
-
-    #[test]
-    fn trial_point_carries_the_config_backend() {
-        let mut config = ExperimentConfig::quick();
-        config.backend = BackendChoice::Surrogate;
-        let p = trial_point(
-            &config,
-            8,
-            TrialSpec::activation(ApaTiming::best_for_activation()),
-        );
-        assert_eq!(p.n, 8);
-        assert_eq!(p.params.backend, BackendChoice::Surrogate);
-    }
 }

@@ -1257,6 +1257,49 @@ mod tests {
     }
 
     #[test]
+    fn damaged_journals_resume_identically_or_fail_as_corrupt() {
+        // One to three raw byte edits anywhere in a completed journal:
+        // resume re-runs whatever the damage cost and lands on the
+        // uninterrupted outcome, or — damage to the manifest line —
+        // refuses with a typed `Corrupt`. It never panics or guesses.
+        let config = two_module_config();
+        let dir = scratch("damaged");
+        let full = run_checkpointed(&config, &dir).unwrap();
+        let path = journal_path(&dir);
+        let data = fs::read(&path).unwrap();
+        let (mut resumed, mut corrupt) = (0, 0);
+        for case in 0..512 {
+            let mut rng = Rng::seed_from_u64(case);
+            let mut bytes = data.clone();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..bytes.len());
+                let byte = rng.gen::<u64>() as u8;
+                match rng.gen_range(0..3u32) {
+                    0 => bytes[at] = byte,
+                    1 => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            fs::write(&path, &bytes).unwrap();
+            match run_checkpointed(&config, &dir) {
+                Ok(outcomes) => {
+                    assert_eq!(outcomes, full, "case {case}");
+                    resumed += 1;
+                }
+                Err(CheckpointError::Corrupt { .. }) => corrupt += 1,
+                Err(other) => panic!("case {case}: {other}"),
+            }
+        }
+        assert!(
+            resumed > 0 && corrupt > 0,
+            "{resumed} resumed, {corrupt} corrupt"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn empty_or_torn_manifest_journal_restarts_fresh() {
         let config = two_module_config();
         let dir = scratch("freshagain");

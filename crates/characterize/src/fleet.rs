@@ -401,7 +401,6 @@ fn run_module<F>(config: &ExperimentConfig, index: usize, n: u32, op: &F) -> Vec
 where
     F: Fn(&mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
 {
-    simra_exec::slot::begin();
     let module = &config.modules[index];
     let mut setup = TestSetup::with_module(DramModule::new(module.profile.clone(), module.seed));
     let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, n));
@@ -445,13 +444,12 @@ fn run_point_attempt<P, F>(
 where
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
 {
-    // Every attempt is a fresh slot epoch: stateful backends (hybrid)
-    // reset their per-point history here, so a retry replays the exact
-    // same escalation decisions and worker scheduling cannot leak state
-    // between tasks.
-    simra_exec::slot::begin();
     let config = ctx.config;
     let module = &config.modules[index];
+    // Every attempt mounts a fresh rig, so it is a fresh slot: stateful
+    // backends (hybrid) reset their per-point history here, a retry
+    // replays the exact same escalation decisions, and worker
+    // scheduling cannot leak state between tasks.
     let mut setup = TestSetup::with_module(dram);
     setup.set_engine_counters(ctx.session.engine_counters().clone());
     let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, point.n));
@@ -508,7 +506,11 @@ where
         }
         if let Some(droop) = ctx.plan.vpp_droop {
             let vpp = if (droop.from_group..droop.to_group).contains(&group_index) {
-                (NOMINAL_VPP - droop.delta_v).max(VPP_RANGE_V.0)
+                // `.max`/`.min`, not `clamp`: a NaN sag lands on the
+                // floor instead of propagating into `set_vpp`.
+                (NOMINAL_VPP - droop.delta_v)
+                    .max(VPP_RANGE_V.0)
+                    .min(VPP_RANGE_V.1)
             } else {
                 NOMINAL_VPP
             };
@@ -710,7 +712,7 @@ pub(crate) fn executor_threads(tasks: usize) -> usize {
 }
 
 /// Session-wide coverage accounting: how many module tasks ran, completed,
-/// needed retries, or failed — across every fleet run of the process.
+/// needed retries, or failed — across every fleet run of one session.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetCoverage {
     /// Module tasks executed.
@@ -1326,6 +1328,39 @@ mod tests {
                 "1/2 modules completed; module 1 dropped out at group 0 after 3 attempts"
             );
             assert_eq!(outcome.samples(), baseline[..per_module]);
+        }
+    }
+
+    #[test]
+    fn a_surge_is_clamped_to_the_supply_ceiling() {
+        // A negative sag asks for 2.6 V inside the window; the clamp
+        // holds the rig at the supply's 2.5 V ceiling, so the module
+        // completes on its first attempt instead of panicking in every
+        // one.
+        let mut config = ExperimentConfig::quick();
+        config.faults = Some(FaultPlan {
+            vpp_droop: Some(simra_faults::VppDroop {
+                delta_v: -0.1,
+                from_group: 0,
+                to_group: 2,
+            }),
+            ..FaultPlan::default()
+        });
+        let session = session_for(&config);
+        let outcome = one_point(
+            &session,
+            4,
+            FleetPolicy::default(),
+            &MockClock::new(),
+            1,
+            |s: &mut TestSetup, g: &GroupSpec, r: &mut Rng| {
+                assert_eq!(s.conditions().vpp_v, VPP_RANGE_V.1);
+                probe_op(s, g, r)
+            },
+        );
+        match &outcome.slots[0] {
+            ModuleResult::Completed { attempts, .. } => assert_eq!(*attempts, 1),
+            other => panic!("the surge must be clamped, got {other:?}"),
         }
     }
 

@@ -52,7 +52,7 @@ pub mod takeaways;
 pub use activation::{
     fig3_activation_timing, fig4a_activation_temperature, fig4b_activation_voltage,
 };
-pub use backend::{sweep_trial_samples, trial_point, BackendSet, TrialPoint};
+pub use backend::sweep_trial_samples;
 pub use checkpoint::{merge_sweep_journals, slot_shard, CheckpointError, CheckpointSession};
 pub use config::ExperimentConfig;
 pub use fleet::{

@@ -14,8 +14,7 @@ use simra_core::metrics::{mean, pct, BoxStats};
 use simra_dram::{ApaTiming, DataPattern};
 use simra_exec::TrialSpec;
 
-use crate::backend::{sweep_trial_samples, trial_point, TrialPoint};
-use crate::config::ExperimentConfig;
+use crate::backend::sweep_trial_samples;
 use crate::fleet::SweepPoint;
 use crate::report::Table;
 use crate::session::Session;
@@ -36,14 +35,13 @@ pub fn feasible_ns(x: usize) -> Vec<u32> {
 }
 
 fn maj_point(
-    config: &ExperimentConfig,
     n: u32,
     x: usize,
     timing: ApaTiming,
     pattern: DataPattern,
     temperature_c: Option<f64>,
     vpp_v: Option<f64>,
-) -> SweepPoint<TrialPoint> {
+) -> SweepPoint<TrialSpec> {
     let mut spec = TrialSpec::majx(x, timing, pattern);
     if let Some(t) = temperature_c {
         spec = spec.at_temperature(t);
@@ -51,7 +49,7 @@ fn maj_point(
     if let Some(v) = vpp_v {
         spec = spec.at_vpp(v);
     }
-    trial_point(config, n, spec)
+    SweepPoint::new(n, spec)
 }
 
 /// Fig. 6: MAJ3 success distribution vs (t1, t2) and N ∈ {4, 8, 16, 32}.
@@ -66,15 +64,14 @@ pub fn fig6_maj3_timing(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = FIG6_T1
+        let points: Vec<SweepPoint<TrialSpec>> = FIG6_T1
             .iter()
             .flat_map(|&t1| {
                 let ns = &ns;
                 FIG6_T2.iter().flat_map(move |&t2| {
                     let timing = ApaTiming::from_ns(t1, t2);
-                    ns.iter().map(move |&n| {
-                        maj_point(config, n, 3, timing, DataPattern::Random, None, None)
-                    })
+                    ns.iter()
+                        .map(move |&n| maj_point(n, 3, timing, DataPattern::Random, None, None))
                 })
             })
             .collect();
@@ -109,19 +106,19 @@ pub fn fig7_majx_patterns(session: &Session) -> Table {
             columns,
         );
         let timing = ApaTiming::best_for_majx();
-        let mut points: Vec<SweepPoint<TrialPoint>> = DataPattern::ALL
+        let mut points: Vec<SweepPoint<TrialSpec>> = DataPattern::ALL
             .iter()
             .flat_map(|&pattern| {
                 MAJ_XS
                     .iter()
-                    .map(move |&x| maj_point(config, 32, x, timing, pattern, None, None))
+                    .map(move |&x| maj_point(32, x, timing, pattern, None, None))
             })
             .collect();
         // The replication sweep of Fig. 7's x-axis: random pattern per N.
         points.extend(MAJ_XS.iter().flat_map(|&x| {
             feasible_ns(x)
                 .into_iter()
-                .map(move |n| maj_point(config, n, x, timing, DataPattern::Random, None, None))
+                .map(move |n| maj_point(n, x, timing, DataPattern::Random, None, None))
         }));
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
         for pattern in DataPattern::ALL {
@@ -163,18 +160,18 @@ pub fn fig8_majx_temperature(session: &Session) -> Table {
             columns,
         );
         let timing = ApaTiming::best_for_majx();
-        let mut points: Vec<SweepPoint<TrialPoint>> = MAJ_XS
+        let mut points: Vec<SweepPoint<TrialSpec>> = MAJ_XS
             .iter()
             .flat_map(|&x| {
-                temps.iter().map(move |&t| {
-                    maj_point(config, 32, x, timing, DataPattern::Random, Some(t), None)
-                })
+                temps
+                    .iter()
+                    .map(move |&t| maj_point(32, x, timing, DataPattern::Random, Some(t), None))
             })
             .collect();
         points.extend(
             temps
                 .iter()
-                .map(|&t| maj_point(config, 4, 3, timing, DataPattern::Random, Some(t), None)),
+                .map(|&t| maj_point(4, 3, timing, DataPattern::Random, Some(t), None)),
         );
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
         for &x in &MAJ_XS {
@@ -212,12 +209,11 @@ pub fn fig9_majx_voltage(session: &Session) -> Table {
             columns,
         );
         let timing = ApaTiming::best_for_majx();
-        let points: Vec<SweepPoint<TrialPoint>> = MAJ_XS
+        let points: Vec<SweepPoint<TrialSpec>> = MAJ_XS
             .iter()
             .flat_map(|&x| {
-                vpps.iter().map(move |&v| {
-                    maj_point(config, 32, x, timing, DataPattern::Random, None, Some(v))
-                })
+                vpps.iter()
+                    .map(move |&v| maj_point(32, x, timing, DataPattern::Random, None, Some(v)))
             })
             .collect();
         let mut sweeps = sweep_trial_samples(session, &points).into_iter();
@@ -238,6 +234,7 @@ pub fn fig9_majx_voltage(session: &Session) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExperimentConfig;
 
     fn quick_session() -> Session {
         Session::new(ExperimentConfig::quick())

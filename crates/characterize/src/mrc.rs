@@ -15,8 +15,7 @@ use simra_core::metrics::{mean, pct, BoxStats};
 use simra_dram::ApaTiming;
 use simra_exec::{MrcSource, TrialSpec};
 
-use crate::backend::{sweep_trial_samples, trial_point, TrialPoint};
-use crate::config::ExperimentConfig;
+use crate::backend::sweep_trial_samples;
 use crate::fleet::SweepPoint;
 use crate::report::Table;
 use crate::session::Session;
@@ -66,13 +65,12 @@ impl MrcPattern {
 /// One Multi-RowCopy sweep point. The activated row count on the
 /// enclosing [`SweepPoint`] is `dests + 1` (source + destinations).
 fn mrc_point(
-    config: &ExperimentConfig,
     dests: u32,
     timing: ApaTiming,
     pattern: MrcPattern,
     temperature_c: Option<f64>,
     vpp_v: Option<f64>,
-) -> SweepPoint<TrialPoint> {
+) -> SweepPoint<TrialSpec> {
     let mut spec = TrialSpec::multirowcopy(timing, pattern.source());
     if let Some(t) = temperature_c {
         spec = spec.at_temperature(t);
@@ -80,7 +78,7 @@ fn mrc_point(
     if let Some(v) = vpp_v {
         spec = spec.at_vpp(v);
     }
-    trial_point(config, dests + 1, spec)
+    SweepPoint::new(dests + 1, spec)
 }
 
 /// Fig. 10: Multi-RowCopy success distribution vs (t1, t2) per
@@ -94,14 +92,14 @@ pub fn fig10_mrc_timing(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = FIG10_T1
+        let points: Vec<SweepPoint<TrialSpec>> = FIG10_T1
             .iter()
             .flat_map(|&t1| {
                 FIG10_T2.iter().flat_map(move |&t2| {
                     let timing = ApaTiming::from_ns(t1, t2);
                     DEST_COUNTS
                         .iter()
-                        .map(move |&d| mrc_point(config, d, timing, MrcPattern::Random, None, None))
+                        .map(move |&d| mrc_point(d, timing, MrcPattern::Random, None, None))
                 })
             })
             .collect();
@@ -140,18 +138,11 @@ pub fn fig11_mrc_patterns(session: &Session) -> Table {
             MrcPattern::AllOnes,
             MrcPattern::Random,
         ];
-        let points: Vec<SweepPoint<TrialPoint>> = patterns
+        let points: Vec<SweepPoint<TrialSpec>> = patterns
             .iter()
             .flat_map(|&pattern| {
                 DEST_COUNTS.iter().map(move |&d| {
-                    mrc_point(
-                        config,
-                        d,
-                        ApaTiming::best_for_multi_row_copy(),
-                        pattern,
-                        None,
-                        None,
-                    )
+                    mrc_point(d, ApaTiming::best_for_multi_row_copy(), pattern, None, None)
                 })
             })
             .collect();
@@ -182,12 +173,11 @@ pub fn fig12a_mrc_temperature(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = temps
+        let points: Vec<SweepPoint<TrialSpec>> = temps
             .iter()
             .flat_map(|&t| {
                 DEST_COUNTS.iter().map(move |&d| {
                     mrc_point(
-                        config,
                         d,
                         ApaTiming::best_for_multi_row_copy(),
                         MrcPattern::Random,
@@ -224,12 +214,11 @@ pub fn fig12b_mrc_voltage(session: &Session) -> Table {
             config.describe_scale(),
             columns,
         );
-        let points: Vec<SweepPoint<TrialPoint>> = vpps
+        let points: Vec<SweepPoint<TrialSpec>> = vpps
             .iter()
             .flat_map(|&v| {
                 DEST_COUNTS.iter().map(move |&d| {
                     mrc_point(
-                        config,
                         d,
                         ApaTiming::best_for_multi_row_copy(),
                         MrcPattern::Random,
@@ -257,6 +246,7 @@ pub fn fig12b_mrc_voltage(session: &Session) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExperimentConfig;
 
     fn quick_session() -> Session {
         Session::new(ExperimentConfig::quick())

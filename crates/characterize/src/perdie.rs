@@ -26,11 +26,9 @@ use crate::session::Session;
 /// measure every headline operation on the shared per-profile stream.
 fn per_die_row(session: &Session, profile: &VendorProfile) -> Vec<f64> {
     let config = session.config();
-    // A claiming thread arrives here carrying whatever slot epoch its
-    // last task left behind — the caller's last sweep slot, or the row
-    // this thread ran before; a fresh epoch makes stateful backends
-    // (hybrid) start clean, so the row is scheduling-independent.
-    simra_exec::slot::begin();
+    // The fresh mount is a fresh slot, so stateful backends (hybrid)
+    // start clean whatever this thread ran before: the row is
+    // scheduling-independent.
     let mut setup = TestSetup::with_module(DramModule::new(profile.clone(), 4242));
     setup.set_engine_counters(session.engine_counters().clone());
     let mut rng = Rng::seed_from_u64(config.seed ^ 0xD1E);

@@ -1,19 +1,19 @@
 //! The characterization session: one campaign's execution context as
 //! an owned value.
 //!
-//! Historically a campaign reached through process globals for its
-//! telemetry recorder, backend set, engine counters, checkpoint
-//! session, and coverage accounting — which pinned one campaign per
-//! process. [`Session`] owns all of it: the [`ExperimentConfig`], a
-//! [`simra_exec::ExecSession`] (recorder + backends + engine
-//! counters + root seed), an optional armed [`CheckpointSession`], and
-//! the fleet-coverage accumulator the `--faults` footer reports.
+//! [`Session`] is the one owner of every piece of campaign state: the
+//! [`ExperimentConfig`] (seed, backend choice, hybrid parameters, fault
+//! plan — fixed for the whole campaign), the telemetry [`Recorder`],
+//! the engine op-counter handles every rig reports through, one
+//! [`HybridBackend`] whose surrogate is the session's only calibration
+//! table, an optional armed [`CheckpointSession`], and the
+//! fleet-coverage accumulator the `--faults` footer reports.
 //!
 //! Two sessions can therefore run concurrently in one process — each
 //! sweep on its own scoped threads — with different seeds,
 //! backends, and fault plans, and each produces output byte-identical
 //! to running alone: telemetry and counters never touch an RNG stream,
-//! each session's surrogate calibration cache and hybrid slot state are
+//! each session's calibration table and hybrid slot state are
 //! instance-owned, and every (module, point) task seeds its own stream
 //! from a pure function of the session's config
 //! (`module_stream_seed`). `crates/characterize/tests/sessions.rs`
@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use simra_analog::EngineCounters;
-use simra_exec::{BackendChoice, BackendSet, ExecSession, HybridParams, PudBackend, ShardSpec};
+use simra_exec::{AnalogBackend, BackendChoice, HybridBackend, PudBackend, ShardSpec};
 use simra_telemetry::Recorder;
 
 use crate::checkpoint::{CheckpointError, CheckpointSession};
@@ -51,7 +51,9 @@ struct CoverageState {
 /// module docs for the isolation and determinism contract.
 pub struct Session {
     config: ExperimentConfig,
-    exec: ExecSession,
+    recorder: Recorder,
+    engine_counters: EngineCounters,
+    hybrid: HybridBackend,
     checkpoint: OnceLock<CheckpointSession>,
     coverage: Mutex<CoverageState>,
 }
@@ -60,7 +62,7 @@ impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("config", &self.config)
-            .field("exec", &self.exec)
+            .field("hybrid", &self.hybrid)
             .field("checkpointed", &self.checkpoint.get().is_some())
             .finish_non_exhaustive()
     }
@@ -74,14 +76,16 @@ impl Session {
 
     /// A session with a private recorder (enable it with
     /// [`Recorder::enable`] if its snapshots should carry data). The
-    /// config's hybrid decision parameters are applied to the session's
-    /// own hybrid backend.
+    /// session's hybrid backend is built with the config's decision
+    /// parameters.
     pub fn recorded_by(config: ExperimentConfig, recorder: Recorder) -> Self {
-        let exec = ExecSession::recorded_by(config.seed, recorder);
-        exec.set_hybrid_params(config.hybrid);
+        let hybrid = HybridBackend::new(config.hybrid, &recorder);
+        let engine_counters = EngineCounters::recorded_by(&recorder);
         Session {
             config,
-            exec,
+            recorder,
+            engine_counters,
+            hybrid,
             checkpoint: OnceLock::new(),
             coverage: Mutex::new(CoverageState::default()),
         }
@@ -94,33 +98,22 @@ impl Session {
 
     /// The session's telemetry recorder.
     pub fn recorder(&self) -> &Recorder {
-        self.exec.recorder()
+        &self.recorder
     }
 
-    /// The campaign's root seed (`config.seed`).
-    pub fn seed(&self) -> u64 {
-        self.exec.seed()
-    }
-
-    /// The session's backend set (instance-owned calibration cache and
-    /// hybrid slot state).
-    pub fn backends(&self) -> &BackendSet {
-        self.exec.backends()
-    }
-
-    /// The backend a choice names, from this session's set.
+    /// The backend a choice names. The surrogate is the hybrid's own,
+    /// so both share the session's one calibration table.
     pub fn dispatch(&self, choice: BackendChoice) -> &dyn PudBackend {
-        self.exec.dispatch(choice)
+        match choice {
+            BackendChoice::Analog => &AnalogBackend,
+            BackendChoice::Surrogate => self.hybrid.surrogate(),
+            BackendChoice::Hybrid => &self.hybrid,
+        }
     }
 
     /// The engine op-counter handles this session's rigs report through.
     pub fn engine_counters(&self) -> &EngineCounters {
-        self.exec.engine_counters()
-    }
-
-    /// Applies decision parameters to this session's hybrid backend.
-    pub fn set_hybrid_params(&self, params: HybridParams) {
-        self.exec.set_hybrid_params(params);
+        &self.engine_counters
     }
 
     /// Runs one figure body under its telemetry span — the shared
@@ -212,6 +205,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simra_bender::TestSetup;
+    use simra_core::rowgroup::random_group;
+    use simra_dram::{ApaTiming, BankId, DramModule, Rng, SubarrayId, VendorProfile};
+    use simra_exec::{HybridParams, TrialSpec};
 
     #[test]
     fn run_figure_opens_exactly_one_span() {
@@ -270,14 +267,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Runs `trials` best-timing 32-row activation trials through the
+    /// session's `choice` backend on one freshly mounted rig.
+    fn run_trials(session: &Session, choice: BackendChoice, trials: usize) {
+        let mut setup = TestSetup::with_module(DramModule::new(VendorProfile::mfr_h_m_die(), 7));
+        setup.set_engine_counters(session.engine_counters().clone());
+        let mut rng = Rng::seed_from_u64(21);
+        let group = random_group(
+            setup.module().geometry(),
+            BankId::new(0),
+            SubarrayId::new(0),
+            32,
+            &mut rng,
+        )
+        .expect("subarray hosts the group");
+        let spec = TrialSpec::activation(ApaTiming::best_for_activation());
+        let backend = session.dispatch(choice);
+        for _ in 0..trials {
+            assert!(backend
+                .run_trial(&spec, &mut setup, &group, &mut rng)
+                .is_some());
+        }
+    }
+
+    fn counter(recorder: &Recorder, module: &str, name: &str) -> u64 {
+        recorder
+            .snapshot()
+            .counters
+            .iter()
+            .find(|c| c.module == module && c.name == name)
+            .map_or(0, |c| c.value)
+    }
+
+    fn enabled_session(config: ExperimentConfig) -> (Session, Recorder) {
+        let recorder = Recorder::new();
+        recorder.enable();
+        (Session::recorded_by(config, recorder.clone()), recorder)
+    }
+
     #[test]
-    fn sessions_apply_their_configs_hybrid_params() {
-        let mut config = ExperimentConfig::quick();
-        config.hybrid = HybridParams {
-            epsilon: 0.05,
-            ..HybridParams::default()
+    fn dispatch_names_match_choices() {
+        let session = Session::new(ExperimentConfig::quick());
+        assert_eq!(session.dispatch(BackendChoice::Analog).name(), "analog");
+        assert_eq!(
+            session.dispatch(BackendChoice::Surrogate).name(),
+            "surrogate"
+        );
+        assert_eq!(session.dispatch(BackendChoice::Hybrid).name(), "hybrid");
+    }
+
+    #[test]
+    fn surrogate_and_hybrid_share_one_calibration_table() {
+        let (session, recorder) = enabled_session(ExperimentConfig::quick());
+        run_trials(&session, BackendChoice::Surrogate, 1);
+        run_trials(&session, BackendChoice::Hybrid, 1);
+        assert_eq!(
+            counter(&recorder, "surrogate", "calibration_probes"),
+            1,
+            "the hybrid reads the key the surrogate trial calibrated"
+        );
+    }
+
+    #[test]
+    fn the_hybrid_runs_on_the_configs_params() {
+        // A near-certain point: the defaults decide after the floor
+        // trial, an unreachable epsilon escalates up to the ceiling.
+        let escalations = |hybrid: HybridParams| {
+            let mut config = ExperimentConfig::quick();
+            config.hybrid = hybrid;
+            let (session, recorder) = enabled_session(config);
+            run_trials(&session, BackendChoice::Hybrid, 8);
+            counter(&recorder, "hybrid", "escalations")
         };
-        let session = Session::recorded_by(config, Recorder::new());
-        assert_eq!(session.backends().hybrid().params().epsilon, 0.05);
+        assert_eq!(escalations(HybridParams::default()), 1);
+        let strict = HybridParams {
+            epsilon: 1e-9,
+            floor: 1,
+            ceiling: 3,
+        };
+        assert_eq!(escalations(strict), 3);
     }
 }

@@ -4,10 +4,12 @@
 //! output byte-identical to running alone, with disjoint telemetry and
 //! coverage.
 //!
-//! This is the payoff contract of the session refactor: nothing a
-//! sibling campaign does (its RNG streams, its surrogate calibration,
-//! its hybrid slot state, its fault plan) may perturb another session's
-//! tables or counters.
+//! Each session owns its recorder, its engine counters and one hybrid
+//! backend, whose surrogate is the session's only calibration table.
+//! Nothing a sibling campaign does (its RNG streams, its calibration
+//! probes, its hybrid slot state, its fault plan) may perturb another
+//! session's tables or counters: every recorder sees exactly its solo
+//! run's calibration-probe count.
 //!
 //! [`FleetPool::global`]: simra_characterize::pool::FleetPool::global
 

@@ -49,13 +49,16 @@
 //! observation history in slot order): the decision for trial *k* of a
 //! point depends only on the outcomes of that point's earlier analog
 //! trials *within the same slot*, which are themselves pure functions
-//! of the slot's seeded RNG stream. State lives in a per-instance map
-//! keyed by worker thread and scoped to the [`crate::slot`] epoch, and
-//! is dropped at every slot boundary, so worker count, scheduling,
-//! retries, checkpoint resume, and sharding cannot leak history between
-//! slots — two same-seed runs are byte-identical, and two backend
-//! instances (e.g. two concurrent sessions) never see each other's
-//! state. Answer samples consume exactly two uniforms (the
+//! of the slot's seeded RNG stream. A slot is one rig mount, identified
+//! by [`TestSetup::slot`]: the executor mounts a fresh rig for every
+//! (module, point, attempt) task, so a slot runs start to finish on one
+//! thread. State lives in a per-instance map keyed by worker thread,
+//! tagged with the slot it belongs to, and dropped as soon as that
+//! thread's trials arrive on another mount, so worker count,
+//! scheduling, retries, checkpoint resume, and sharding cannot leak
+//! history between slots — two same-seed runs are byte-identical, and
+//! two backend instances (e.g. two concurrent sessions) never see each
+//! other's state. Answer samples consume exactly two uniforms (the
 //! surrogate's noise shape) and escalated trials consume exactly the
 //! analog backend's draws, so a decided point's stream position matches
 //! what a pure table (resp. pure analog) run would produce — and
@@ -104,10 +107,10 @@ const PRIOR_WEIGHT: f64 = 32.0;
 /// margin.
 const TABLE_ERROR_BAND: f64 = 0.05;
 
-/// Tuning knobs of the hybrid decision rule. Part of the experiment
-/// config digest (so checkpoint journals refuse to resume across a
-/// parameter change) and settable from the CLI via
-/// `--hybrid-epsilon` / `--hybrid-budget`.
+/// Tuning knobs of the hybrid decision rule, fixed when the backend is
+/// built. Part of the experiment config digest (so checkpoint journals
+/// refuse to resume across a parameter change) and settable from the
+/// CLI via `--hybrid-epsilon` / `--hybrid-budget`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridParams {
     /// Target half-width of the 95 % Wilson interval: a point stops
@@ -156,21 +159,11 @@ struct PointState {
 }
 
 /// One worker thread's hybrid state within this backend instance,
-/// valid for exactly one slot epoch; reset on any mismatch.
+/// valid for exactly one rig mount ([`TestSetup::slot`]); reset when
+/// the thread's trials move to another mount.
 struct SlotCache {
-    epoch: u64,
-    params: HybridParams,
+    slot: u64,
     points: HashMap<CalKey, PointState>,
-}
-
-impl SlotCache {
-    fn vacant() -> Self {
-        SlotCache {
-            epoch: u64::MAX,
-            params: HybridParams::default(),
-            points: HashMap::new(),
-        }
-    }
 }
 
 /// What [`HybridBackend::run_trial`] should do for the current trial,
@@ -200,25 +193,19 @@ impl HybridCounters {
     }
 }
 
-impl Default for HybridCounters {
-    fn default() -> Self {
-        HybridCounters::recorded_by(&Recorder::new())
-    }
-}
-
 /// The adaptive hybrid backend. See the module docs for the decision
 /// rule and the determinism argument.
 ///
-/// Like the surrogate, one instance should live for a whole session so
-/// the calibration cache stays warm; the escalation state, by contrast,
-/// is slot-scoped and never survives a [`crate::slot::begin`] boundary.
-/// All mutable state is owned by the instance — per-worker slot caches
-/// live in a map keyed by [`ThreadId`], not in process-wide
-/// thread-locals — so independent instances (one per session) are fully
-/// isolated.
+/// One instance lives for a whole session, and its surrogate is the
+/// session's only calibration table, warm for every figure; the
+/// escalation state, by contrast, is slot-scoped and never survives a
+/// change of rig mount. All mutable state is owned by the instance —
+/// per-worker slot caches live in a map keyed by [`ThreadId`], not in
+/// process-wide thread-locals — so independent instances (one per
+/// session) are fully isolated.
 pub struct HybridBackend {
     surrogate: SurrogateBackend,
-    params: Mutex<HybridParams>,
+    params: HybridParams,
     counters: HybridCounters,
     /// Per-worker slot-scoped escalation state. A slot runs start to
     /// finish on one thread, so keying by thread keeps each slot's
@@ -231,80 +218,45 @@ impl fmt::Debug for HybridBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HybridBackend")
             .field("surrogate", &self.surrogate)
-            .field("params", &self.params())
+            .field("params", &self.params)
             .finish_non_exhaustive()
     }
 }
 
-impl Default for HybridBackend {
-    fn default() -> Self {
-        HybridBackend::new()
-    }
-}
-
 impl HybridBackend {
-    /// A fresh hybrid backend with default parameters and an empty
-    /// calibration cache, reporting to a fresh, disabled recorder.
-    pub fn new() -> Self {
-        HybridBackend::with_params(HybridParams::default())
-    }
-
-    /// A fresh hybrid backend with explicit parameters, reporting to a
-    /// fresh, disabled recorder.
-    pub fn with_params(params: HybridParams) -> Self {
-        HybridBackend::with_params_recorded(params, &Recorder::new())
-    }
-
-    /// A fresh hybrid backend reporting to `recorder`.
-    pub fn recorded_by(recorder: &Recorder) -> Self {
-        HybridBackend::with_params_recorded(HybridParams::default(), recorder)
-    }
-
-    /// A fresh hybrid backend with explicit parameters, reporting its
-    /// decision telemetry (and the underlying surrogate's calibration
-    /// cost) to `recorder`.
-    pub fn with_params_recorded(params: HybridParams, recorder: &Recorder) -> Self {
+    /// A hybrid backend with decision parameters `params` and an empty
+    /// calibration table, reporting its decision telemetry (and its
+    /// surrogate's calibration cost) to `recorder`.
+    pub fn new(params: HybridParams, recorder: &Recorder) -> Self {
         HybridBackend {
             surrogate: SurrogateBackend::recorded_by(recorder),
-            params: Mutex::new(params),
+            params,
             counters: HybridCounters::recorded_by(recorder),
             slots: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Replaces the decision parameters. Takes effect at the next slot
-    /// boundary (each slot snapshots the parameters it starts with, so
-    /// a mid-slot change cannot split a slot's history).
-    pub fn set_params(&self, params: HybridParams) {
-        *self.params.lock().expect("hybrid params poisoned") = params;
+    /// The surrogate whose calibrated table this backend answers from.
+    pub fn surrogate(&self) -> &SurrogateBackend {
+        &self.surrogate
     }
 
-    /// The current decision parameters.
-    pub fn params(&self) -> HybridParams {
-        *self.params.lock().expect("hybrid params poisoned")
-    }
-
-    /// Number of calibrated configurations in the underlying surrogate
-    /// table.
-    pub fn calibrated_points(&self) -> usize {
-        self.surrogate.calibrated_points()
-    }
-
-    /// Decides the current trial of `key` from the slot-local history.
-    /// Pure in (params, p_cal, op, history); consumes no RNG.
-    fn decide(&self, key: CalKey, p_cal: f64, op: &TrialOp) -> Action {
-        let params_now = self.params();
+    /// Decides the current trial of `key` on mount `slot` from the
+    /// slot-local history. Pure in (params, p_cal, op, history);
+    /// consumes no RNG.
+    fn decide(&self, key: CalKey, slot: u64, p_cal: f64, op: &TrialOp) -> Action {
         let mut slots = self.slots.lock().expect("hybrid slot state poisoned");
         let cache = slots
             .entry(thread::current().id())
-            .or_insert_with(SlotCache::vacant);
-        let epoch = crate::slot::current();
-        if cache.epoch != epoch {
-            cache.epoch = epoch;
-            cache.params = params_now;
+            .or_insert_with(|| SlotCache {
+                slot,
+                points: HashMap::new(),
+            });
+        if cache.slot != slot {
+            cache.slot = slot;
             cache.points.clear();
         }
-        let params = cache.params;
+        let params = self.params;
         let counters = &self.counters;
         let state = cache.points.entry(key).or_default();
         if let Some(p) = state.answer {
@@ -395,7 +347,7 @@ impl PudBackend for HybridBackend {
         if p_cal.is_nan() {
             return None;
         }
-        match self.decide(key, p_cal, &spec.op) {
+        match self.decide(key, setup.slot(), p_cal, &spec.op) {
             Action::Answer(p) => Some(noisy_success_sample(p, rng)),
             Action::Escalate => {
                 let s = AnalogBackend.run_trial(spec, setup, group, rng)?;
@@ -419,6 +371,10 @@ mod tests {
         )
     }
 
+    fn hybrid(params: HybridParams) -> HybridBackend {
+        HybridBackend::new(params, &Recorder::new())
+    }
+
     fn group_of(setup: &TestSetup, n: u32, rng: &mut Rng) -> GroupSpec {
         random_group(
             setup.module().geometry(),
@@ -430,15 +386,15 @@ mod tests {
         .expect("subarray hosts the group")
     }
 
-    /// Runs `trials` hybrid trials of one spec inside a fresh slot and
-    /// returns (samples, analog trials spent on the point).
+    /// Runs `trials` hybrid trials of one spec on a freshly mounted rig
+    /// (a fresh slot) and returns (samples, analog trials spent on the
+    /// point).
     fn run_slot(
         backend: &HybridBackend,
         spec: &TrialSpec,
         n: u32,
         trials: usize,
     ) -> (Vec<Option<f64>>, u32) {
-        crate::slot::begin();
         let (mut setup, mut rng) = rig(VendorProfile::mfr_h_m_die(), 7);
         let group = group_of(&setup, n, &mut rng);
         let samples: Vec<_> = (0..trials)
@@ -454,7 +410,7 @@ mod tests {
         // Best-timing 32-row activation: ≈ 100 % success, table agrees,
         // interval clear of 0.5 after one weighted trial → exactly one
         // analog trial, the rest answered from the table.
-        let backend = HybridBackend::new();
+        let backend = hybrid(HybridParams::default());
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
         let (samples, spent) = run_slot(&backend, &spec, 32, 6);
         assert_eq!(spent, 1, "floor trial only");
@@ -467,7 +423,7 @@ mod tests {
     fn ambiguous_points_respect_the_budget_ceiling() {
         // Force permanent ambiguity with an unreachable epsilon: every
         // trial escalates until the ceiling, then the posterior answers.
-        let backend = HybridBackend::with_params(HybridParams {
+        let backend = hybrid(HybridParams {
             epsilon: 1e-9,
             floor: 1,
             ceiling: 3,
@@ -484,9 +440,9 @@ mod tests {
         // but the analog core measures ≈ 20 % — the consistency gate
         // must refuse to answer from the table and spend the whole
         // budget on analog trials (this is the Obs. 8 rescue).
-        let backend = HybridBackend::new();
+        let backend = hybrid(HybridParams::default());
         let spec = TrialSpec::majx(7, ApaTiming::best_for_majx(), DataPattern::Random);
-        let ceiling = backend.params().ceiling;
+        let ceiling = HybridParams::default().ceiling;
         let trials = ceiling as usize + 4;
         let (samples, spent) = run_slot(&backend, &spec, 32, trials);
         assert_eq!(spent, ceiling, "inconsistent table → analog until the cap");
@@ -499,17 +455,17 @@ mod tests {
     #[test]
     fn decisions_are_byte_identical_across_instances_and_replays() {
         let spec = TrialSpec::majx(5, ApaTiming::best_for_majx(), DataPattern::Random);
-        let (a, _) = run_slot(&HybridBackend::new(), &spec, 32, 10);
-        let (b, _) = run_slot(&HybridBackend::new(), &spec, 32, 10);
+        let (a, _) = run_slot(&hybrid(HybridParams::default()), &spec, 32, 10);
+        let (b, _) = run_slot(&hybrid(HybridParams::default()), &spec, 32, 10);
         assert_eq!(a, b, "same seed, fresh slot → identical samples");
     }
 
     #[test]
     fn slot_boundaries_reset_the_escalation_state() {
-        let backend = HybridBackend::new();
+        let backend = hybrid(HybridParams::default());
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
         let (first, spent_first) = run_slot(&backend, &spec, 32, 4);
-        // A later slot on the same thread must not inherit the decided
+        // A later mount on the same thread must not inherit the decided
         // state: it re-spends the floor trial and replays identically.
         let (second, spent_second) = run_slot(&backend, &spec, 32, 4);
         assert_eq!(spent_first, spent_second, "state reset at slot boundary");
@@ -518,27 +474,15 @@ mod tests {
 
     #[test]
     fn infeasible_configurations_return_none_without_state() {
-        let backend = HybridBackend::new();
-        crate::slot::begin();
+        let backend = hybrid(HybridParams::default());
         let (mut setup, mut rng) = rig(VendorProfile::mfr_m_e_die(), 3);
         let group = group_of(&setup, 16, &mut rng);
         let spec = TrialSpec::majx(9, ApaTiming::best_for_majx(), DataPattern::Random);
         assert_eq!(backend.run_trial(&spec, &mut setup, &group, &mut rng), None);
-        assert_eq!(backend.calibrated_points(), 0, "guard precedes probe");
-    }
-
-    #[test]
-    fn params_snapshot_at_the_slot_boundary() {
-        let backend = HybridBackend::with_params(HybridParams {
-            epsilon: 1e-9,
-            floor: 2,
-            ceiling: 4,
-        });
-        let spec = TrialSpec::activation(ApaTiming::best_for_activation());
-        let (_, spent) = run_slot(&backend, &spec, 32, 6);
-        assert_eq!(spent, 4);
-        backend.set_params(HybridParams::default());
-        let (_, spent) = run_slot(&backend, &spec, 32, 6);
-        assert_eq!(spent, 1, "new params apply from the next slot");
+        assert_eq!(
+            backend.surrogate().calibrated_points(),
+            0,
+            "guard precedes probe"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! everything that sweeps them (`simra-characterize`, `simra-casestudy`,
 //! the `repro` CLI): a single [`PudBackend`] trait that executes one
 //! activation / MAJX / Multi-RowCopy trial against a mounted module, and
-//! two implementations of it.
+//! three implementations of it.
 //!
 //! * [`AnalogBackend`] runs the full analog pipeline — the trial spec is
 //!   translated into exactly the `simra_core` op calls (and RNG draws)
@@ -22,9 +22,15 @@
 //!   surrogate's table only once a point's estimate has converged, is
 //!   consistent with the table, and is decisively clear of every
 //!   observation threshold — escalating ambiguous points to the analog
-//!   core with sequential early stopping. Module docs of [`hybrid`]
-//!   give the decision rule and the determinism argument; [`slot`]
-//!   provides the epoch boundary its state is scoped to.
+//!   core with sequential early stopping. It owns the surrogate it
+//!   answers from, and scopes its escalation state to one rig mount
+//!   ([`TestSetup::slot`]). Module docs of [`hybrid`] give the decision
+//!   rule and the determinism argument.
+//!
+//! A characterization session holds one [`HybridBackend`]: its
+//! surrogate is the session's only calibration table, and the analog
+//! backend is stateless. [`manifest`] fingerprints a sweep for the
+//! checkpoint journals.
 //!
 //! The trait's contract mirrors the fleet executor's op signature
 //! (`Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>`),
@@ -36,8 +42,6 @@
 
 pub mod hybrid;
 pub mod manifest;
-pub mod session;
-pub mod slot;
 pub mod surrogate;
 
 use simra_bender::TestSetup;
@@ -52,11 +56,10 @@ pub use manifest::{
     stable_digest, ManifestError, PointDigest, ShardSpec, SweepManifest,
     SWEEP_MANIFEST_SCHEMA_VERSION,
 };
-pub use session::{BackendSet, ExecSession};
 pub use surrogate::SurrogateBackend;
 
-/// Which backend executes a trial. Carried per sweep point by the
-/// characterization layer and selected globally by `repro --backend`.
+/// Which backend executes a trial. One per campaign: read from the
+/// experiment config, which `repro --backend` sets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// The full analog pipeline (the reference; byte-identical output).

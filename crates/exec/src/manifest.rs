@@ -250,7 +250,9 @@ impl SweepManifest {
     /// The first field on which `self` (the manifest on disk) differs
     /// from `current` (the manifest of the sweep about to run), with
     /// both renderings — `None` when they match. Schema version is
-    /// checked at parse time; this compares the execution inputs.
+    /// checked at parse time; this compares the execution inputs. Point
+    /// lists of different lengths render as their counts; equal-length
+    /// lists render the first differing point on both sides.
     pub fn mismatch(&self, current: &SweepManifest) -> Option<(&'static str, String, String)> {
         if self.sweep_id != current.sweep_id {
             return Some(("sweep_id", self.sweep_id.clone(), current.sweep_id.clone()));
@@ -278,12 +280,26 @@ impl SweepManifest {
                 current.modules.to_string(),
             ));
         }
-        if self.points != current.points {
+        if self.points.len() != current.points.len() {
             return Some((
                 "points",
                 format!("{} point(s)", self.points.len()),
                 format!("{} point(s)", current.points.len()),
             ));
+        }
+        let differing = self
+            .points
+            .iter()
+            .zip(&current.points)
+            .position(|(a, b)| a != b);
+        if let Some(i) = differing {
+            let render = |p: PointDigest| {
+                format!(
+                    "point {i} (n={}, params_digest={:#018x})",
+                    p.n, p.params_digest
+                )
+            };
+            return Some(("points", render(self.points[i]), render(current.points[i])));
         }
         if self.shard != current.shard {
             let render =
@@ -349,9 +365,30 @@ mod tests {
         let mut other = m.clone();
         other.points.pop();
         assert_eq!(m.mismatch(&other).unwrap().0, "points");
+    }
+
+    #[test]
+    fn point_mismatches_name_the_differing_point() {
+        let m = sample();
+        let mut shorter = m.clone();
+        shorter.points.pop();
+        let (_, on_disk, current) = m.mismatch(&shorter).unwrap();
+        assert_eq!(
+            (on_disk.as_str(), current.as_str()),
+            ("2 point(s)", "1 point(s)")
+        );
+
         let mut other = m.clone();
         other.points[1].params_digest ^= 0xFF;
-        assert_eq!(m.mismatch(&other).unwrap().0, "points");
+        let (field, on_disk, current) = m.mismatch(&other).unwrap();
+        assert_eq!(field, "points");
+        assert_ne!(on_disk, current, "equal-length lists must not render alike");
+        for side in [&on_disk, &current] {
+            assert!(
+                side.starts_with("point 1 (n=64, params_digest=0x"),
+                "{side}"
+            );
+        }
     }
 
     #[test]

@@ -257,8 +257,8 @@ impl CalKey {
 /// The calibrated fast surrogate backend. See the module docs for the
 /// model, the calibration procedure, and the error band.
 ///
-/// One instance should live for a whole session (an `ExecSession` keeps
-/// one per backend set) so the calibration cache stays warm across
+/// One instance should live for a whole session (a session's hybrid
+/// backend owns it) so the calibration cache stays warm across
 /// figures — a key one figure probed is a cache hit for every later
 /// figure. The cache contents are deterministic in
 /// the key (the probe rig and its RNG are seeded from the key alone),

@@ -344,11 +344,20 @@ impl FaultPlan {
         };
         let vpp_droop = match doc.get("vpp_droop") {
             None | Some(Value::Null) => None,
-            Some(d) => Some(VppDroop {
-                delta_v: require_f64(d, "delta_v")?,
-                from_group: require_usize(d, "from_group")?,
-                to_group: require_usize(d, "to_group")?,
-            }),
+            Some(d) => {
+                let delta_v = require_f64(d, "delta_v")?;
+                if delta_v < 0.0 {
+                    return Err(field_error(
+                        "vpp_droop.delta_v",
+                        "expected a non-negative sag in volts",
+                    ));
+                }
+                Some(VppDroop {
+                    delta_v,
+                    from_group: require_usize(d, "from_group")?,
+                    to_group: require_usize(d, "to_group")?,
+                })
+            }
         };
         let deadline_ms = match doc.get("deadline_ms") {
             None | Some(Value::Null) => None,
@@ -645,5 +654,15 @@ mod tests {
              \"modules\":[{\"module_index\":0,\"kind\":{\"type\":\"gremlin\"}}]}";
         let err = FaultPlan::from_json(bad_kind).unwrap_err();
         assert!(err.to_string().contains("gremlin"), "{err}");
+    }
+
+    #[test]
+    fn a_negative_droop_is_a_field_error() {
+        let surge = "{\"schema_version\":1,\"seed\":0,\
+             \"vpp_droop\":{\"delta_v\":-0.1,\"from_group\":0,\"to_group\":2}}";
+        match FaultPlan::from_json(surge) {
+            Err(PlanParseError::Field { field, .. }) => assert_eq!(field, "vpp_droop.delta_v"),
+            other => panic!("expected a field error, got {other:?}"),
+        }
     }
 }

@@ -12,8 +12,7 @@
 
 use simra::bender::TestSetup;
 use simra::characterize::{
-    run_sweep, sweep_trial_samples, trial_point, ExperimentConfig, FleetOutcome, Session,
-    SweepPoint,
+    run_sweep, sweep_trial_samples, ExperimentConfig, FleetOutcome, Session, SweepPoint,
 };
 use simra::dram::{ApaTiming, BitRow, DataPattern, Manufacturer, Rng};
 use simra::exec::{AnalogBackend, BackendChoice, MrcSource, PudBackend, TrialSpec};
@@ -190,7 +189,7 @@ fn activation_sweep_is_byte_identical_through_the_trait() {
             if let Some(v) = v {
                 spec = spec.at_vpp(v);
             }
-            trial_point(&config, n, spec)
+            SweepPoint::new(n, spec)
         })
         .collect();
     let session = Session::new(config.clone());
@@ -228,11 +227,7 @@ fn majx_sweep_is_byte_identical_through_the_trait() {
     let trait_points: Vec<_> = grid
         .iter()
         .map(|&(n, x, pattern)| {
-            trial_point(
-                &config,
-                n,
-                TrialSpec::majx(x, ApaTiming::best_for_majx(), pattern),
-            )
+            SweepPoint::new(n, TrialSpec::majx(x, ApaTiming::best_for_majx(), pattern))
         })
         .collect();
     let session = Session::new(config.clone());
@@ -266,13 +261,8 @@ fn mrc_sweep_is_byte_identical_through_the_trait() {
         ),
     ];
     let trait_points = vec![
-        trial_point(
-            &config,
-            8,
-            TrialSpec::multirowcopy(timing, MrcSource::RandomBits),
-        ),
-        trial_point(
-            &config,
+        SweepPoint::new(8, TrialSpec::multirowcopy(timing, MrcSource::RandomBits)),
+        SweepPoint::new(
             32,
             TrialSpec::multirowcopy(timing, MrcSource::AllOnes).at_temperature(70.0),
         ),

@@ -7,26 +7,26 @@ use simra::bender::TestSetup;
 use simra::characterize::pool::FleetPool;
 use simra::characterize::{
     collect_group_samples_serial, fig10_mrc_timing, fig3_activation_timing, fig6_maj3_timing,
-    run_sweep, run_sweep_on, trial_point, ExperimentConfig, FailureCause, FleetClock, FleetOutcome,
-    FleetPolicy, MockClock, ModuleResult, Session, SweepPoint, TrialPoint,
+    run_sweep, run_sweep_on, ExperimentConfig, FailureCause, FleetClock, FleetOutcome, FleetPolicy,
+    MockClock, ModuleResult, Session, SweepPoint,
 };
 use simra::dram::{ApaTiming, Rng};
 use simra::exec::{BackendChoice, TrialSpec};
 use simra::faults::{CellFaultSpec, FaultPlan, ModuleFault, ModuleFaultKind};
 use simra::pud::rowgroup::GroupSpec;
 
-/// The figure runners' op shape: dispatch the point's spec through the
-/// session's backend of the point's choice.
+/// The figure runners' op shape: run the point's spec through the
+/// session's backend for its config's choice.
 fn run_trial_via(
     session: &Session,
-    tp: &TrialPoint,
+    spec: &TrialSpec,
     setup: &mut TestSetup,
     group: &GroupSpec,
     rng: &mut Rng,
 ) -> Option<f64> {
     session
-        .dispatch(tp.backend)
-        .run_trial(&tp.spec, setup, group, rng)
+        .dispatch(session.config().backend)
+        .run_trial(spec, setup, group, rng)
 }
 
 /// An op that exercises RNG state, group identity, and module identity,
@@ -341,25 +341,25 @@ fn pooled_rig_sweep_is_byte_identical_to_fresh_construction() {
         // rather than a synthetic probe.
         config.backend = backend;
         let spec = TrialSpec::activation(ApaTiming::from_ns(2.5, 2.5));
-        let trial_points: Vec<SweepPoint<TrialPoint>> = ns
+        let spec_points: Vec<SweepPoint<TrialSpec>> = ns
             .iter()
             .take(2)
-            .map(|&n| trial_point(&config, n, spec))
+            .map(|&n| SweepPoint::new(n, spec))
             .collect();
         let session = Session::new(config.clone());
         for workers in [1usize, 2] {
             let sweep = run_sweep_on(
                 FleetPool::global(),
                 &session,
-                &trial_points,
+                &spec_points,
                 policy,
                 &clock,
                 workers,
-                |tp, s, g, r| run_trial_via(&session, tp, s, g, r),
+                |spec, s, g, r| run_trial_via(&session, spec, s, g, r),
             );
-            assert_eq!(sweep.len(), trial_points.len(), "{at}");
-            for (point, outcome) in trial_points.iter().zip(&sweep) {
-                let tp = point.params;
+            assert_eq!(sweep.len(), spec_points.len(), "{at}");
+            for (point, outcome) in spec_points.iter().zip(&sweep) {
+                let spec = point.params;
                 let fresh = one_point(
                     &session,
                     point.n,
@@ -367,7 +367,7 @@ fn pooled_rig_sweep_is_byte_identical_to_fresh_construction() {
                     &clock,
                     workers,
                     |s: &mut TestSetup, g: &GroupSpec, r: &mut Rng| {
-                        run_trial_via(&session, &tp, s, g, r)
+                        run_trial_via(&session, &spec, s, g, r)
                     },
                 );
                 assert_eq!(
@@ -383,7 +383,7 @@ fn pooled_rig_sweep_is_byte_identical_to_fresh_construction() {
                 );
                 if preset.is_none() {
                     let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
-                        run_trial_via(&session, &tp, s, g, r)
+                        run_trial_via(&session, &spec, s, g, r)
                     });
                     assert_eq!(outcome.samples(), serial, "{at}: n={}", point.n);
                 }
