@@ -261,8 +261,7 @@ impl ApaEngine {
     /// scalar kernel ([`bitline_deltas_into_scalar`]) instead of the
     /// batched one. Bit-identical to `sense` by the kernel's bit-identity
     /// contract; exists as the anchor the identity tests compare
-    /// against and as the seed baseline the `analog_hotpath` bench
-    /// measures the batched trajectory from.
+    /// against.
     pub fn sense_reference(
         &self,
         subarray: &Subarray,

@@ -1,25 +1,8 @@
-//! Bench support crate: the `repro` binary, the four benches in
-//! `benches/` that write the `BENCH_*.json` files, and the pieces they
-//! share — [`cli`] argument parsing, the [`metrics`] JSON document
-//! written by `repro --metrics-out`, and the [`best_of_ms`] timer.
+//! Support crate for the `repro` and `calibrate` binaries: [`cli`]
+//! argument parsing and the [`metrics`] JSON document written by
+//! `repro --metrics-out`.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod metrics;
-
-use std::time::Instant;
-
-/// Best-of-`reps` wall-clock milliseconds of `f`. The benches share
-/// hosts with other tenants, so the minimum over short reps — not a
-/// mean — is the estimator. `f`'s result goes through `black_box` so
-/// the measured work cannot be optimized away.
-pub fn best_of_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
