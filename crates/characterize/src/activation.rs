@@ -1,11 +1,12 @@
 //! Figures 3 and 4: robustness of simultaneous many-row activation under
 //! timing, temperature, and wordline voltage.
 //!
-//! Each figure submits its whole parameter grid as one [`run_sweep`](crate::fleet::run_sweep)
-//! call, so the fleet walks every (module, point) task without per-point
-//! thread spawns or module rebuilds; rows are then assembled from the
-//! per-point sample sets, which arrive in exactly the nested-loop order
-//! the points were enumerated in.
+//! Each figure declares its table as blocks of rows over one sweep point
+//! per column (N); the crate-private `figure_table` in
+//! [`crate::backend`] submits every cell's point as one
+//! [`run_sweep`](crate::fleet::run_sweep) grid, so the fleet walks every
+//! (module, point) task without per-point thread spawns or module
+//! rebuilds, and fills each row from its cells' sample sets.
 //!
 //! The per-trial analog work dispatched by these points runs on the
 //! batched hot path (`simra_analog::charge`,
@@ -15,11 +16,10 @@
 //!
 //! [`ApaEngine::commit_survival_sum`]: simra_analog::ApaEngine::commit_survival_sum
 
-use simra_core::metrics::{mean, pct, BoxStats};
 use simra_dram::ApaTiming;
 use simra_exec::TrialSpec;
 
-use crate::backend::sweep_trial_samples;
+use crate::backend::{figure_table, RowBlock, Stat};
 use crate::fleet::SweepPoint;
 use crate::report::Table;
 use crate::session::Session;
@@ -37,123 +37,80 @@ pub const TEMPERATURES_C: [f64; 5] = [50.0, 60.0, 70.0, 80.0, 90.0];
 /// V_PP sweep of Fig. 4b (V).
 pub const VPP_LEVELS_V: [f64; 5] = [2.5, 2.4, 2.3, 2.2, 2.1];
 
+/// The `N=…` column headers of every activation figure.
+fn n_columns() -> Vec<String> {
+    ACTIVATION_NS.iter().map(|n| format!("N={n}")).collect()
+}
+
+/// One point per [`ACTIVATION_NS`] column, all running `spec`.
+fn n_points(spec: TrialSpec) -> [SweepPoint<TrialSpec>; 5] {
+    ACTIVATION_NS.map(|n| SweepPoint::new(n, spec))
+}
+
 /// Fig. 3: success-rate distribution of N-row activation for every (t1,
 /// t2) combination. Rows are `(t1, t2)` pairs plus the distribution
 /// statistic; columns are N. Values in percent.
 pub fn fig3_activation_timing(session: &Session) -> Table {
-    session.run_figure("fig3", |session| {
-        let config = session.config();
-        let columns = ACTIVATION_NS.iter().map(|n| format!("N={n}")).collect();
-        let mut table = Table::new(
-            "Fig. 3: simultaneous many-row activation success vs (t1, t2)",
-            config.describe_scale(),
-            columns,
-        );
-        let points: Vec<SweepPoint<TrialSpec>> = FIG3_T1
-            .iter()
-            .flat_map(|&t1| {
-                FIG3_T2.iter().flat_map(move |&t2| {
-                    let timing = ApaTiming::from_ns(t1, t2);
-                    ACTIVATION_NS
-                        .iter()
-                        .map(move |&n| (n, TrialSpec::activation(timing)))
-                })
+    let blocks = FIG3_T1
+        .iter()
+        .flat_map(|&t1| {
+            FIG3_T2.iter().map(move |&t2| {
+                RowBlock::new(
+                    [
+                        (format!("t1={t1} t2={t2} mean"), Stat::BoxMean),
+                        (format!("t1={t1} t2={t2} min"), Stat::BoxMin),
+                    ],
+                    n_points(TrialSpec::activation(ApaTiming::from_ns(t1, t2))),
+                )
             })
-            .map(|(n, spec)| SweepPoint::new(n, spec))
-            .collect();
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &t1 in &FIG3_T1 {
-            for &t2 in &FIG3_T2 {
-                let mut means = Vec::new();
-                let mut mins = Vec::new();
-                for _ in &ACTIVATION_NS {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    let stats = BoxStats::from_samples_or_nan(&samples);
-                    means.push(pct(stats.mean));
-                    mins.push(pct(stats.min));
-                }
-                table.push_row(format!("t1={t1} t2={t2} mean"), means);
-                table.push_row(format!("t1={t1} t2={t2} min"), mins);
-            }
-        }
-        table
-    })
+        })
+        .collect();
+    figure_table(
+        session,
+        "fig3",
+        "Fig. 3: simultaneous many-row activation success vs (t1, t2)",
+        n_columns(),
+        blocks,
+    )
 }
 
 /// Fig. 4a: average activation success vs temperature (rows) per N
 /// (columns), in percent.
 pub fn fig4a_activation_temperature(session: &Session) -> Table {
-    session.run_figure("fig4a", |session| {
-        let config = session.config();
-        let columns = ACTIVATION_NS.iter().map(|n| format!("N={n}")).collect();
-        let mut table = Table::new(
-            "Fig. 4a: many-row activation success vs temperature",
-            config.describe_scale(),
-            columns,
-        );
-        let points: Vec<SweepPoint<TrialSpec>> = TEMPERATURES_C
-            .iter()
-            .flat_map(|&t| {
-                ACTIVATION_NS.iter().map(move |&n| {
-                    (
-                        n,
-                        TrialSpec::activation(ApaTiming::best_for_activation()).at_temperature(t),
-                    )
-                })
-            })
-            .map(|(n, spec)| SweepPoint::new(n, spec))
-            .collect();
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &t in &TEMPERATURES_C {
-            let values = ACTIVATION_NS
-                .iter()
-                .map(|_| {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    pct(mean(&samples))
-                })
-                .collect();
-            table.push_row(format!("{t} C"), values);
-        }
-        table
-    })
+    let spec = TrialSpec::activation(ApaTiming::best_for_activation());
+    let blocks = TEMPERATURES_C
+        .iter()
+        .map(|&t| {
+            RowBlock::new(
+                [(format!("{t} C"), Stat::Mean)],
+                n_points(spec.at_temperature(t)),
+            )
+        })
+        .collect();
+    figure_table(
+        session,
+        "fig4a",
+        "Fig. 4a: many-row activation success vs temperature",
+        n_columns(),
+        blocks,
+    )
 }
 
 /// Fig. 4b: average activation success vs V_PP (rows) per N (columns),
 /// in percent.
 pub fn fig4b_activation_voltage(session: &Session) -> Table {
-    session.run_figure("fig4b", |session| {
-        let config = session.config();
-        let columns = ACTIVATION_NS.iter().map(|n| format!("N={n}")).collect();
-        let mut table = Table::new(
-            "Fig. 4b: many-row activation success vs wordline voltage",
-            config.describe_scale(),
-            columns,
-        );
-        let points: Vec<SweepPoint<TrialSpec>> = VPP_LEVELS_V
-            .iter()
-            .flat_map(|&v| {
-                ACTIVATION_NS.iter().map(move |&n| {
-                    (
-                        n,
-                        TrialSpec::activation(ApaTiming::best_for_activation()).at_vpp(v),
-                    )
-                })
-            })
-            .map(|(n, spec)| SweepPoint::new(n, spec))
-            .collect();
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &v in &VPP_LEVELS_V {
-            let values = ACTIVATION_NS
-                .iter()
-                .map(|_| {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    pct(mean(&samples))
-                })
-                .collect();
-            table.push_row(format!("{v} V"), values);
-        }
-        table
-    })
+    let spec = TrialSpec::activation(ApaTiming::best_for_activation());
+    let blocks = VPP_LEVELS_V
+        .iter()
+        .map(|&v| RowBlock::new([(format!("{v} V"), Stat::Mean)], n_points(spec.at_vpp(v))))
+        .collect();
+    figure_table(
+        session,
+        "fig4b",
+        "Fig. 4b: many-row activation success vs wordline voltage",
+        n_columns(),
+        blocks,
+    )
 }
 
 #[cfg(test)]

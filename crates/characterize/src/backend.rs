@@ -6,20 +6,31 @@
 //! [`sweep_trial_samples`] resolves it from the [`Session`] once per
 //! sweep and runs every trial through it.
 //!
+//! The sweep-backed runners (Figs. 3–12) do not call it directly: each
+//! declares its table as blocks of rows, every row one statistic of one
+//! point per column, and the crate-private `figure_table` sweeps those
+//! cells' points as one grid and fills the rows. The declaration is the
+//! figure's cell→point map; no runner re-walks its own loops to read the
+//! samples back.
+//!
 //! The backends live in the session: the surrogate and the hybrid share
 //! the session's one calibration table, which stays warm for the whole
 //! campaign — a key one figure probed is a cache hit for every later
 //! figure — while two concurrent sessions keep fully separate tables.
 
+use std::cell::OnceCell;
+
+use simra_core::metrics::{mean, pct, BoxStats};
 use simra_exec::TrialSpec;
 
 use crate::fleet::{run_sweep, FleetOutcome, SweepPoint};
+use crate::report::Table;
 use crate::session::Session;
 
 /// [`run_sweep`] over trial specs, each point's outcome reduced to its
 /// surviving samples (module order, then group order) — the one entry
-/// point every figure runner sweeps through. Every trial runs through
-/// the session's backend for `config.backend`.
+/// point every figure sweeps through. Every trial runs through the
+/// session's backend for `config.backend`.
 pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialSpec>]) -> Vec<Vec<f64>> {
     let backend = session.dispatch(session.config().backend);
     run_sweep(session, points, |spec, setup, group, rng| {
@@ -28,4 +39,113 @@ pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialSpec>]) 
     .into_iter()
     .map(FleetOutcome::into_samples)
     .collect()
+}
+
+/// The statistic a figure row prints of each cell's samples, in percent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stat {
+    /// [`mean`] of the samples.
+    Mean,
+    /// The mean of the cell's [`BoxStats`]. It sums the *sorted*
+    /// samples, so it can differ from [`Stat::Mean`] in the last bits.
+    BoxMean,
+    /// The minimum of the cell's [`BoxStats`].
+    BoxMin,
+    /// The median of the cell's [`BoxStats`].
+    BoxMedian,
+}
+
+impl Stat {
+    /// This statistic of `samples`; `summary` holds the cell's one
+    /// [`BoxStats`], computed on first use and shared by its block's rows.
+    fn of(self, samples: &[f64], summary: &OnceCell<BoxStats>) -> f64 {
+        let boxed = || summary.get_or_init(|| BoxStats::from_samples_or_nan(samples));
+        pct(match self {
+            Stat::Mean => mean(samples),
+            Stat::BoxMean => boxed().mean,
+            Stat::BoxMin => boxed().min,
+            Stat::BoxMedian => boxed().median,
+        })
+    }
+}
+
+/// Rows of a figure table that read the same points: each row prints
+/// its [`Stat`] of every column's point.
+pub(crate) struct RowBlock {
+    rows: Vec<(String, Stat)>,
+    /// One point per column; `None` leaves the cell NaN (not measured).
+    points: Vec<Option<SweepPoint<TrialSpec>>>,
+}
+
+impl RowBlock {
+    /// Rows labelled and summarised by `rows`, over one point per column.
+    pub(crate) fn new(
+        rows: impl IntoIterator<Item = (String, Stat)>,
+        points: impl IntoIterator<Item = SweepPoint<TrialSpec>>,
+    ) -> Self {
+        RowBlock {
+            rows: rows.into_iter().collect(),
+            points: points.into_iter().map(Some).collect(),
+        }
+    }
+
+    /// One row of `width` cells that measures only `column`, at `point`.
+    pub(crate) fn single(
+        label: String,
+        stat: Stat,
+        width: usize,
+        column: usize,
+        point: SweepPoint<TrialSpec>,
+    ) -> Self {
+        let mut points = vec![None; width];
+        points[column] = Some(point);
+        RowBlock {
+            rows: vec![(label, stat)],
+            points,
+        }
+    }
+}
+
+/// Runs figure `name` under its `figure/<name>` span: sweeps the points
+/// of every block's cells as one grid (block order, then column order)
+/// and returns the table whose rows those blocks declare, in order.
+pub(crate) fn figure_table(
+    session: &Session,
+    name: &str,
+    title: &str,
+    columns: Vec<String>,
+    blocks: Vec<RowBlock>,
+) -> Table {
+    session.run_figure(name, |session| {
+        // Each cell's index into the swept point list.
+        let mut points: Vec<SweepPoint<TrialSpec>> = Vec::new();
+        let cells: Vec<Vec<Option<usize>>> = blocks
+            .iter()
+            .map(|block| {
+                let cells = block.points.iter().map(|point| {
+                    point.map(|point| {
+                        points.push(point);
+                        points.len() - 1
+                    })
+                });
+                cells.collect()
+            })
+            .collect();
+        let samples = sweep_trial_samples(session, &points);
+        let mut table = Table::new(title, session.config().describe_scale(), columns);
+        for (block, cells) in blocks.iter().zip(&cells) {
+            let summaries = vec![OnceCell::new(); cells.len()];
+            for (label, stat) in &block.rows {
+                let values = cells
+                    .iter()
+                    .zip(&summaries)
+                    .map(|(cell, summary)| {
+                        cell.map_or(f64::NAN, |point| stat.of(&samples[point], summary))
+                    })
+                    .collect();
+                table.push_row(label.clone(), values);
+            }
+        }
+        table
+    })
 }

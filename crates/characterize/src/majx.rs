@@ -1,20 +1,22 @@
 //! Figures 6–9: MAJX robustness under timing, data pattern, temperature,
 //! and wordline voltage.
 //!
-//! Each figure submits its whole (X, N, timing, pattern, operating-point)
-//! grid as one [`run_sweep`](crate::fleet::run_sweep) call; rows are assembled from the per-point
-//! sample sets, which arrive in the enumeration order of the points.
+//! Each figure declares its table as blocks of rows over one (X, N,
+//! timing, pattern, operating-point) sweep point per column; the
+//! crate-private `figure_table` in [`crate::backend`] submits every
+//! cell's point as one [`run_sweep`](crate::fleet::run_sweep) grid and
+//! fills each row from its cells' sample sets.
 //!
 //! MAJX trial batches execute on the batched sense rig
 //! ([`simra_analog::SenseBatch`] → `sense_batch`/`margins_batch` inside
 //! `simra_core::maj`): operand images for a whole batch are written and
 //! snapshotted first, then sensed in one batched kernel pass.
 
-use simra_core::metrics::{mean, pct, BoxStats};
 use simra_dram::{ApaTiming, DataPattern};
 use simra_exec::TrialSpec;
 
-use crate::backend::sweep_trial_samples;
+use crate::activation::{TEMPERATURES_C, VPP_LEVELS_V};
+use crate::backend::{figure_table, RowBlock, Stat};
 use crate::fleet::SweepPoint;
 use crate::report::Table;
 use crate::session::Session;
@@ -34,201 +36,116 @@ pub fn feasible_ns(x: usize) -> Vec<u32> {
         .collect()
 }
 
-fn maj_point(
-    n: u32,
-    x: usize,
-    timing: ApaTiming,
-    pattern: DataPattern,
-    temperature_c: Option<f64>,
-    vpp_v: Option<f64>,
-) -> SweepPoint<TrialSpec> {
-    let mut spec = TrialSpec::majx(x, timing, pattern);
-    if let Some(t) = temperature_c {
-        spec = spec.at_temperature(t);
-    }
-    if let Some(v) = vpp_v {
-        spec = spec.at_vpp(v);
-    }
-    SweepPoint::new(n, spec)
+/// Random-pattern MAJX at the best MAJX timing, the spec of Figs. 7–9's
+/// replication and operating-point sweeps.
+fn random_majx(x: usize) -> TrialSpec {
+    TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random)
 }
 
 /// Fig. 6: MAJ3 success distribution vs (t1, t2) and N ∈ {4, 8, 16, 32}.
 /// Values in percent.
 pub fn fig6_maj3_timing(session: &Session) -> Table {
-    session.run_figure("fig6", |session| {
-        let config = session.config();
-        let ns = feasible_ns(3);
-        let columns = ns.iter().map(|n| format!("N={n}")).collect();
-        let mut table = Table::new(
-            "Fig. 6: MAJ3 success vs (t1, t2) and row count (input replication)",
-            config.describe_scale(),
-            columns,
-        );
-        let points: Vec<SweepPoint<TrialSpec>> = FIG6_T1
-            .iter()
-            .flat_map(|&t1| {
-                let ns = &ns;
-                FIG6_T2.iter().flat_map(move |&t2| {
-                    let timing = ApaTiming::from_ns(t1, t2);
-                    ns.iter()
-                        .map(move |&n| maj_point(n, 3, timing, DataPattern::Random, None, None))
-                })
+    let ns = feasible_ns(3);
+    let blocks = FIG6_T1
+        .iter()
+        .flat_map(|&t1| {
+            let ns = &ns;
+            FIG6_T2.iter().map(move |&t2| {
+                let spec = TrialSpec::majx(3, ApaTiming::from_ns(t1, t2), DataPattern::Random);
+                RowBlock::new(
+                    [
+                        (format!("t1={t1} t2={t2} mean"), Stat::BoxMean),
+                        (format!("t1={t1} t2={t2} median"), Stat::BoxMedian),
+                    ],
+                    ns.iter().map(|&n| SweepPoint::new(n, spec)),
+                )
             })
-            .collect();
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &t1 in &FIG6_T1 {
-            for &t2 in &FIG6_T2 {
-                let mut means = Vec::new();
-                let mut medians = Vec::new();
-                for _ in &ns {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    let stats = BoxStats::from_samples_or_nan(&samples);
-                    means.push(pct(stats.mean));
-                    medians.push(pct(stats.median));
-                }
-                table.push_row(format!("t1={t1} t2={t2} mean"), means);
-                table.push_row(format!("t1={t1} t2={t2} median"), medians);
-            }
-        }
-        table
-    })
+        })
+        .collect();
+    figure_table(
+        session,
+        "fig6",
+        "Fig. 6: MAJ3 success vs (t1, t2) and row count (input replication)",
+        ns.iter().map(|n| format!("N={n}")).collect(),
+        blocks,
+    )
 }
 
 /// Fig. 7: MAJX success per data pattern, at the best MAJX timing,
 /// with the maximum feasible replication (N = 32). Values in percent.
 pub fn fig7_majx_patterns(session: &Session) -> Table {
-    session.run_figure("fig7", |session| {
-        let config = session.config();
-        let columns = MAJ_XS.iter().map(|x| format!("MAJ{x}")).collect();
-        let mut table = Table::new(
-            "Fig. 7: MAJX success per data pattern (N = 32, best timing)",
-            config.describe_scale(),
-            columns,
-        );
-        let timing = ApaTiming::best_for_majx();
-        let mut points: Vec<SweepPoint<TrialSpec>> = DataPattern::ALL
-            .iter()
-            .flat_map(|&pattern| {
-                MAJ_XS
-                    .iter()
-                    .map(move |&x| maj_point(32, x, timing, pattern, None, None))
-            })
-            .collect();
-        // The replication sweep of Fig. 7's x-axis: random pattern per N.
-        points.extend(MAJ_XS.iter().flat_map(|&x| {
-            feasible_ns(x)
-                .into_iter()
-                .map(move |n| maj_point(n, x, timing, DataPattern::Random, None, None))
-        }));
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for pattern in DataPattern::ALL {
-            let values = MAJ_XS
-                .iter()
-                .map(|_| {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    pct(mean(&samples))
-                })
-                .collect();
-            table.push_row(pattern.to_string(), values);
+    let timing = ApaTiming::best_for_majx();
+    let mut blocks: Vec<RowBlock> = DataPattern::ALL
+        .iter()
+        .map(|&pattern| {
+            RowBlock::new(
+                [(pattern.to_string(), Stat::Mean)],
+                MAJ_XS.map(|x| SweepPoint::new(32, TrialSpec::majx(x, timing, pattern))),
+            )
+        })
+        .collect();
+    // The replication sweep of Fig. 7's x-axis: random pattern per N.
+    // Each row measures only its MAJX column; the rest is NaN
+    // (infeasible/not measured here).
+    for (column, &x) in MAJ_XS.iter().enumerate() {
+        for n in feasible_ns(x) {
+            blocks.push(RowBlock::single(
+                format!("random N={n} MAJ{x}"),
+                Stat::Mean,
+                MAJ_XS.len(),
+                column,
+                SweepPoint::new(n, random_majx(x)),
+            ));
         }
-        for &x in &MAJ_XS {
-            for n in feasible_ns(x) {
-                let samples = sweeps.next().expect("one sample set per sweep point");
-                let s = pct(mean(&samples));
-                // Per-N sweep rows carry one value in the matching MAJX
-                // column; the rest is NaN (infeasible/not measured here).
-                let mut row = vec![f64::NAN; MAJ_XS.len()];
-                let xi = MAJ_XS.iter().position(|v| *v == x).expect("x from MAJ_XS");
-                row[xi] = s;
-                table.push_row(format!("random N={n} MAJ{x}"), row);
-            }
-        }
-        table
-    })
+    }
+    figure_table(
+        session,
+        "fig7",
+        "Fig. 7: MAJX success per data pattern (N = 32, best timing)",
+        MAJ_XS.iter().map(|x| format!("MAJ{x}")).collect(),
+        blocks,
+    )
 }
 
 /// Fig. 8: MAJX success vs temperature (random pattern, N = 32 and the
 /// no-replication N = 4 for MAJ3, to show Obs. 12). Values in percent.
 pub fn fig8_majx_temperature(session: &Session) -> Table {
-    session.run_figure("fig8", |session| {
-        let config = session.config();
-        let temps = crate::activation::TEMPERATURES_C;
-        let columns = temps.iter().map(|t| format!("{t}C")).collect();
-        let mut table = Table::new(
-            "Fig. 8: MAJX success vs temperature",
-            config.describe_scale(),
-            columns,
-        );
-        let timing = ApaTiming::best_for_majx();
-        let mut points: Vec<SweepPoint<TrialSpec>> = MAJ_XS
-            .iter()
-            .flat_map(|&x| {
-                temps
-                    .iter()
-                    .map(move |&t| maj_point(32, x, timing, DataPattern::Random, Some(t), None))
-            })
-            .collect();
-        points.extend(
-            temps
-                .iter()
-                .map(|&t| maj_point(4, 3, timing, DataPattern::Random, Some(t), None)),
-        );
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &x in &MAJ_XS {
-            let values = temps
-                .iter()
-                .map(|_| {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    pct(mean(&samples))
-                })
-                .collect();
-            table.push_row(format!("MAJ{x} N=32"), values);
-        }
-        let maj3_n4 = temps
-            .iter()
-            .map(|_| {
-                let samples = sweeps.next().expect("one sample set per sweep point");
-                pct(mean(&samples))
-            })
-            .collect();
-        table.push_row("MAJ3 N=4", maj3_n4);
-        table
-    })
+    let row = |x: usize, n: u32| {
+        RowBlock::new(
+            [(format!("MAJ{x} N={n}"), Stat::Mean)],
+            TEMPERATURES_C.map(|t| SweepPoint::new(n, random_majx(x).at_temperature(t))),
+        )
+    };
+    let mut blocks: Vec<RowBlock> = MAJ_XS.iter().map(|&x| row(x, 32)).collect();
+    blocks.push(row(3, 4));
+    figure_table(
+        session,
+        "fig8",
+        "Fig. 8: MAJX success vs temperature",
+        TEMPERATURES_C.iter().map(|t| format!("{t}C")).collect(),
+        blocks,
+    )
 }
 
 /// Fig. 9: MAJX success vs wordline voltage (random pattern, N = 32).
 /// Values in percent.
 pub fn fig9_majx_voltage(session: &Session) -> Table {
-    session.run_figure("fig9", |session| {
-        let config = session.config();
-        let vpps = crate::activation::VPP_LEVELS_V;
-        let columns = vpps.iter().map(|v| format!("{v}V")).collect();
-        let mut table = Table::new(
-            "Fig. 9: MAJX success vs wordline voltage",
-            config.describe_scale(),
-            columns,
-        );
-        let timing = ApaTiming::best_for_majx();
-        let points: Vec<SweepPoint<TrialSpec>> = MAJ_XS
-            .iter()
-            .flat_map(|&x| {
-                vpps.iter()
-                    .map(move |&v| maj_point(32, x, timing, DataPattern::Random, None, Some(v)))
-            })
-            .collect();
-        let mut sweeps = sweep_trial_samples(session, &points).into_iter();
-        for &x in &MAJ_XS {
-            let values = vpps
-                .iter()
-                .map(|_| {
-                    let samples = sweeps.next().expect("one sample set per sweep point");
-                    pct(mean(&samples))
-                })
-                .collect();
-            table.push_row(format!("MAJ{x} N=32"), values);
-        }
-        table
-    })
+    let blocks = MAJ_XS
+        .iter()
+        .map(|&x| {
+            RowBlock::new(
+                [(format!("MAJ{x} N=32"), Stat::Mean)],
+                VPP_LEVELS_V.map(|v| SweepPoint::new(32, random_majx(x).at_vpp(v))),
+            )
+        })
+        .collect();
+    figure_table(
+        session,
+        "fig9",
+        "Fig. 9: MAJX success vs wordline voltage",
+        VPP_LEVELS_V.iter().map(|v| format!("{v}V")).collect(),
+        blocks,
+    )
 }
 
 #[cfg(test)]
