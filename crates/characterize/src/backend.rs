@@ -106,9 +106,10 @@ impl RowBlock {
     }
 }
 
-/// Runs figure `name` under its `figure/<name>` span: sweeps the points
-/// of every block's cells as one grid (block order, then column order)
-/// and returns the table whose rows those blocks declare, in order.
+/// Runs figure `name` under its `figure/<name>` span: sweeps the
+/// distinct points of every block's cells as one grid (in first-use
+/// order: block order, then column order) and returns the table whose
+/// rows those blocks declare, in order.
 pub(crate) fn figure_table(
     session: &Session,
     name: &str,
@@ -117,15 +118,19 @@ pub(crate) fn figure_table(
     blocks: Vec<RowBlock>,
 ) -> Table {
     session.run_figure(name, |session| {
-        // Each cell's index into the swept point list.
+        // Each cell's index into the swept point list. Cells that name
+        // equal points share one swept point: equal points replay one
+        // stream, so sweeping a point twice only repeats its work.
         let mut points: Vec<SweepPoint<TrialSpec>> = Vec::new();
         let cells: Vec<Vec<Option<usize>>> = blocks
             .iter()
             .map(|block| {
                 let cells = block.points.iter().map(|point| {
                     point.map(|point| {
-                        points.push(point);
-                        points.len() - 1
+                        points.iter().position(|p| *p == point).unwrap_or_else(|| {
+                            points.push(point);
+                            points.len() - 1
+                        })
                     })
                 });
                 cells.collect()
@@ -148,4 +153,59 @@ pub(crate) fn figure_table(
         }
         table
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use simra_dram::{ApaTiming, DataPattern};
+    use simra_exec::MrcSource;
+    use simra_telemetry::Recorder;
+
+    use super::*;
+    use crate::config::ExperimentConfig;
+
+    #[test]
+    fn each_cell_reads_its_statistic_of_one_distinct_point() {
+        let recorder = Recorder::new();
+        recorder.enable();
+        let session = Session::recorded_by(ExperimentConfig::quick(), recorder.clone());
+        let weak = SweepPoint::new(2, TrialSpec::activation(ApaTiming::from_ns(1.5, 1.5)));
+        let best = SweepPoint::new(8, TrialSpec::activation(ApaTiming::best_for_activation()));
+        let maj3 = TrialSpec::majx(3, ApaTiming::best_for_majx(), DataPattern::Random);
+        let maj3 = SweepPoint::new(4, maj3);
+        let copy =
+            TrialSpec::multirowcopy(ApaTiming::best_for_multi_row_copy(), MrcSource::AllOnes);
+        let copy = SweepPoint::new(8, copy);
+        let blocks = vec![
+            RowBlock::new(
+                [("mean".into(), Stat::BoxMean), ("min".into(), Stat::BoxMin)],
+                [weak, best],
+            ),
+            RowBlock::new([("avg".into(), Stat::Mean)], [maj3, copy]),
+            RowBlock::single("again".into(), Stat::Mean, 2, 1, weak),
+        ];
+        let columns = vec!["a".into(), "b".into()];
+        let table = figure_table(&session, "figtest", "Fig. T", columns, blocks);
+        let grid_tasks = recorder.counter("fleet", "grid_tasks").get();
+        assert_eq!(grid_tasks, 4, "one quick-scale task per distinct point");
+        let labels: Vec<&str> = table.rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["mean", "min", "avg", "again"]);
+
+        let samples = sweep_trial_samples(&session, &[weak, best, maj3, copy]);
+        assert!(
+            samples.iter().all(|s| !s.is_empty()),
+            "every point measured"
+        );
+        let boxed = |i: usize| BoxStats::from_samples(&samples[i]);
+        let expected = [
+            [pct(boxed(0).mean), pct(boxed(1).mean)],
+            [pct(boxed(0).min), pct(boxed(1).min)],
+            [pct(mean(&samples[2])), pct(mean(&samples[3]))],
+            [f64::NAN, pct(mean(&samples[0]))],
+        ];
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (row, want) in table.rows.iter().zip(&expected) {
+            assert_eq!(bits(&row.values), bits(want), "row {}", row.label);
+        }
+    }
 }

@@ -481,6 +481,11 @@ mod tests {
             spans
         };
         let (tasks_before, spans_before) = (grid_tasks(), figure_spans());
+        // One task per distinct point of quick's one module: fig3 30,
+        // fig4a 25, fig4b 25, fig6 24, fig7 28, fig8 25, fig9 20,
+        // fig10 40, fig11 15, fig12a 25, fig12b 25. A point swept twice
+        // replays the same stream, so only this count can see it.
+        assert_eq!(tasks_before, 282);
         check_observations(figures, recorder);
         assert_eq!(grid_tasks(), tasks_before);
         assert_eq!(figure_spans(), spans_before);
