@@ -141,19 +141,6 @@ impl SenseBatch {
         self.voltages.len() / (self.rows.len() * self.cols)
     }
 
-    /// Drops all snapshots, keeping the row group and the capacity.
-    pub fn clear(&mut self) {
-        self.voltages.clear();
-    }
-
-    /// Re-targets the batch at a new row group, keeping the capacity.
-    pub fn reset(&mut self, rows: &[u32], cols: usize) {
-        self.rows.clear();
-        self.rows.extend_from_slice(rows);
-        self.cols = cols;
-        self.voltages.clear();
-    }
-
     /// Appends one trial: the current voltages of the batch's rows.
     pub fn snapshot_trial(&mut self, subarray: &Subarray) {
         assert_eq!(

@@ -9,7 +9,10 @@
 //! - two rows holding one operand at weight `w` are one row at `2w` —
 //!   the input-replication identity behind the MAJX results (Fig. 6's
 //!   replication sweep; the Boolean-logic sibling paper, arXiv
-//!   2402.18736, builds on the same identity).
+//!   2402.18736, builds on the same identity);
+//! - a Frac neutral row, parked at ½ V, only adds its capacitance to the
+//!   bitline — the neutral row the sibling paper's Boolean operations
+//!   open next to their operands.
 //!
 //! Each case draws from its own `Rng::seed_from_u64(case)`.
 
@@ -152,5 +155,72 @@ fn replicating_a_row_equals_doubling_its_weight() {
         assert_eq!(out_r.len(), trials * cols, "{at}");
         assert_eq!(out_r, out_d, "{at}: deltas");
         assert_eq!(cap_r, cap_d, "{at}: capacitance sums");
+    }
+}
+
+/// On zero-variation planes, a row parked at exactly ½ V (Frac's target
+/// level with no residual) moves no charge: opening it at weight `w`
+/// next to 1–31 rows of random data gives the same deltas, bit for bit,
+/// as the list without it at bitline capacitance `β + w`. The parked
+/// row's term `w · (½ − ½)` is `+0`, which leaves the accumulator
+/// unchanged wherever the row sits in the list, and with `β` and every
+/// weight a multiple of ½ each capacitance sum is exact in either
+/// grouping.
+#[test]
+fn a_neutral_row_only_adds_capacitance() {
+    const WIDTHS: [usize; 6] = [1, 7, 64, 65, 129, 256];
+    const SUBARRAY_ROWS: u32 = 32;
+    let ideal = VariationParams {
+        cell_cap_sigma: 0.0,
+        cell_strength_sigma: 0.0,
+        sense_offset_sigma: 0.0,
+    };
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(case);
+        let cols = WIDTHS[rng.gen_range(0..WIDTHS.len())];
+        let others = rng.gen_range(1usize..=31);
+        let w = [1.0, 1.5, 2.0][rng.gen_range(0..3usize)];
+        let beta = [2.0, 6.0, 7.5][rng.gen_range(0..3usize)];
+        let trials = rng.gen_range(1usize..=3);
+        let transfer_amp = rng.gen_range(1.0..30.0);
+        let assertion = rng.gen_range(0.5..1.5);
+        let rows = distinct_rows(1 + others, SUBARRAY_ROWS, &mut rng);
+        let slot = rng.gen_range(0..=others);
+        let at = format!(
+            "case {case}: cols {cols}, w {w}, beta {beta}, rows {rows:?}, \
+             neutral at {slot}, {trials} trials"
+        );
+
+        // `rows[0]` is the neutral row; the rest hold data at weight 1.
+        let (neutral, data) = (rows[0], &rows[1..]);
+        let without: Vec<(u32, f64)> = data.iter().map(|&r| (r, 1.0)).collect();
+        let mut with = without.clone();
+        with.insert(slot, (neutral, w));
+
+        let mut sa = Subarray::new(SUBARRAY_ROWS, cols as u32, ideal, case);
+        sa.set_row_voltage(neutral, 0.5).unwrap();
+        let (mut v_with, mut v_without) = (Vec::new(), Vec::new());
+        for _ in 0..trials {
+            for &row in data {
+                sa.write_row(row, &BitRow::random(&mut rng, cols)).unwrap();
+            }
+            for (list, voltages) in [(&with, &mut v_with), (&without, &mut v_without)] {
+                for &(row, _) in list.iter() {
+                    voltages.extend_from_slice(&sa.row_voltages(row)[..cols]);
+                }
+            }
+        }
+        let kernel = |list: &[(u32, f64)], voltages: &[f32], beta: f64| {
+            let (mut cap, mut out) = (Vec::new(), Vec::new());
+            #[rustfmt::skip]
+            bitline_deltas_batch_into(
+                &sa, list, voltages, trials, transfer_amp, assertion, beta, &mut cap, &mut out,
+            );
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let out_with = kernel(&with, &v_with, beta);
+        let out_without = kernel(&without, &v_without, beta + w);
+        assert_eq!(out_with.len(), trials * cols, "{at}");
+        assert_eq!(out_with, out_without, "{at}: deltas");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Each figure declares its table as blocks of rows over one sweep point
 //! per column (N); the crate-private `figure_table` in
-//! [`crate::backend`] submits every cell's point as one
+//! [`crate::backend`] submits the distinct points of its cells as one
 //! [`run_sweep`](crate::fleet::run_sweep) grid, so the fleet walks every
 //! (module, point) task without per-point thread spawns or module
 //! rebuilds, and fills each row from its cells' sample sets.

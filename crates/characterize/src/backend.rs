@@ -8,10 +8,9 @@
 //!
 //! The sweep-backed runners (Figs. 3–12) do not call it directly: each
 //! declares its table as blocks of rows, every row one statistic of one
-//! point per column, and the crate-private `figure_table` sweeps those
-//! cells' points as one grid and fills the rows. The declaration is the
-//! figure's cell→point map; no runner re-walks its own loops to read the
-//! samples back.
+//! point per column, and the crate-private `figure_table` sweeps the
+//! distinct points of those cells as one grid and fills the rows. The
+//! declaration is the figure's cell→point map.
 //!
 //! The backends live in the session: the surrogate and the hybrid share
 //! the session's one calibration table, which stays warm for the whole
@@ -42,7 +41,7 @@ pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialSpec>]) 
 }
 
 /// The statistic a figure row prints of each cell's samples, in percent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Stat {
     /// [`mean`] of the samples.
     Mean,
@@ -122,18 +121,20 @@ pub(crate) fn figure_table(
         // equal points share one swept point: equal points replay one
         // stream, so sweeping a point twice only repeats its work.
         let mut points: Vec<SweepPoint<TrialSpec>> = Vec::new();
+        let mut index_of = |point: SweepPoint<TrialSpec>| {
+            points.iter().position(|p| *p == point).unwrap_or_else(|| {
+                points.push(point);
+                points.len() - 1
+            })
+        };
         let cells: Vec<Vec<Option<usize>>> = blocks
             .iter()
             .map(|block| {
-                let cells = block.points.iter().map(|point| {
-                    point.map(|point| {
-                        points.iter().position(|p| *p == point).unwrap_or_else(|| {
-                            points.push(point);
-                            points.len() - 1
-                        })
-                    })
-                });
-                cells.collect()
+                block
+                    .points
+                    .iter()
+                    .map(|point| point.map(&mut index_of))
+                    .collect()
             })
             .collect();
         let samples = sweep_trial_samples(session, &points);

@@ -3,9 +3,10 @@
 //!
 //! Each figure declares its table as blocks of rows over one (X, N,
 //! timing, pattern, operating-point) sweep point per column; the
-//! crate-private `figure_table` in [`crate::backend`] submits every
-//! cell's point as one [`run_sweep`](crate::fleet::run_sweep) grid and
-//! fills each row from its cells' sample sets.
+//! crate-private `figure_table` in [`crate::backend`] submits the
+//! distinct points of its cells as one
+//! [`run_sweep`](crate::fleet::run_sweep) grid and fills each row from
+//! its cells' sample sets.
 //!
 //! MAJX trial batches execute on the batched sense rig
 //! ([`simra_analog::SenseBatch`] → `sense_batch`/`margins_batch` inside

@@ -3,9 +3,10 @@
 //!
 //! Each figure declares its table as blocks of rows over one (timing,
 //! pattern, operating-point) sweep point per destination-count column;
-//! the crate-private `figure_table` in [`crate::backend`] submits every
-//! cell's point as one [`run_sweep`](crate::fleet::run_sweep) grid and
-//! fills each row from its cells' sample sets.
+//! the crate-private `figure_table` in [`crate::backend`] submits the
+//! distinct points of its cells as one
+//! [`run_sweep`](crate::fleet::run_sweep) grid and fills each row from
+//! its cells' sample sets.
 //!
 //! Per-trial Multi-RowCopy success evaluation rides the fused analog
 //! reductions in `simra_core::multirowcopy` (per-column latch mask

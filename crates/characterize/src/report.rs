@@ -63,25 +63,6 @@ impl Table {
         let row = self.rows.iter().find(|r| r.label == row_label)?;
         row.values.get(col).copied()
     }
-
-    /// Renders as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("label");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(c);
-        }
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.label);
-            for v in &r.values {
-                out.push(',');
-                out.push_str(&format!("{v:.4}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -130,13 +111,6 @@ mod tests {
         assert_eq!(t.get("t1=1.5", "N=4"), Some(98.5));
         assert_eq!(t.get("nope", "N=4"), None);
         assert_eq!(t.get("t1=1.5", "N=8"), None);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let csv = table().to_csv();
-        assert!(csv.starts_with("label,N=2,N=4\n"));
-        assert!(csv.contains("t1=3.0,99.9000,99.8000"));
     }
 
     #[test]
