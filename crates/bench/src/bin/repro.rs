@@ -8,7 +8,7 @@
 //! repro quick                   # smoke scale (seconds)
 //! repro paper                   # the paper's full population (hours)
 //! repro paper --backend surrogate  # the full population on the
-//!                               # calibrated table (~5 s)
+//!                               # calibrated table (~2 s)
 //! repro <scale> --timings       # also print per-figure wall-clock to stderr
 //! repro <scale> --backend <which>  # execution backend: analog (default)
 //!                               # | surrogate (calibrated fast model)
@@ -34,8 +34,9 @@
 //! them — observability must never change the scientific output.
 //! `--faults` deliberately *does* change it (that is the point); the
 //! run footer then reports fleet coverage and the quorum-adjusted
-//! scoreboard threshold. Malformed invocations print a diagnostic plus
-//! usage and exit non-zero (see [`simra_bench::cli`]).
+//! scoreboard threshold. `--help` (or `-h`) prints the usage to stdout
+//! and exits 0; malformed invocations print a diagnostic plus usage to
+//! stderr and exit 2 (see [`simra_bench::cli`]).
 
 use std::time::Instant;
 
@@ -66,6 +67,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if opts.help {
+        println!("{}", cli::USAGE);
+        return;
+    }
     let timings = opts.timings;
     // The campaign's one recorder, handed to the session below. Shard
     // workers always record: the coordinator merges the per-worker

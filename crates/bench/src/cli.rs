@@ -5,12 +5,15 @@
 //! a flag missing its value, a duplicate scale, or an unknown scale
 //! name is an error, never a silently reinterpreted argument. (The old
 //! inline loop treated single-dash typos like `-faults` as the scale
-//! positional and ran the wrong configuration without a word.)
+//! positional and ran the wrong configuration without a word.) `--help`
+//! and `-h` are not errors: they ask for [`USAGE`] on stdout.
 
-/// Usage text printed alongside every parse error.
+/// Usage text printed alongside every parse error, and on stdout for
+/// `--help` / `-h`.
 pub const USAGE: &str = "\
 usage: repro [<scale>] [--backend <which>] [--timings] [--faults <preset>] [--metrics] [--metrics-out <path>] [--shards <N>] [--checkpoint-dir <path> [--resume]]
   <scale>               quick | reduced | paper (default: reduced)
+  -h, --help            print this usage and exit
   --backend <which>     execution backend: analog (default, the reference
                         physics path) | surrogate (calibrated fast model) |
                         hybrid (table answers where certain, analog
@@ -41,6 +44,9 @@ usage: repro [<scale>] [--backend <which>] [--timings] [--faults <preset>] [--me
 /// Parsed `repro` invocation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOptions {
+    /// `--help` / `-h`: print [`USAGE`] to stdout and exit 0. Parsing
+    /// stops at the flag, so the rest of the line is not checked.
+    pub help: bool,
     /// Positional scale argument, if given (`quick` | `reduced` | `paper`).
     pub scale: Option<String>,
     /// `--timings`: per-figure wall-clock on stderr.
@@ -214,6 +220,12 @@ where
     let mut iter = args.into_iter().map(Into::into);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                return Ok(CliOptions {
+                    help: true,
+                    ..CliOptions::default()
+                })
+            }
             "--timings" => opts.timings = true,
             "--metrics" => opts.metrics = true,
             "--metrics-out" => match iter.next() {
@@ -357,12 +369,29 @@ mod tests {
     }
 
     #[test]
+    fn help_flags_ask_for_the_usage() {
+        let help = CliOptions {
+            help: true,
+            ..CliOptions::default()
+        };
+        for args in [&["--help"][..], &["-h"], &["quick", "--help"]] {
+            assert_eq!(parse(args), Ok(help.clone()), "{args:?}");
+        }
+        assert!(!parse(&["quick"]).unwrap().help);
+    }
+
+    #[test]
     fn unknown_double_dash_flag_is_rejected() {
-        // `--timing` (a plausible typo of `--timings`) must not pass.
-        assert_eq!(
-            parse(&["--timing"]),
-            Err(CliError::UnknownFlag("--timing".into()))
-        );
+        // `--timing` (a plausible typo of `--timings`) must not pass, and
+        // only `--help` and `-h` leave the error path: a flag that merely
+        // looks like a help request does not.
+        for flag in ["--timing", "--bogus", "--helpme", "-help", "-H"] {
+            assert_eq!(
+                parse(&[flag]),
+                Err(CliError::UnknownFlag(flag.into())),
+                "{flag}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   once per sweep, not once per point, and each chain's `DramModule`
 //!   rig is reset (`reset_for_reuse`, an exact reinitialisation) instead
 //!   of rebuilt, so voltage planes and fault overlays are allocated once
-//!   per module per figure.
+//!   per module per figure;
+//! * **no per-point group draw** — a chain draws its module's row groups
+//!   once per distinct N and keeps them for every later point (and
+//!   retry) at that N.
 //!
 //! # Entry points
 //!
@@ -32,18 +35,22 @@
 //!
 //! # Determinism
 //!
-//! Scheduling freedom never changes results. Each (module, point) task
-//! seeds its own `Rng` from `module_stream_seed``(config, module,
-//! index, n)` — a pure function that does not involve other points —
-//! draws the module's group sample from it, then runs `op` group by
-//! group continuing the same stream: the exact sequential semantics the
-//! per-point executor had. Results land in slots indexed by (point,
-//! module), so [`run_sweep`] output is **byte-identical** to running
-//! each point as its own one-point sweep, which in turn is bit-identical
-//! to the serial reference ([`collect_group_samples_serial`]), for every
-//! worker count and interleaving. The rig pool is invisible for the same
-//! reason: a reset module is observationally identical to a fresh one
-//! (asserted by tests here and in `tests/faults.rs`).
+//! Scheduling freedom never changes results. A module's stream at N is
+//! seeded from `module_stream_seed``(config, module, index, n)` — a pure
+//! function that does not involve other points — and its group sample
+//! is drawn from it. Each chain draws once per N, on the first task at
+//! that N it runs, and keeps the groups together with the stream right
+//! after the draw; every (module, point) task at that N then runs `op`
+//! group by group on a clone of that post-draw stream: the exact
+//! sequential semantics of seeding and drawing per task, since faults
+//! never consume the stream and `op` never mutates a group. Results
+//! land in slots indexed by (point, module), so [`run_sweep`] output is
+//! **byte-identical** to running each point as its own one-point sweep,
+//! which in turn is bit-identical to the serial reference
+//! ([`collect_group_samples_serial`]), for every worker count and
+//! interleaving. The rig pool is invisible for the same reason: a reset
+//! module is observationally identical to a fresh one (asserted by
+//! tests here and in `tests/faults.rs`).
 //!
 //! # Hardening
 //!
@@ -80,7 +87,8 @@
 //! Every run reports to its [`Session`]'s recorder: task lifecycle
 //! (queued/started/retried/completed/failed/panicked, deadline
 //! trips, charged backoff, attempts per task), the grid shape
-//! (`grid_tasks` = points × modules), and the rig pool (`pool_hit` /
+//! (`grid_tasks` = points × modules), the group draws (`group_draws`,
+//! one per chain per distinct N), and the rig pool (`pool_hit` /
 //! `pool_miss`). Events are a pure function of `(config, points,
 //! policy)` — never of scheduling — so all values are identical across
 //! worker counts (asserted by `crates/characterize/tests/telemetry.rs`).
@@ -352,6 +360,8 @@ struct FleetTelemetry {
     deadline_tripped: Counter,
     /// (module × point) tasks submitted as one grid.
     grid_tasks: Counter,
+    /// Group samples drawn: one per chain per distinct N it runs.
+    group_draws: Counter,
     /// Module rig acquisitions satisfied by resetting a pooled rig.
     pool_hit: Counter,
     /// Module rig acquisitions that had to construct a fresh rig.
@@ -372,6 +382,7 @@ impl FleetTelemetry {
             chain_panicked: recorder.counter("fleet", "chain_panicked"),
             deadline_tripped: recorder.counter("fleet", "deadline_tripped"),
             grid_tasks: recorder.counter("fleet", "grid_tasks"),
+            group_draws: recorder.counter("fleet", "group_draws"),
             pool_hit: recorder.counter("fleet", "pool_hit"),
             pool_miss: recorder.counter("fleet", "pool_miss"),
             backoff_charged_ms: recorder.histogram("fleet", "backoff_charged_ms"),
@@ -390,6 +401,16 @@ struct SweepCtx<'a, P, F> {
     points: &'a [SweepPoint<P>],
     op: &'a F,
     telemetry: &'a FleetTelemetry,
+}
+
+/// One chain's group draw at `n`: the groups [`sample_groups`] drew from
+/// the module's [`module_stream_seed`] stream, and that stream right
+/// after the draw. Pushed only once complete and never mutated, so a
+/// panicked attempt leaves its chain's draws consistent for the retry.
+struct GroupDraw {
+    n: u32,
+    groups: Vec<GroupSpec>,
+    rng: Rng,
 }
 
 /// Runs one module's task at one point on the serial reference path:
@@ -424,19 +445,24 @@ where
 /// One attempt at one (module, point) task. This is the *single* setup
 /// path for faulted and fault-free runs alike — with an empty plan the
 /// fault vector is empty, the droop hook is `None`, and the body
-/// degenerates to exactly [`run_module`]'s loop. The RNG stream and
-/// group sample are identical to [`run_module`]; faults only ever
-/// *interrupt* the stream (dropout, panic, deadline) or perturb the rig
-/// (cell overlay, V_PP droop), never consume from it.
+/// degenerates to exactly [`run_module`]'s loop. The group sample and
+/// RNG stream are identical to [`run_module`]: the chain's `draws` hold
+/// the sample at `point.n` and the stream right after it (drawn here on
+/// the chain's first task at that N), and the attempt runs on a clone
+/// of that stream. Faults only ever *interrupt* the stream (dropout,
+/// panic, deadline) or perturb the rig (cell overlay, V_PP droop),
+/// never consume from it.
 ///
 /// Takes the mounted rig by value and hands it back with the verdict so
 /// the chain can return it to the rig pool; a panic (injected or real)
 /// unwinds past the return and forfeits the rig instead.
+#[allow(clippy::too_many_arguments)]
 fn run_point_attempt<P, F>(
     ctx: &SweepCtx<'_, P, F>,
     index: usize,
     point: &SweepPoint<P>,
     dram: DramModule,
+    draws: &mut Vec<GroupDraw>,
     attempt: u32,
     carried_ms: f64,
     started_ms: f64,
@@ -452,15 +478,29 @@ where
     // scheduling cannot leak state between tasks.
     let mut setup = TestSetup::with_module(dram);
     setup.set_engine_counters(ctx.session.engine_counters().clone());
-    let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, point.n));
-    let groups = sample_groups(
-        setup.module().geometry(),
-        point.n,
-        config.banks,
-        config.subarrays_per_bank,
-        config.groups_per_subarray,
-        &mut rng,
-    );
+    let draw = match draws.iter().position(|draw| draw.n == point.n) {
+        Some(at) => &draws[at],
+        None => {
+            let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, point.n));
+            let groups = sample_groups(
+                setup.module().geometry(),
+                point.n,
+                config.banks,
+                config.subarrays_per_bank,
+                config.groups_per_subarray,
+                &mut rng,
+            );
+            ctx.telemetry.group_draws.incr();
+            draws.push(GroupDraw {
+                n: point.n,
+                groups,
+                rng,
+            });
+            &draws[draws.len() - 1]
+        }
+    };
+    let groups = &draw.groups;
+    let mut rng = draw.rng.clone();
     let faults = ctx.plan.module_faults(index);
     let mut samples = Vec::with_capacity(groups.len());
     let mut stalled_ms = 0.0;
@@ -550,12 +590,14 @@ pub(crate) fn backoff_charge_ms(base_ms: f64, attempt: u32) -> f64 {
 /// exhaustion. The rig returns to `rig` after every non-panicking
 /// attempt (reset on next acquisition); a panicked attempt loses it, so
 /// the retry — and only the retry — pays a fresh construction
-/// (`pool_miss`), deterministically.
+/// (`pool_miss`), deterministically. Every attempt reads its groups
+/// from the chain's `draws`, so a retry never redraws them.
 fn run_slot<P, F>(
     ctx: &SweepCtx<'_, P, F>,
     index: usize,
     point: &SweepPoint<P>,
     rig: &mut Option<DramModule>,
+    draws: &mut Vec<GroupDraw>,
 ) -> ModuleResult
 where
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
@@ -606,7 +648,9 @@ where
                     dram
                 }
             };
-            run_point_attempt(ctx, index, point, dram, attempt, carried_ms, started_ms)
+            run_point_attempt(
+                ctx, index, point, dram, draws, attempt, carried_ms, started_ms,
+            )
         }));
         let cause = match outcome {
             Ok((result, dram)) => {
@@ -651,12 +695,14 @@ where
 pub(crate) type SlotObserver<'a> = &'a (dyn Fn(usize, usize, &ModuleResult) + Sync);
 
 /// One module's chain: every *scheduled* sweep point in order, on one
-/// pooled rig. `skip[k]` masks out point `k` (its slot stays `None`) —
-/// the checkpoint layer uses this to schedule only the points a resumed
-/// run still owes. Skipping is invisible to the points that do run:
-/// each (module, point) task seeds its own stream from
-/// [`module_stream_seed`], a pure function of the slot, so a masked
-/// chain produces bit-identical results for the slots it executes.
+/// pooled rig and one list of group draws, at most one per distinct N
+/// and dropped with the chain. `skip[k]` masks out point `k` (its slot
+/// stays `None`) — the checkpoint layer uses this to schedule only the
+/// points a resumed run still owes. Skipping is invisible to the points
+/// that do run: a draw is a pure function of `(config, module, N)`
+/// ([`module_stream_seed`]), made lazily by the first scheduled task at
+/// its N, so a masked chain produces bit-identical results for the
+/// slots it executes and draws nothing at an N it never runs.
 /// `observer` (if any) sees each fresh result as `(module, point,
 /// result)` the moment the slot completes — the checkpoint journal's
 /// write-ahead hook.
@@ -670,6 +716,7 @@ where
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
 {
     let mut rig: Option<DramModule> = None;
+    let mut draws: Vec<GroupDraw> = Vec::new();
     ctx.points
         .iter()
         .enumerate()
@@ -677,7 +724,7 @@ where
             if skip.is_some_and(|s| s[point_index]) {
                 return None;
             }
-            let result = run_slot(ctx, index, point, &mut rig);
+            let result = run_slot(ctx, index, point, &mut rig, &mut draws);
             if let Some(observe) = observer {
                 observe(index, point_index, &result);
             }
@@ -1201,6 +1248,68 @@ mod tests {
             |_: &(), s: &mut TestSetup, g: &GroupSpec, r: &mut Rng| probe_op(s, g, r),
         );
         assert_eq!(outcomes[0], outcomes[1]);
+    }
+
+    #[test]
+    fn each_chain_draws_its_groups_once_per_n() {
+        // Module 0 runs N ∈ {2, 4, 8} (3 draws); the mask hides module
+        // 1's only N = 8 point, so it draws at N ∈ {2, 4} alone (2). An
+        // injected panic makes every module-0 task retry, and the retry
+        // must rerun the groups its first attempt drew, not draw again.
+        let points: Vec<SweepPoint<f64>> = [2u32, 4, 2, 8, 4]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| SweepPoint::new(n, 1.0 + k as f64))
+            .collect();
+        let skip = vec![vec![false; 5], vec![false, false, false, true, false]];
+        let panic_on_module_0 = FaultPlan {
+            modules: vec![ModuleFault {
+                module_index: 0,
+                kind: ModuleFaultKind::PanicAt { at_group: 1 },
+            }],
+            ..FaultPlan::default()
+        };
+        for faults in [None, Some(panic_on_module_0)] {
+            let mut config = two_module_config();
+            config.faults = faults;
+            let retried = config.faults.is_some();
+            let recorder = simra_telemetry::Recorder::new();
+            recorder.enable();
+            let session = Session::recorded_by(config.clone(), recorder.clone());
+            let grid = run_sweep_grid_on(
+                FleetPool::global(),
+                &session,
+                &points,
+                FleetPolicy::default(),
+                &MockClock::new(),
+                2,
+                sweep_probe_op,
+                Some(&skip),
+                None,
+            );
+            assert_eq!(recorder.counter("fleet", "group_draws").get(), 5);
+            let per_module = config.groups_per_module();
+            for (module, chain) in grid.iter().enumerate() {
+                for (k, (point, slot)) in points.iter().zip(chain).enumerate() {
+                    if skip[module][k] {
+                        assert!(slot.is_none(), "masked slot ran: module {module} point {k}");
+                        continue;
+                    }
+                    let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                        sweep_probe_op(&point.params, s, g, r)
+                    });
+                    let attempts = if retried && module == 0 { 2 } else { 1 };
+                    assert_eq!(
+                        slot.as_ref(),
+                        Some(&ModuleResult::Completed {
+                            samples: serial[module * per_module..][..per_module].to_vec(),
+                            attempts,
+                        }),
+                        "module {module} point {k} (retried: {retried})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

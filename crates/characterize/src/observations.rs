@@ -469,6 +469,7 @@ mod tests {
         let (session, figures) = quick_campaign();
         let recorder = session.recorder();
         let grid_tasks = || recorder.counter("fleet", "grid_tasks").get();
+        let group_draws = || recorder.counter("fleet", "group_draws").get();
         let figure_spans = || {
             let mut spans: Vec<(String, u64)> = recorder
                 .snapshot()
@@ -481,13 +482,19 @@ mod tests {
             spans
         };
         let (tasks_before, spans_before) = (grid_tasks(), figure_spans());
+        let draws_before = group_draws();
         // One task per distinct point of quick's one module: fig3 30,
         // fig4a 25, fig4b 25, fig6 24, fig7 28, fig8 25, fig9 20,
         // fig10 40, fig11 15, fig12a 25, fig12b 25. A point swept twice
         // replays the same stream, so only this count can see it.
         assert_eq!(tasks_before, 282);
+        // One group draw per distinct N of each sweep: fig3 5, fig4a 5,
+        // fig4b 5, fig6 4, fig7 4, fig8 2, fig9 1, fig10 5, fig11 5,
+        // fig12a 5, fig12b 5.
+        assert_eq!(draws_before, 46);
         check_observations(figures, recorder);
         assert_eq!(grid_tasks(), tasks_before);
+        assert_eq!(group_draws(), draws_before);
         assert_eq!(figure_spans(), spans_before);
         assert_eq!(spans_before.len(), 12);
         assert!(

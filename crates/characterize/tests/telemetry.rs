@@ -109,6 +109,9 @@ fn fleet_telemetry_is_identical_across_worker_counts() {
     assert_eq!(counter("grid_tasks"), 4);
     assert_eq!(counter("pool_miss"), 4);
     assert_eq!(counter("pool_hit"), 2);
+    // One group draw per module at its one N: module 1's two retries
+    // rerun the groups its first attempt drew.
+    assert_eq!(counter("group_draws"), 4);
     let backoff = reference
         .histograms
         .iter()
@@ -199,6 +202,9 @@ fn sweep_grid_and_rig_pool_counters_are_deterministic() {
     // Module 1: 2 retries per point; everyone completes in the end.
     assert_eq!(counter("task_retried"), 6);
     assert_eq!(counter("task_started"), 18);
+    // Each chain draws its groups once per N (4 modules × 3 N); module
+    // 1's six retries reuse its draws.
+    assert_eq!(counter("group_draws"), 12);
     assert_eq!(counter("task_completed"), 12);
     assert_eq!(counter("task_failed"), 0);
     let backoff = reference
