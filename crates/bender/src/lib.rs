@@ -27,14 +27,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod energy;
 pub mod interpreter;
 pub mod power;
 pub mod program;
 pub mod sequencer;
 pub mod setup;
 
-pub use energy::EnergyModel;
 pub use interpreter::ProgramRun;
 pub use power::PowerModel;
 pub use program::{BenderInstr, BenderProgram};

@@ -19,12 +19,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitserial;
 pub mod bitwise;
 pub mod coldboot;
 pub mod microbench;
 pub mod throughput;
-pub mod tmr;
 
 pub use coldboot::fig17_coldboot;
 pub use microbench::{fig16_microbenchmarks, fig16_microbenchmarks_on};

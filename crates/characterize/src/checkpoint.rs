@@ -1443,6 +1443,28 @@ mod tests {
             other => panic!("expected a manifest mismatch, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+        // A fault plan one ulp away is caught by the plan's rendering,
+        // the manifest's only fingerprint of the faults.
+        let mut faulted = config.clone();
+        faulted.faults = Some(FaultPlan {
+            cells: Some(simra_faults::CellFaultSpec {
+                seed: 7,
+                stuck_per_million: 50.0,
+                sense_offset_shift: 0.0,
+            }),
+            ..FaultPlan::default()
+        });
+        let dir = scratch("mismatch-faults");
+        run_checkpointed(&faulted, &dir).unwrap();
+        let mut other = faulted.clone();
+        let cells = other.faults.as_mut().and_then(|p| p.cells.as_mut());
+        let cells = cells.expect("the plan has cells");
+        cells.stuck_per_million = cells.stuck_per_million.next_up();
+        match run_checkpointed(&other, &dir) {
+            Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "faults"),
+            other => panic!("expected a manifest mismatch, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -85,8 +85,8 @@
 //! # Telemetry
 //!
 //! Every run reports to its [`Session`]'s recorder: task lifecycle
-//! (queued/started/retried/completed/failed/panicked, deadline
-//! trips, charged backoff, attempts per task), the grid shape
+//! (started/retried/completed/failed/panicked, deadline trips,
+//! charged backoff, attempts per task), the grid shape
 //! (`grid_tasks` = points × modules), the group draws (`group_draws`,
 //! one per chain per distinct N), and the rig pool (`pool_hit` /
 //! `pool_miss`). Events are a pure function of `(config, points,
@@ -347,7 +347,6 @@ impl<P> SweepPoint<P> {
 /// never of scheduling — so values are identical across worker counts
 /// (asserted by `crates/characterize/tests/telemetry.rs`).
 struct FleetTelemetry {
-    task_queued: Counter,
     task_started: Counter,
     task_retried: Counter,
     task_completed: Counter,
@@ -373,7 +372,6 @@ struct FleetTelemetry {
 impl FleetTelemetry {
     fn new(recorder: &Recorder) -> Self {
         FleetTelemetry {
-            task_queued: recorder.counter("fleet", "task_queued"),
             task_started: recorder.counter("fleet", "task_started"),
             task_retried: recorder.counter("fleet", "task_retried"),
             task_completed: recorder.counter("fleet", "task_completed"),
@@ -821,7 +819,6 @@ where
             .map(|row| row.iter().filter(|s| !**s).count() as u64)
             .sum(),
     };
-    telemetry.task_queued.add(scheduled);
     telemetry.grid_tasks.add(scheduled);
     let ctx = SweepCtx {
         session,
@@ -1737,8 +1734,6 @@ mod tests {
             cells: Some(simra_faults::CellFaultSpec {
                 seed: 0xC0C0,
                 stuck_per_million: 80.0,
-                weak_per_million: 40.0,
-                weak_leak_multiplier: 3.0,
                 sense_offset_shift: 0.0,
             }),
             modules: vec![

@@ -30,11 +30,9 @@
 #![forbid(unsafe_code)]
 
 pub mod apa;
-pub mod gwld;
 pub mod predecoder;
 pub mod rowdec;
 
 pub use apa::ApaOutcome;
-pub use gwld::{GlobalWordlineDecoder, HiraOutcome};
 pub use predecoder::{Predecoder, PredecoderGroup, MAX_PREDECODERS};
 pub use rowdec::RowDecoder;

@@ -1,4 +1,4 @@
-//! The DRAM bank: lazily materialised subarrays plus sense-amplifier state.
+//! The DRAM bank: lazily materialised subarrays.
 //!
 //! Banks instantiate subarrays on first touch — a 16-bank module has up to
 //! 128 subarrays but a characterization run only ever opens a handful, and
@@ -12,27 +12,6 @@ use crate::faults::CellFaultSpec;
 use crate::geometry::{Geometry, RowAddr, SubarrayId};
 use crate::subarray::{Subarray, VariationParams};
 
-/// Sense-amplifier / wordline state of a bank.
-///
-/// After an APA sequence multiple local wordlines can be asserted at once;
-/// the state records which subarray they are in, which local rows are open,
-/// and what the sense amplifiers have latched.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BankState {
-    /// Bitlines precharged to VDD/2; no wordline asserted.
-    Precharged,
-    /// One or more wordlines asserted in a single subarray, with the
-    /// sense amplifiers latched to `latched`.
-    Activated {
-        /// The subarray whose local wordlines are asserted.
-        subarray: SubarrayId,
-        /// Asserted local row indices within that subarray.
-        open_rows: Vec<u32>,
-        /// The digital value currently driven on the bitlines.
-        latched: BitRow,
-    },
-}
-
 /// A DRAM bank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bank {
@@ -40,7 +19,6 @@ pub struct Bank {
     variation: VariationParams,
     seed: u64,
     subarrays: BTreeMap<SubarrayId, Subarray>,
-    state: BankState,
     /// Cell-fault spec applied to every subarray (present and future).
     fault_spec: Option<CellFaultSpec>,
     /// Subarrays handed out mutably since the last [`Bank::reset_for_reuse`]
@@ -59,7 +37,6 @@ impl Bank {
             variation,
             seed,
             subarrays: BTreeMap::new(),
-            state: BankState::Precharged,
             fault_spec: None,
             touched: BTreeSet::new(),
         }
@@ -100,15 +77,13 @@ impl Bank {
     }
 
     /// Returns the bank to its exact just-constructed state without
-    /// dropping any materialised silicon: bitlines precharged, every
-    /// voltage plane touched since the last reset zeroed (with faulted
-    /// cells re-pinned) — untouched planes are already in that state. A
-    /// reused bank is indistinguishable from a fresh [`Bank::new`]
-    /// because fresh subarrays also start with an all-zero plane and
-    /// materialisation is a pure function of
-    /// `(geometry, variation, seed, fault_spec)`.
+    /// dropping any materialised silicon: every voltage plane touched
+    /// since the last reset zeroed (with faulted cells re-pinned) —
+    /// untouched planes are already in that state. A reused bank is
+    /// indistinguishable from a fresh [`Bank::new`] because fresh
+    /// subarrays also start with an all-zero plane and materialisation
+    /// is a pure function of `(geometry, variation, seed, fault_spec)`.
     pub fn reset_for_reuse(&mut self) {
-        self.state = BankState::Precharged;
         // Only planes handed out mutably since the last reset can differ
         // from the fresh state; everything else is already zeroed+pinned.
         for id in std::mem::take(&mut self.touched) {
@@ -121,16 +96,6 @@ impl Bank {
     /// The bank's geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
-    }
-
-    /// Current sense-amplifier / wordline state.
-    pub fn state(&self) -> &BankState {
-        &self.state
-    }
-
-    /// Sets the sense/wordline state (the sequencer drives this).
-    pub fn set_state(&mut self, state: BankState) {
-        self.state = state;
     }
 
     /// Returns the subarray, materialising it on first touch (applying
@@ -235,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn state_transitions() {
-        let mut b = bank();
-        assert_eq!(*b.state(), BankState::Precharged);
-        b.set_state(BankState::Activated {
-            subarray: SubarrayId::new(0),
-            open_rows: vec![1, 2],
-            latched: BitRow::zeros(4),
-        });
-        assert!(matches!(b.state(), BankState::Activated { .. }));
-    }
-
-    #[test]
     fn out_of_range_row_rejected() {
         let mut b = bank();
         let img = BitRow::zeros(b.geometry().cols_per_row as usize);
@@ -258,8 +211,6 @@ mod tests {
         CellFaultSpec {
             seed: 0xFA,
             stuck_per_million: 10_000.0,
-            weak_per_million: 0.0,
-            weak_leak_multiplier: 1.0,
             sense_offset_shift: 0.0,
         }
     }
@@ -285,13 +236,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(5);
         let img = DataPattern::Random.row_image(0, cols, &mut rng);
         used.write_row_nominal(RowAddr::new(600), &img).unwrap();
-        used.set_state(BankState::Activated {
-            subarray: SubarrayId::new(1),
-            open_rows: vec![1],
-            latched: img,
-        });
         used.reset_for_reuse();
-        assert_eq!(*used.state(), BankState::Precharged);
         // The dirtied subarray must match a freshly materialised one.
         let mut fresh = bank();
         assert_eq!(

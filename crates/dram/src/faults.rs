@@ -1,9 +1,9 @@
 //! Deterministic cell-fault overlays.
 //!
 //! Real modules are not pristine: the paper's reliability sweeps run on
-//! chips with stuck cells, leaky cells, and sense amplifiers whose offset
-//! drifted from the fab's corner. This module models those defects as a
-//! seed-driven *overlay* on top of the healthy silicon planes:
+//! chips with stuck cells and sense amplifiers whose offset drifted from
+//! the fab's corner. This module models those defects as a seed-driven
+//! *overlay* on top of the healthy silicon planes:
 //! [`CellFaultSpec`] describes defect densities, and [`CellFaultSpec::derive`]
 //! expands them into the concrete per-subarray defect map
 //! ([`SubarrayFaults`]) from a **dedicated RNG stream**.
@@ -26,43 +26,24 @@ const FAULT_STREAM_SALT: u64 = 0xFA17_FA17_FA17_FA17;
 /// every subarray of a module (each subarray expands it with its own
 /// silicon seed, so defect *positions* differ per subarray while the
 /// *densities* match).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CellFaultSpec {
     /// Seed of the dedicated fault stream.
     pub seed: u64,
     /// Expected stuck-at cells per million (each stuck at 0 or 1 with
     /// equal probability).
     pub stuck_per_million: f64,
-    /// Expected weak (leaky) cells per million.
-    pub weak_per_million: f64,
-    /// Mean leakage multiplier of a weak cell (> 1 decays faster than
-    /// the healthy retention model).
-    pub weak_leak_multiplier: f64,
     /// Additive shift applied to every sense-amplifier offset in the
     /// subarray (normalized bitline-voltage units, like the offsets
     /// themselves) — models a module whose amps drifted off-corner.
     pub sense_offset_shift: f32,
 }
 
-impl Default for CellFaultSpec {
-    fn default() -> Self {
-        CellFaultSpec {
-            seed: 0,
-            stuck_per_million: 0.0,
-            weak_per_million: 0.0,
-            weak_leak_multiplier: 1.0,
-            sense_offset_shift: 0.0,
-        }
-    }
-}
-
 impl CellFaultSpec {
     /// Whether the spec injects nothing (deriving it yields an overlay
     /// with no observable effect).
     pub fn is_empty(&self) -> bool {
-        self.stuck_per_million <= 0.0
-            && self.weak_per_million <= 0.0
-            && self.sense_offset_shift == 0.0
+        self.stuck_per_million <= 0.0 && self.sense_offset_shift == 0.0
     }
 
     /// Expands the spec into one subarray's concrete defect map. Pure
@@ -80,27 +61,12 @@ impl CellFaultSpec {
             let bit = rng.gen::<bool>();
             stuck_cells.entry((row, col)).or_insert(bit);
         }
-        let mut weak_cells: BTreeMap<(u32, u32), f32> = BTreeMap::new();
-        for _ in 0..deterministic_count(n_cells, self.weak_per_million, &mut rng) {
-            let row = rng.gen_range(0..rows);
-            let col = rng.gen_range(0..cols);
-            // Per-cell leakage varies around the spec's mean multiplier;
-            // never below the healthy rate.
-            let jitter = 1.0 + 0.2 * crate::silicon::gaussian(&mut rng) as f64;
-            let mult = (self.weak_leak_multiplier * jitter).max(1.0) as f32;
-            weak_cells.entry((row, col)).or_insert(mult);
-        }
         let mut stuck: BTreeMap<u32, Vec<(u32, bool)>> = BTreeMap::new();
         for ((row, col), bit) in stuck_cells {
             stuck.entry(row).or_default().push((col, bit));
         }
-        let mut weak: BTreeMap<u32, Vec<(u32, f32)>> = BTreeMap::new();
-        for ((row, col), mult) in weak_cells {
-            weak.entry(row).or_default().push((col, mult));
-        }
         SubarrayFaults {
             stuck,
-            weak,
             sense_offset_shift: self.sense_offset_shift,
         }
     }
@@ -120,14 +86,12 @@ fn deterministic_count(n_cells: u64, per_million: f64, rng: &mut Rng) -> u64 {
 }
 
 /// One subarray's concrete defect map, as derived from a
-/// [`CellFaultSpec`]. Rows are keyed so the restore/retention hot paths
+/// [`CellFaultSpec`]. Rows are keyed so the write and restore hot paths
 /// can re-assert defects per touched row without scanning the plane.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SubarrayFaults {
     /// Stuck-at cells per row: `(column, stuck value)`.
     stuck: BTreeMap<u32, Vec<(u32, bool)>>,
-    /// Weak cells per row: `(column, leakage multiplier)`.
-    weak: BTreeMap<u32, Vec<(u32, f32)>>,
     /// Additive shift on every sense-amplifier offset.
     pub sense_offset_shift: f32,
 }
@@ -135,7 +99,7 @@ pub struct SubarrayFaults {
 impl SubarrayFaults {
     /// Whether the overlay has no observable effect.
     pub fn is_empty(&self) -> bool {
-        self.stuck.is_empty() && self.weak.is_empty() && self.sense_offset_shift == 0.0
+        self.stuck.is_empty() && self.sense_offset_shift == 0.0
     }
 
     /// Stuck cells in one row: `(column, stuck value)` pairs.
@@ -143,29 +107,14 @@ impl SubarrayFaults {
         self.stuck.get(&row).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Weak cells in one row: `(column, leakage multiplier)` pairs.
-    pub fn weak_in_row(&self, row: u32) -> &[(u32, f32)] {
-        self.weak.get(&row).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Iterates rows that contain stuck cells.
     pub fn stuck_rows(&self) -> impl Iterator<Item = (&u32, &Vec<(u32, bool)>)> {
         self.stuck.iter()
     }
 
-    /// Iterates rows that contain weak cells.
-    pub fn weak_rows(&self) -> impl Iterator<Item = (&u32, &Vec<(u32, f32)>)> {
-        self.weak.iter()
-    }
-
     /// Total stuck cells.
     pub fn stuck_count(&self) -> usize {
         self.stuck.values().map(Vec::len).sum()
-    }
-
-    /// Total weak cells.
-    pub fn weak_count(&self) -> usize {
-        self.weak.values().map(Vec::len).sum()
     }
 }
 
@@ -177,8 +126,6 @@ mod tests {
         CellFaultSpec {
             seed: 0xBAD,
             stuck_per_million: 5_000.0,
-            weak_per_million: 5_000.0,
-            weak_leak_multiplier: 8.0,
             sense_offset_shift: 0.002,
         }
     }
@@ -205,12 +152,6 @@ mod tests {
             (stuck - expected).abs() < expected * 0.05,
             "stuck {stuck} vs expected {expected}"
         );
-        assert!(f.weak_count() > 0);
-        for (_, cells) in f.weak_rows() {
-            for &(_, mult) in cells {
-                assert!(mult >= 1.0, "weak multiplier {mult} below healthy rate");
-            }
-        }
     }
 
     #[test]
@@ -220,7 +161,6 @@ mod tests {
         let f = spec.derive(512, 256, 3);
         assert!(f.is_empty());
         assert_eq!(f.stuck_count(), 0);
-        assert_eq!(f.weak_count(), 0);
     }
 
     #[test]

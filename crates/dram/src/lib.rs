@@ -17,8 +17,11 @@
 //! * [`data`] — data patterns and packed row images,
 //! * [`cell`], [`subarray`], [`bank`], [`module`] — the storage hierarchy,
 //! * [`silicon`] — shared immutable variation planes + the silicon cache,
-//! * [`faults`] — deterministic cell-defect overlays (stuck/weak cells,
+//! * [`faults`] — deterministic cell-defect overlays (stuck cells,
 //!   sense-offset drift) drawn from a dedicated RNG stream,
+//! * [`retention`] — the charge-retention time constant behind the
+//!   cold-boot remanence window,
+//! * [`protocol`] — a JEDEC checker that names each violated timing rule,
 //! * [`rng`] — the workspace's one random-number generator ([`Rng`],
 //!   splitmix64), which every sampled group and data pattern draws from,
 //! * [`vendor`] — manufacturer profiles (Mfr. H, Mfr. M, Mfr. S) matching
@@ -45,11 +48,9 @@ pub mod faults;
 pub mod geometry;
 pub mod module;
 pub mod protocol;
-pub mod refresh;
 pub mod retention;
 pub mod rng;
 pub mod silicon;
-pub mod spd;
 pub mod subarray;
 pub mod timing;
 pub mod vendor;

@@ -200,8 +200,6 @@ mod tests {
         m.set_fault_spec(Some(CellFaultSpec {
             seed: 0xFA,
             stuck_per_million: 10_000.0,
-            weak_per_million: 0.0,
-            weak_leak_multiplier: 1.0,
             sense_offset_shift: 0.0,
         }));
         for b in [0u16, 7, 15] {

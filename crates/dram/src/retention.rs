@@ -1,20 +1,15 @@
-//! Charge retention and refresh.
+//! Charge retention.
 //!
 //! DRAM cells leak: without refresh, a cell's stored voltage drifts
 //! toward the precharge midpoint and the data eventually becomes
-//! unreadable. Two paper-relevant consequences are modelled:
-//!
-//! * the JEDEC refresh contract (all rows refreshed within tREFW = 64 ms
-//!   at ≤ 85 °C) keeps every cell's digital value intact;
-//! * *cold-boot attacks* (§8.2) exist because retention is seconds-to-
-//!   minutes at low temperature: leakage roughly doubles every ~10 °C,
-//!   so chilling a module stretches the window in which an attacker can
-//!   hot-swap it and read the remanent data.
+//! unreadable. *Cold-boot attacks* (§8.2) exist because retention is
+//! seconds-to-minutes at low temperature: leakage roughly doubles every
+//! ~10 °C, so chilling a module stretches the window in which an
+//! attacker can hot-swap it and read the remanent data.
 //!
 //! The model is a first-order exponential decay of the cell's deviation
-//! from VDD/2 with a temperature-dependent time constant.
-
-use crate::subarray::Subarray;
+//! from VDD/2 with a temperature-dependent time constant; the cold-boot
+//! case study reads that constant to size the remanence window.
 
 /// Retention model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,12 +39,6 @@ impl RetentionParams {
         let octaves = (temperature_c - self.ref_temperature_c) / self.doubling_c;
         self.tau_ms_at_ref / 2f64.powf(octaves)
     }
-
-    /// The voltage-deviation survival factor after `elapsed_ms` at
-    /// `temperature_c`: `exp(−t/τ)`.
-    pub fn survival(&self, elapsed_ms: f64, temperature_c: f64) -> f64 {
-        (-elapsed_ms / self.tau_ms(temperature_c)).exp()
-    }
 }
 
 impl Default for RetentionParams {
@@ -58,49 +47,9 @@ impl Default for RetentionParams {
     }
 }
 
-impl Subarray {
-    /// Ages every cell by `elapsed_ms` at `temperature_c`: deviations
-    /// from VDD/2 decay exponentially (per-cell leakage scales inversely
-    /// with the cell's capacitance factor — small cells leak faster).
-    pub fn decay(&mut self, elapsed_ms: f64, temperature_c: f64, params: RetentionParams) {
-        let base = params.survival(elapsed_ms, temperature_c);
-        for row in 0..self.rows() {
-            let (volts, caps, _) = self.row_split_mut(row);
-            for (v, &cap) in volts.iter_mut().zip(caps) {
-                // Leakage current is roughly cap-independent, so the
-                // voltage decay rate goes as 1/C.
-                let factor = base.powf(1.0 / cap.max(0.05) as f64);
-                *v = (0.5 + (*v - 0.5) * factor as f32).clamp(0.0, 1.0);
-            }
-        }
-        // Fault overlay: weak cells leak faster than the healthy model,
-        // and stuck cells never leak at all (they are tied to a rail).
-        self.apply_weak_decay(base);
-        self.pin_faulted_cells();
-    }
-
-    /// Refreshes one row: a nominal activate-restore that pulls every
-    /// still-readable cell back to its rail. Cells that already decayed
-    /// past the sensing midpoint are restored to the *wrong* rail — a
-    /// refresh cannot resurrect lost data.
-    pub fn refresh_row(&mut self, row: u32) {
-        for v in self.row_voltages_mut(row) {
-            *v = if *v > 0.5 { 1.0 } else { 0.0 };
-        }
-        self.pin_row_faults(row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::BitRow;
-    use crate::subarray::VariationParams;
-    use crate::Rng;
-
-    fn subarray() -> Subarray {
-        Subarray::new(8, 64, VariationParams::default(), 21)
-    }
 
     #[test]
     fn leakage_doubles_per_decade() {
@@ -110,140 +59,5 @@ mod tests {
         let tau85 = p.tau_ms(85.0);
         assert!((tau45 / tau55 - 2.0).abs() < 1e-9);
         assert!((tau45 / tau85 - 16.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn data_survives_a_refresh_window() {
-        let mut sa = subarray();
-        let mut rng = Rng::seed_from_u64(1);
-        let img = BitRow::random(&mut rng, 64);
-        sa.write_row(0, &img).unwrap();
-        // One 64 ms JEDEC refresh window at 85 °C.
-        sa.decay(64.0, 85.0, RetentionParams::typical());
-        assert_eq!(sa.read_row(0).unwrap(), img, "data must survive tREFW");
-    }
-
-    #[test]
-    fn data_decays_to_midpoint_after_minutes_when_hot() {
-        let mut sa = subarray();
-        sa.write_row(0, &BitRow::ones(64)).unwrap();
-        sa.decay(600_000.0, 85.0, RetentionParams::typical());
-        // Deviations shrink by e^{-1200}: everything is at the midpoint.
-        for col in 0..64 {
-            assert!(sa.cell(0, col).is_neutral(0.01), "col {col}");
-        }
-    }
-
-    #[test]
-    fn chilling_extends_the_cold_boot_window() {
-        let p = RetentionParams::typical();
-        let after_10s_cold = p.survival(10_000.0, 5.0);
-        let after_10s_warm = p.survival(10_000.0, 45.0);
-        assert!(
-            after_10s_cold > 0.9,
-            "chilled module retains: {after_10s_cold}"
-        );
-        assert!(after_10s_warm < after_10s_cold);
-    }
-
-    #[test]
-    fn refresh_restores_rails_but_cannot_resurrect() {
-        let mut sa = subarray();
-        sa.write_row(0, &BitRow::ones(64)).unwrap();
-        // Mild decay: still readable; refresh restores full charge.
-        sa.decay(2_000.0, 45.0, RetentionParams::typical());
-        sa.refresh_row(0);
-        for col in 0..64 {
-            assert_eq!(sa.cell(0, col).voltage(), 1.0);
-        }
-        // Catastrophic decay: refresh locks in the midpoint read-out,
-        // it does not bring the 1s back.
-        sa.write_row(1, &BitRow::ones(64)).unwrap();
-        sa.decay(120_000.0, 85.0, RetentionParams::typical());
-        sa.refresh_row(1);
-        let restored = sa.read_row(1).unwrap();
-        assert!(restored.count_ones() < 64, "lost cells must not resurrect");
-    }
-
-    #[test]
-    fn small_cells_leak_faster() {
-        let v = VariationParams {
-            cell_cap_sigma: 0.3,
-            cell_strength_sigma: 0.0,
-            sense_offset_sigma: 0.0,
-        };
-        let mut sa = Subarray::new(2, 256, v, 9);
-        sa.write_row(0, &BitRow::ones(256)).unwrap();
-        sa.decay(20_000.0, 45.0, RetentionParams::typical());
-        // Find a small-cap and a large-cap cell and compare residuals.
-        let mut small = (f32::MAX, 0.0f32);
-        let mut large = (f32::MIN, 0.0f32);
-        for col in 0..256 {
-            let c = sa.cell(0, col);
-            if c.cap_factor() < small.0 {
-                small = (c.cap_factor(), c.voltage());
-            }
-            if c.cap_factor() > large.0 {
-                large = (c.cap_factor(), c.voltage());
-            }
-        }
-        assert!(
-            large.1 > small.1,
-            "large cap {large:?} should retain more than {small:?}"
-        );
-    }
-
-    #[test]
-    fn weak_cells_decay_faster_and_stuck_cells_never_decay() {
-        let mut sa = subarray();
-        let overlay = crate::faults::CellFaultSpec {
-            seed: 3,
-            stuck_per_million: 30_000.0,
-            weak_per_million: 30_000.0,
-            weak_leak_multiplier: 12.0,
-            sense_offset_shift: 0.0,
-        }
-        .derive(sa.rows(), sa.cols(), 17);
-        assert!(overlay.stuck_count() > 0 && overlay.weak_count() > 0);
-        sa.set_faults(overlay.clone());
-        // A healthy twin with the same silicon for comparison.
-        let mut twin = subarray();
-        sa.write_row(0, &BitRow::ones(64)).unwrap();
-        twin.write_row(0, &BitRow::ones(64)).unwrap();
-        sa.decay(4_000.0, 45.0, RetentionParams::typical());
-        twin.decay(4_000.0, 45.0, RetentionParams::typical());
-        let after = sa.row_voltages(0);
-        let healthy = twin.row_voltages(0);
-        let stuck_cols: std::collections::BTreeSet<u32> =
-            overlay.stuck_in_row(0).iter().map(|&(c, _)| c).collect();
-        for &(col, mult) in overlay.weak_in_row(0) {
-            if stuck_cols.contains(&col) {
-                continue;
-            }
-            assert!(mult > 1.0);
-            assert!(
-                after[col as usize] < healthy[col as usize],
-                "weak cell ({col}) must decay faster than its healthy twin"
-            );
-        }
-        for &(col, bit) in overlay.stuck_in_row(0) {
-            assert_eq!(
-                after[col as usize],
-                if bit { 1.0 } else { 0.0 },
-                "stuck cell ({col}) must stay pinned through decay"
-            );
-        }
-    }
-
-    #[test]
-    fn faultless_decay_is_unchanged_by_empty_overlay() {
-        let mut healthy = subarray();
-        let mut faulted = subarray();
-        faulted.set_faults(crate::faults::SubarrayFaults::default());
-        for sa in [&mut healthy, &mut faulted] {
-            sa.write_row(0, &BitRow::ones(64)).unwrap();
-            sa.decay(10_000.0, 60.0, RetentionParams::typical());
-        }
-        assert_eq!(healthy.row_voltages(0), faulted.row_voltages(0));
     }
 }

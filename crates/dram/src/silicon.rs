@@ -26,7 +26,7 @@ use crate::Rng;
 use crate::subarray::VariationParams;
 
 /// Gaussian sample via Box–Muller; avoids pulling in a distributions crate.
-pub(crate) fn gaussian(rng: &mut Rng) -> f32 {
+fn gaussian(rng: &mut Rng) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32

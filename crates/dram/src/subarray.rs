@@ -65,7 +65,7 @@ pub struct Subarray {
     voltage: Vec<f32>,
     /// Shared immutable variation planes (the "silicon").
     silicon: Arc<SiliconPlanes>,
-    /// Optional defect overlay (stuck/weak cells, shifted sense offsets).
+    /// Optional defect overlay (stuck cells, shifted sense offsets).
     faults: Option<Box<FaultState>>,
 }
 
@@ -235,11 +235,11 @@ impl Subarray {
         &self.silicon
     }
 
-    /// Installs a defect overlay: stuck/weak cells and a sense-offset
-    /// shift, typically derived from a
+    /// Installs a defect overlay: stuck cells and a sense-offset shift,
+    /// typically derived from a
     /// [`CellFaultSpec`](crate::faults::CellFaultSpec). Stuck cells are
-    /// pinned immediately and re-asserted after every write, restore, and
-    /// decay pass; the healthy silicon planes are untouched.
+    /// pinned immediately and re-asserted after every write and restore;
+    /// the healthy silicon planes are untouched.
     pub fn set_faults(&mut self, overlay: SubarrayFaults) {
         let shifted_offsets = (overlay.sense_offset_shift != 0.0).then(|| {
             self.silicon
@@ -295,29 +295,6 @@ impl Subarray {
             let start = row as usize * cols;
             for &(col, bit) in cells {
                 voltage[start + col as usize] = if bit { 1.0 } else { 0.0 };
-            }
-        }
-    }
-
-    /// Applies the *extra* leakage of weak cells on top of a decay pass
-    /// whose healthy survival factor was `base` (see
-    /// [`Subarray::decay`]): a weak cell with multiplier `m` decays as if
-    /// its survival factor were `base^m`, so the extra factor is
-    /// `base^((m−1)/cap)`.
-    pub(crate) fn apply_weak_decay(&mut self, base: f64) {
-        let cols = self.cols as usize;
-        let Some(state) = self.faults.as_deref() else {
-            return;
-        };
-        let caps = self.silicon.cap_factors();
-        let voltage = &mut self.voltage;
-        for (&row, cells) in state.overlay.weak_rows() {
-            let start = row as usize * cols;
-            for &(col, mult) in cells {
-                let i = start + col as usize;
-                let cap = caps[i].max(0.05) as f64;
-                let extra = base.powf((mult as f64 - 1.0).max(0.0) / cap) as f32;
-                voltage[i] = (0.5 + (voltage[i] - 0.5) * extra).clamp(0.0, 1.0);
             }
         }
     }
@@ -540,8 +517,6 @@ mod tests {
         crate::faults::CellFaultSpec {
             seed: 0xF00D,
             stuck_per_million: 20_000.0,
-            weak_per_million: 20_000.0,
-            weak_leak_multiplier: 10.0,
             sense_offset_shift: 0.01,
         }
         .derive(sa.rows(), sa.cols(), 42)

@@ -5,8 +5,8 @@
 //! sweep:
 //!
 //! * **cell-level defects** ([`CellFaultSpec`], re-exported from
-//!   `simra_dram::faults`) — stuck-at-0/1 cells, weak cells with elevated
-//!   retention leakage, per-subarray sense-amplifier offset drift;
+//!   `simra_dram::faults`) — stuck-at-0/1 cells and per-subarray
+//!   sense-amplifier offset drift;
 //! * **module-level events** ([`ModuleFault`]) — a module that drops out,
 //!   panics the harness, or hangs at a chosen task index;
 //! * **supply events** ([`VppDroop`]) — the wordline supply sagging over
@@ -19,15 +19,15 @@
 //! stream, so an *empty* plan leaves every experiment byte-identical to
 //! the fault-free baseline — the executor's golden tests rely on it.
 //!
-//! Plans serialize to versioned JSON ([`FaultPlan::to_json`] /
-//! [`FaultPlan::from_json`], schema [`FAULT_PLAN_SCHEMA_VERSION`])
-//! following the `simra-telemetry` JSON conventions, so a sweep
-//! checkpoint manifest can embed the exact plan it ran under and a
-//! resumed run can prove it is applying byte-identical faults.
+//! Plans render to versioned JSON ([`FaultPlan::to_json`], schema
+//! [`FAULT_PLAN_SCHEMA_VERSION`]) following the `simra-telemetry` JSON
+//! conventions. A sweep checkpoint manifest stores that rendering as the
+//! fingerprint of the plan it ran under, and a resume compares it
+//! byte for byte, so a run never resumes under different faults.
 
 #![forbid(unsafe_code)]
 
-use simra_telemetry::json::{self, Value};
+use simra_telemetry::json;
 
 pub use simra_dram::faults::{CellFaultSpec, SubarrayFaults};
 
@@ -139,8 +139,8 @@ impl FaultPlan {
         let mut parts = Vec::new();
         if let Some(c) = self.cell_spec() {
             parts.push(format!(
-                "cells: ~{} stuck + ~{} weak per million, sense shift {:+}",
-                c.stuck_per_million, c.weak_per_million, c.sense_offset_shift
+                "cells: ~{} stuck per million, sense shift {:+}",
+                c.stuck_per_million, c.sense_offset_shift
             ));
         }
         if !self.modules.is_empty() {
@@ -175,8 +175,6 @@ impl FaultPlan {
                 cells: Some(CellFaultSpec {
                     seed: 0xFA01,
                     stuck_per_million: 2.0,
-                    weak_per_million: 10.0,
-                    weak_leak_multiplier: 6.0,
                     sense_offset_shift: 0.0,
                 }),
                 ..FaultPlan::default()
@@ -186,8 +184,6 @@ impl FaultPlan {
                 cells: Some(CellFaultSpec {
                     seed: 0xFA02,
                     stuck_per_million: 5.0,
-                    weak_per_million: 20.0,
-                    weak_leak_multiplier: 8.0,
                     sense_offset_shift: 0.0002,
                 }),
                 modules: vec![
@@ -210,8 +206,6 @@ impl FaultPlan {
                 cells: Some(CellFaultSpec {
                     seed: 0xFA03,
                     stuck_per_million: 40.0,
-                    weak_per_million: 80.0,
-                    weak_leak_multiplier: 10.0,
                     sense_offset_shift: 0.001,
                 }),
                 modules: vec![
@@ -245,12 +239,12 @@ impl FaultPlan {
         }
     }
 
-    /// Renders the plan as one-line versioned JSON. Fields that inject
-    /// nothing (absent options, no module events) are omitted, floats
-    /// use shortest round-trip formatting, and the
-    /// `u64` seeds are written as plain integers — so
-    /// [`FaultPlan::from_json`] reconstructs a plan that compares equal
-    /// and applies byte-identical faults.
+    /// Renders the plan as one-line versioned JSON: the plan's
+    /// fingerprint in a checkpoint manifest. Fields that inject nothing
+    /// (absent options, no module events) are omitted, finite floats use
+    /// shortest round-trip formatting, and the `u64` seeds are written as
+    /// plain integers — so plans that differ in any field render
+    /// differently, down to one ulp of a float.
     pub fn to_json(&self) -> String {
         let mut fields = vec![
             format!("\"schema_version\":{FAULT_PLAN_SCHEMA_VERSION}"),
@@ -258,12 +252,9 @@ impl FaultPlan {
         ];
         if let Some(c) = self.cells {
             fields.push(format!(
-                "\"cells\":{{\"seed\":{},\"stuck_per_million\":{},\"weak_per_million\":{},\
-                 \"weak_leak_multiplier\":{},\"sense_offset_shift\":{}}}",
+                "\"cells\":{{\"seed\":{},\"stuck_per_million\":{},\"sense_offset_shift\":{}}}",
                 c.seed,
                 json::number(c.stuck_per_million),
-                json::number(c.weak_per_million),
-                json::number(c.weak_leak_multiplier),
                 json::number(f64::from(c.sense_offset_shift)),
             ));
         }
@@ -305,194 +296,10 @@ impl FaultPlan {
         }
         format!("{{{}}}", fields.join(","))
     }
-
-    /// Parses a plan rendered by [`FaultPlan::to_json`]. Unknown schema
-    /// versions and malformed or missing fields are typed errors, never
-    /// panics.
-    pub fn from_json(input: &str) -> Result<FaultPlan, PlanParseError> {
-        let doc = Value::parse(input)?;
-        let version = require_u32(&doc, "schema_version")?;
-        if version != FAULT_PLAN_SCHEMA_VERSION {
-            return Err(PlanParseError::SchemaVersion {
-                found: version,
-                expected: FAULT_PLAN_SCHEMA_VERSION,
-            });
-        }
-        let seed = require_u64(&doc, "seed")?;
-        let cells = match doc.get("cells") {
-            None | Some(Value::Null) => None,
-            Some(c) => Some(CellFaultSpec {
-                seed: require_u64(c, "seed")?,
-                stuck_per_million: require_f64(c, "stuck_per_million")?,
-                weak_per_million: require_f64(c, "weak_per_million")?,
-                weak_leak_multiplier: require_f64(c, "weak_leak_multiplier")?,
-                sense_offset_shift: require_f64(c, "sense_offset_shift")? as f32,
-            }),
-        };
-        let modules = match doc.get("modules") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(list) => {
-                let items = list.as_array().ok_or_else(|| PlanParseError::Field {
-                    field: "modules".into(),
-                    detail: "expected an array".into(),
-                })?;
-                items
-                    .iter()
-                    .map(parse_module_fault)
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        let vpp_droop = match doc.get("vpp_droop") {
-            None | Some(Value::Null) => None,
-            Some(d) => {
-                let delta_v = require_f64(d, "delta_v")?;
-                if delta_v < 0.0 {
-                    return Err(field_error(
-                        "vpp_droop.delta_v",
-                        "expected a non-negative sag in volts",
-                    ));
-                }
-                Some(VppDroop {
-                    delta_v,
-                    from_group: require_usize(d, "from_group")?,
-                    to_group: require_usize(d, "to_group")?,
-                })
-            }
-        };
-        let deadline_ms = match doc.get("deadline_ms") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or_else(|| PlanParseError::Field {
-                field: "deadline_ms".into(),
-                detail: "expected a number".into(),
-            })?),
-        };
-        Ok(FaultPlan {
-            seed,
-            cells,
-            modules,
-            vpp_droop,
-            deadline_ms,
-        })
-    }
 }
 
-/// Schema version written by [`FaultPlan::to_json`] and required by
-/// [`FaultPlan::from_json`].
+/// Schema version written by [`FaultPlan::to_json`].
 pub const FAULT_PLAN_SCHEMA_VERSION: u32 = 1;
-
-/// Why [`FaultPlan::from_json`] rejected a document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanParseError {
-    /// The input is not well-formed JSON.
-    Json(json::ParseError),
-    /// The document's schema version is not the one this build writes.
-    SchemaVersion {
-        /// Version found in the document.
-        found: u32,
-        /// Version this build understands.
-        expected: u32,
-    },
-    /// A required field is missing or has the wrong type.
-    Field {
-        /// Dotted path of the offending field.
-        field: String,
-        /// What was expected.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanParseError::Json(e) => write!(f, "fault plan: {e}"),
-            PlanParseError::SchemaVersion { found, expected } => write!(
-                f,
-                "fault plan schema version {found} (this build reads version {expected})"
-            ),
-            PlanParseError::Field { field, detail } => {
-                write!(f, "fault plan field '{field}': {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-impl From<json::ParseError> for PlanParseError {
-    fn from(e: json::ParseError) -> Self {
-        PlanParseError::Json(e)
-    }
-}
-
-fn field_error(field: &str, detail: &str) -> PlanParseError {
-    PlanParseError::Field {
-        field: field.into(),
-        detail: detail.into(),
-    }
-}
-
-fn require_u64(doc: &Value, field: &str) -> Result<u64, PlanParseError> {
-    doc.get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| field_error(field, "expected an unsigned integer"))
-}
-
-fn require_u32(doc: &Value, field: &str) -> Result<u32, PlanParseError> {
-    doc.get(field)
-        .and_then(Value::as_u32)
-        .ok_or_else(|| field_error(field, "expected an unsigned 32-bit integer"))
-}
-
-fn require_usize(doc: &Value, field: &str) -> Result<usize, PlanParseError> {
-    doc.get(field)
-        .and_then(Value::as_usize)
-        .ok_or_else(|| field_error(field, "expected an unsigned integer"))
-}
-
-fn require_f64(doc: &Value, field: &str) -> Result<f64, PlanParseError> {
-    doc.get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| field_error(field, "expected a number"))
-}
-
-fn parse_module_fault(item: &Value) -> Result<ModuleFault, PlanParseError> {
-    let module_index = require_usize(item, "module_index")?;
-    let kind = item
-        .get("kind")
-        .ok_or_else(|| field_error("modules[].kind", "missing"))?;
-    let tag = kind
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| field_error("modules[].kind.type", "expected a string tag"))?;
-    let kind = match tag {
-        "dropout" => ModuleFaultKind::Dropout {
-            at_group: require_usize(kind, "at_group")?,
-            recover_after_attempts: match kind.get("recover_after_attempts") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_u32().ok_or_else(|| {
-                    field_error(
-                        "modules[].kind.recover_after_attempts",
-                        "expected an unsigned 32-bit integer",
-                    )
-                })?),
-            },
-        },
-        "panic_at" => ModuleFaultKind::PanicAt {
-            at_group: require_usize(kind, "at_group")?,
-        },
-        "hang" => ModuleFaultKind::Hang {
-            at_group: require_usize(kind, "at_group")?,
-            stall_ms: require_f64(kind, "stall_ms")?,
-        },
-        other => {
-            return Err(field_error(
-                "modules[].kind.type",
-                &format!("unknown fault kind '{other}'"),
-            ))
-        }
-    };
-    Ok(ModuleFault { module_index, kind })
-}
 
 #[cfg(test)]
 mod tests {
@@ -557,112 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn presets_round_trip_through_json() {
-        for name in ["quick", "dropout", "chaos"] {
-            for module_count in [1usize, 4, 18] {
-                let plan = FaultPlan::preset(name, module_count).unwrap();
-                let parsed = FaultPlan::from_json(&plan.to_json()).unwrap();
-                assert_eq!(parsed, plan, "{name}/{module_count}");
-                // Render is canonical: a second round trip is byte-stable.
-                assert_eq!(parsed.to_json(), plan.to_json());
-            }
-        }
-    }
-
-    #[test]
-    fn empty_plan_round_trips_minimal_document() {
-        let plan = FaultPlan::empty();
-        let doc = plan.to_json();
-        assert_eq!(doc, "{\"schema_version\":1,\"seed\":0}");
-        assert_eq!(FaultPlan::from_json(&doc).unwrap(), plan);
-    }
-
-    #[test]
-    fn every_fault_kind_round_trips() {
-        let plan = FaultPlan {
-            seed: u64::MAX - 1,
-            cells: Some(CellFaultSpec {
-                seed: 7,
-                stuck_per_million: 0.1,
-                weak_per_million: 1.0 / 3.0,
-                weak_leak_multiplier: 2.5,
-                sense_offset_shift: -0.000_12,
-            }),
-            modules: vec![
-                ModuleFault {
-                    module_index: 3,
-                    kind: ModuleFaultKind::Dropout {
-                        at_group: 2,
-                        recover_after_attempts: Some(4),
-                    },
-                },
-                ModuleFault {
-                    module_index: 0,
-                    kind: ModuleFaultKind::Dropout {
-                        at_group: 0,
-                        recover_after_attempts: None,
-                    },
-                },
-                ModuleFault {
-                    module_index: 1,
-                    kind: ModuleFaultKind::PanicAt { at_group: 1 },
-                },
-                ModuleFault {
-                    module_index: 2,
-                    kind: ModuleFaultKind::Hang {
-                        at_group: 5,
-                        stall_ms: 12.75,
-                    },
-                },
-            ],
-            vpp_droop: Some(VppDroop {
-                delta_v: 0.2,
-                from_group: 1,
-                to_group: 3,
-            }),
-            deadline_ms: Some(500.5),
-        };
-        let parsed = FaultPlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(parsed, plan);
-        // Float fields must round-trip bit for bit, not just compare
-        // equal — resume determinism depends on byte-identical faults.
-        let c = parsed.cells.unwrap();
+    fn empty_plan_renders_the_minimal_document() {
+        // Fault-free checkpoint directories store exactly this string.
         assert_eq!(
-            c.sense_offset_shift.to_bits(),
-            plan.cells.unwrap().sense_offset_shift.to_bits()
+            FaultPlan::empty().to_json(),
+            "{\"schema_version\":1,\"seed\":0}"
         );
-    }
-
-    #[test]
-    fn malformed_plan_documents_are_typed_errors() {
-        assert!(matches!(
-            FaultPlan::from_json("not json"),
-            Err(PlanParseError::Json(_))
-        ));
-        assert!(matches!(
-            FaultPlan::from_json("{\"schema_version\":99,\"seed\":0}"),
-            Err(PlanParseError::SchemaVersion {
-                found: 99,
-                expected: FAULT_PLAN_SCHEMA_VERSION
-            })
-        ));
-        assert!(matches!(
-            FaultPlan::from_json("{\"schema_version\":1}"),
-            Err(PlanParseError::Field { .. })
-        ));
-        let bad_kind = "{\"schema_version\":1,\"seed\":0,\
-             \"modules\":[{\"module_index\":0,\"kind\":{\"type\":\"gremlin\"}}]}";
-        let err = FaultPlan::from_json(bad_kind).unwrap_err();
-        assert!(err.to_string().contains("gremlin"), "{err}");
-    }
-
-    #[test]
-    fn a_negative_droop_is_a_field_error() {
-        let surge = "{\"schema_version\":1,\"seed\":0,\
-             \"vpp_droop\":{\"delta_v\":-0.1,\"from_group\":0,\"to_group\":2}}";
-        match FaultPlan::from_json(surge) {
-            Err(PlanParseError::Field { field, .. }) => assert_eq!(field, "vpp_droop.delta_v"),
-            other => panic!("expected a field error, got {other:?}"),
-        }
     }
 }

@@ -293,11 +293,13 @@ fn bitrow_de_morgan() {
     }
 }
 
-/// FaultPlan JSON round-trips losslessly for arbitrary plans: parse
-/// recovers the exact structure (u64 seeds, f64 knobs, f32 sense shifts
-/// bit for bit) and re-rendering is canonical.
+/// A FaultPlan's JSON is its fingerprint in a checkpoint manifest, so
+/// rendering must be a function of the plan and must tell every field
+/// apart: the same plan renders the same document twice, and changing
+/// any single field — one ulp of a float, one seed bit, one module
+/// event, the droop, the deadline — renders a different one.
 #[test]
-fn fault_plan_json_round_trips_losslessly() {
+fn fault_plan_rendering_is_stable_and_tells_fields_apart() {
     use simra::faults::{CellFaultSpec, FaultPlan, ModuleFault, ModuleFaultKind, VppDroop};
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(case);
@@ -332,38 +334,122 @@ fn fault_plan_json_round_trips_losslessly() {
                 })
             })
             .collect();
+        let cells = CellFaultSpec {
+            seed: seed ^ 0x5EED,
+            stuck_per_million: 50.0 + stall,
+            sense_offset_shift: (f32::from(shift_milli) - 128.0) / 1000.0,
+        };
+        let droop = VppDroop {
+            delta_v: 0.4 + stall * 1e-3,
+            from_group: groups[0],
+            to_group: groups[0] + groups[1] + 1,
+        };
         let plan = FaultPlan {
             seed,
-            cells: with_cells.then(|| CellFaultSpec {
-                seed: seed ^ 0x5EED,
-                stuck_per_million: 50.0 + stall,
-                weak_per_million: 1.0 / 3.0,
-                weak_leak_multiplier: 4.0,
-                sense_offset_shift: (f32::from(shift_milli) - 128.0) / 1000.0,
-            }),
+            cells: with_cells.then_some(cells),
             modules,
-            vpp_droop: with_droop.then(|| VppDroop {
-                delta_v: 0.4 + stall * 1e-3,
-                from_group: groups[0],
-                to_group: groups[0] + groups[1] + 1,
-            }),
+            vpp_droop: with_droop.then_some(droop),
             deadline_ms: with_deadline.then_some(stall + 5.0),
         };
         let at = format!("case {case}: {plan:?}");
         let rendered = plan.to_json();
-        let reparsed = FaultPlan::from_json(&rendered).expect("own rendering must parse");
-        assert_eq!(&reparsed, &plan, "{at}");
-        if let (Some(a), Some(b)) = (&reparsed.cells, &plan.cells) {
-            assert_eq!(
-                a.sense_offset_shift.to_bits(),
-                b.sense_offset_shift.to_bits(),
-                "{at}"
-            );
-        }
         assert_eq!(
-            reparsed.to_json(),
+            plan.clone().to_json(),
             rendered,
-            "{at}: rendering must be canonical"
+            "{at}: rendering must be stable"
         );
+
+        let differs = |what: &str, change: &dyn Fn(&mut FaultPlan)| {
+            let mut variant = plan.clone();
+            change(&mut variant);
+            assert_ne!(variant, plan, "{at}: {what} left the plan unchanged");
+            assert_ne!(
+                variant.to_json(),
+                rendered,
+                "{at}: changing {what} left the rendering unchanged"
+            );
+        };
+        fn cells_of(p: &mut FaultPlan) -> &mut CellFaultSpec {
+            p.cells.as_mut().expect("the plan has cells")
+        }
+        fn droop_of(p: &mut FaultPlan) -> &mut VppDroop {
+            p.vpp_droop.as_mut().expect("the plan has a droop")
+        }
+        fn up(x: &mut f64) {
+            *x = x.next_up();
+        }
+        differs("seed", &|p| p.seed ^= 1);
+        match plan.cells {
+            Some(_) => {
+                differs("cells.seed", &|p| cells_of(p).seed ^= 1);
+                differs("cells.stuck_per_million", &|p| {
+                    up(&mut cells_of(p).stuck_per_million)
+                });
+                differs("cells.sense_offset_shift", &|p| {
+                    let shift = &mut cells_of(p).sense_offset_shift;
+                    *shift = shift.next_up();
+                });
+                differs("cells removed", &|p| p.cells = None);
+            }
+            None => differs("cells added", &|p| p.cells = Some(cells)),
+        }
+        for (i, event) in plan.modules.iter().enumerate() {
+            let mut kinds = vec![("at_group", event.kind)];
+            match &mut kinds[0].1 {
+                ModuleFaultKind::Dropout { at_group, .. }
+                | ModuleFaultKind::PanicAt { at_group }
+                | ModuleFaultKind::Hang { at_group, .. } => *at_group += 1,
+            }
+            match event.kind {
+                ModuleFaultKind::Dropout {
+                    at_group,
+                    recover_after_attempts,
+                } => kinds.push((
+                    "recover_after_attempts",
+                    ModuleFaultKind::Dropout {
+                        at_group,
+                        recover_after_attempts: match recover_after_attempts {
+                            Some(k) => (k == 0).then_some(1),
+                            None => Some(0),
+                        },
+                    },
+                )),
+                ModuleFaultKind::Hang { at_group, stall_ms } => kinds.push((
+                    "stall_ms",
+                    ModuleFaultKind::Hang {
+                        at_group,
+                        stall_ms: stall_ms.next_up(),
+                    },
+                )),
+                ModuleFaultKind::PanicAt { .. } => {}
+            }
+            for (field, kind) in kinds {
+                differs(&format!("modules[{i}].{field}"), &|p| {
+                    p.modules[i].kind = kind
+                });
+            }
+            differs(&format!("modules[{i}].module_index"), &|p| {
+                p.modules[i].module_index += 1
+            });
+            differs(&format!("modules[{i}] removed"), &|p| {
+                p.modules.remove(i);
+            });
+        }
+        match plan.vpp_droop {
+            Some(_) => {
+                differs("vpp_droop.delta_v", &|p| up(&mut droop_of(p).delta_v));
+                differs("vpp_droop.from_group", &|p| droop_of(p).from_group += 1);
+                differs("vpp_droop.to_group", &|p| droop_of(p).to_group += 1);
+                differs("vpp_droop removed", &|p| p.vpp_droop = None);
+            }
+            None => differs("vpp_droop added", &|p| p.vpp_droop = Some(droop)),
+        }
+        match plan.deadline_ms {
+            Some(_) => {
+                differs("deadline_ms", &|p| up(p.deadline_ms.as_mut().unwrap()));
+                differs("deadline_ms removed", &|p| p.deadline_ms = None);
+            }
+            None => differs("deadline_ms added", &|p| p.deadline_ms = Some(stall + 5.0)),
+        }
     }
 }
