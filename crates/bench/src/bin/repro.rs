@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro                         # reduced scale (default; ~1.6 s)
+//! repro                         # reduced scale (default; ~1.0 s)
 //! repro quick                   # smoke scale (seconds)
 //! repro paper                   # the paper's full population (hours)
 //! repro paper --backend surrogate  # the full population on the

@@ -10,7 +10,7 @@
 //! * **Multi-RowCopy-based**: write once, then wipe N − 1 rows per APA;
 //!   fan-out grows with the activation count.
 
-use simra_dram::{RetentionParams, TimingParams};
+use simra_dram::TimingParams;
 
 use crate::throughput::OpLatencies;
 use simra_characterize::report::Table;
@@ -91,81 +91,9 @@ pub fn fig17_coldboot() -> Table {
     table
 }
 
-/// Time (ms) until a powered-off cell's deviation falls below
-/// `readable_fraction` of its original value at `temperature_c` — the
-/// attacker's remanence window.
-pub fn attack_window_ms(
-    params: RetentionParams,
-    temperature_c: f64,
-    readable_fraction: f64,
-) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&readable_fraction) && readable_fraction > 0.0,
-        "readable fraction must be in (0, 1)"
-    );
-    -params.tau_ms(temperature_c) * readable_fraction.ln()
-}
-
-/// The remanence context for Fig. 17: how long stolen data stays
-/// readable at various chip temperatures versus how quickly each wipe
-/// strategy destroys it. Destruction is microseconds; remanence is
-/// seconds to minutes — which is exactly why a PUD-based wipe is a
-/// viable cold-boot defence.
-pub fn remanence_table() -> Table {
-    let retention = RetentionParams::typical();
-    let timing = TimingParams::ddr4_2666();
-    let mut table = Table::new(
-        "Cold-boot context: remanence window vs wipe latency",
-        "first-order retention model; 65536-row bank",
-        vec![
-            "window_ms".into(),
-            "rowclone_wipe_ms".into(),
-            "mrc32_wipe_ms".into(),
-        ],
-    );
-    let rc = wipe_time_ns(WipeStrategy::RowClone, 65_536, 512, &timing) / 1e6;
-    let mrc = wipe_time_ns(WipeStrategy::MultiRowCopy { n: 32 }, 65_536, 512, &timing) / 1e6;
-    for temp in [-20.0, 5.0, 25.0, 45.0, 85.0] {
-        let window = attack_window_ms(retention, temp, 0.5);
-        table.push_row(format!("{temp} C"), vec![window, rc, mrc]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn remanence_dwarfs_wipe_latency() {
-        let t = remanence_table();
-        for temp in ["-20 C", "25 C", "85 C"] {
-            let window = t.get(temp, "window_ms").unwrap();
-            let wipe = t.get(temp, "mrc32_wipe_ms").unwrap();
-            assert!(
-                window > 100.0 * wipe,
-                "{temp}: window {window} ms must dwarf the {wipe} ms wipe"
-            );
-        }
-        // Chilling extends the attacker's window.
-        let cold = t.get("-20 C", "window_ms").unwrap();
-        let hot = t.get("85 C", "window_ms").unwrap();
-        assert!(cold > 10.0 * hot);
-    }
-
-    #[test]
-    fn attack_window_math() {
-        let p = RetentionParams::typical();
-        let w = attack_window_ms(p, 45.0, 0.5);
-        // τ = 8 s at 45 °C ⇒ half-life = 8 s · ln 2 ≈ 5.5 s.
-        assert!((w - 8000.0 * std::f64::consts::LN_2).abs() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "readable fraction")]
-    fn bad_fraction_rejected() {
-        attack_window_ms(RetentionParams::typical(), 45.0, 1.5);
-    }
 
     #[test]
     fn fig17_mrc_beats_rowclone_and_frac() {

@@ -194,8 +194,8 @@ mod tests {
     #[test]
     fn different_subarrays_get_different_silicon() {
         let mut b = bank();
-        let s0 = b.subarray(SubarrayId::new(0)).clone();
-        let s1 = b.subarray(SubarrayId::new(1)).clone();
+        let s0 = b.subarray(SubarrayId::new(0)).silicon().value_bits();
+        let s1 = b.subarray(SubarrayId::new(1)).silicon().value_bits();
         assert_ne!(s0, s1);
     }
 

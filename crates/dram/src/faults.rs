@@ -178,9 +178,9 @@ mod tests {
         let spec = dense_spec();
         let v = crate::subarray::VariationParams::default();
         let f_before = spec.derive(32, 32, 5);
-        let s = crate::silicon::SiliconPlanes::stamp(32, 32, v, 5);
+        let s = crate::silicon::SiliconPlanes::stamp(32, 32, v, 5).value_bits();
         let f_after = spec.derive(32, 32, 5);
-        let s_again = crate::silicon::SiliconPlanes::stamp(32, 32, v, 5);
+        let s_again = crate::silicon::SiliconPlanes::stamp(32, 32, v, 5).value_bits();
         assert_eq!(f_before, f_after);
         assert_eq!(s, s_again);
     }

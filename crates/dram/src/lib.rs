@@ -16,11 +16,10 @@
 //! * [`command`] — the DDR command vocabulary,
 //! * [`data`] — data patterns and packed row images,
 //! * [`cell`], [`subarray`], [`bank`], [`module`] — the storage hierarchy,
-//! * [`silicon`] — shared immutable variation planes + the silicon cache,
+//! * [`silicon`] — shared immutable variation planes, each row stamped on
+//!   its first read, + the silicon cache,
 //! * [`faults`] — deterministic cell-defect overlays (stuck cells,
 //!   sense-offset drift) drawn from a dedicated RNG stream,
-//! * [`retention`] — the charge-retention time constant behind the
-//!   cold-boot remanence window,
 //! * [`protocol`] — a JEDEC checker that names each violated timing rule,
 //! * [`rng`] — the workspace's one random-number generator ([`Rng`],
 //!   splitmix64), which every sampled group and data pattern draws from,
@@ -48,7 +47,6 @@ pub mod faults;
 pub mod geometry;
 pub mod module;
 pub mod protocol;
-pub mod retention;
 pub mod rng;
 pub mod silicon;
 pub mod subarray;
@@ -64,7 +62,6 @@ pub use faults::{CellFaultSpec, SubarrayFaults};
 pub use geometry::{BankId, ColAddr, Geometry, RowAddr, SubarrayId};
 pub use module::DramModule;
 pub use protocol::{ProtocolChecker, TimingRule, Violation};
-pub use retention::RetentionParams;
 pub use rng::Rng;
 pub use silicon::SiliconPlanes;
 pub use subarray::Subarray;

@@ -166,12 +166,14 @@ mod tests {
             .bank_mut(BankId::new(0))
             .unwrap()
             .subarray(crate::geometry::SubarrayId::new(0))
-            .clone();
+            .silicon()
+            .value_bits();
         let s1 = m
             .bank_mut(BankId::new(1))
             .unwrap()
             .subarray(crate::geometry::SubarrayId::new(0))
-            .clone();
+            .silicon()
+            .value_bits();
         assert_ne!(s0, s1);
     }
 

@@ -10,11 +10,15 @@
 //! The methods are the ones call sites use, with these exact reductions:
 //! `f64` is `(x >> 11)·2⁻⁵³`, `bool` is `x >> 63`, an integer range is
 //! `start + x mod span`, a float range is `start + (end − start)·f64`,
-//! and `gen_bool(p)` is `f64 < p`. They are `#[inline]` because they are
-//! not generic over the generator, so they would not inline across
-//! crates on their own.
+//! and `gen_bool(p)` is `f64 < p`. `jump(k)` skips `k` draws in O(1),
+//! because the state is a counter stepped by one constant. They are
+//! `#[inline]` because they are not generic over the generator, so they
+//! would not inline across crates on their own.
 
 use std::ops::{Range, RangeInclusive};
+
+/// splitmix64's increment: the state after `k` draws is `seed + k·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A splitmix64 stream: the whole state is one `u64`, and equal seeds
 /// replay equal streams.
@@ -33,11 +37,18 @@ impl Rng {
     /// The next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips `draws` outputs in O(1): the same state as `draws` calls of
+    /// [`Rng::next_u64`], counted modulo 2⁶⁴ (the stream's period).
+    #[inline]
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
     }
 
     /// One uniform value of `T`: any `u64`, an `f64` in `[0, 1)`, or a
@@ -147,6 +158,29 @@ mod tests {
                 16_408_922_859_458_223_821,
             ]
         );
+    }
+
+    #[test]
+    fn jump_equals_sequential_draws() {
+        // The last seed wraps the state within the first draws.
+        for seed in [0, 1_234_567, u64::MAX - 2] {
+            for k in [0u64, 1, 7, 4 * 1024 * 256] {
+                let mut walked = Rng::seed_from_u64(seed);
+                for _ in 0..k {
+                    walked.next_u64();
+                }
+                let mut jumped = Rng::seed_from_u64(seed);
+                jumped.jump(k);
+                assert_eq!(jumped.next_u64(), walked.next_u64(), "seed {seed}, k {k}");
+            }
+            // u64::MAX draws are one short of the period: the jump lands
+            // one draw before the start, so the second draw after it is
+            // the stream's first.
+            let mut jumped = Rng::seed_from_u64(seed);
+            jumped.jump(u64::MAX);
+            jumped.next_u64();
+            assert_eq!(jumped.next_u64(), Rng::seed_from_u64(seed).next_u64());
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The DRAM subarray: a 2-D grid of cells sharing bitlines and sense
 //! amplifiers.
 //!
-//! Process variation is stamped at construction from a deterministic seed:
+//! Process variation is a pure function of a deterministic seed:
 //! per-cell capacitance/strength factors and a per-column sense-amplifier
-//! offset. The same (module-seed, bank, subarray) triple always produces
-//! the same silicon, which is what lets the paper-style "cell is unstable"
+//! offset, each row's factors stamped the first time the row is read.
+//! The same (module-seed, bank, subarray) triple always produces the
+//! same silicon, which is what lets the paper-style "cell is unstable"
 //! classification be meaningful across repeated trials.
 //!
 //! State is stored structure-of-arrays: the immutable variation planes
@@ -130,11 +131,8 @@ impl Subarray {
     pub fn cell(&self, row: u32, col: u32) -> Cell {
         self.check(row, col);
         let i = row as usize * self.cols as usize + col as usize;
-        Cell::with_variation(
-            self.voltage[i],
-            self.silicon.cap_factors()[i],
-            self.silicon.strength_factors()[i],
-        )
+        let (caps, strengths) = self.silicon.row_factors(row);
+        Cell::with_variation(self.voltage[i], caps[col as usize], strengths[col as usize])
     }
 
     /// One row's voltage plane.
@@ -169,7 +167,7 @@ impl Subarray {
     #[inline]
     pub fn row_cap_factors(&self, row: u32) -> &[f32] {
         self.check_row(row);
-        &self.silicon.cap_factors()[self.row_range(row)]
+        self.silicon.row_factors(row).0
     }
 
     /// One row's strength-factor plane.
@@ -180,7 +178,7 @@ impl Subarray {
     #[inline]
     pub fn row_strength_factors(&self, row: u32) -> &[f32] {
         self.check_row(row);
-        &self.silicon.strength_factors()[self.row_range(row)]
+        self.silicon.row_factors(row).1
     }
 
     /// Splits one row into `(voltages mut, cap factors, strength factors)`
@@ -195,11 +193,8 @@ impl Subarray {
     pub fn row_split_mut(&mut self, row: u32) -> (&mut [f32], &[f32], &[f32]) {
         self.check_row(row);
         let range = self.row_range(row);
-        (
-            &mut self.voltage[range.clone()],
-            &self.silicon.cap_factors()[range.clone()],
-            &self.silicon.strength_factors()[range],
-        )
+        let (caps, strengths) = self.silicon.row_factors(row);
+        (&mut self.voltage[range], caps, strengths)
     }
 
     /// Per-column sense-amplifier offset (shifted while a fault overlay
@@ -406,7 +401,7 @@ mod tests {
         let b = Subarray::new(8, 32, VariationParams::default(), 7);
         assert_eq!(a, b);
         let c = Subarray::new(8, 32, VariationParams::default(), 8);
-        assert_ne!(a, c);
+        assert_ne!(a.silicon().value_bits(), c.silicon().value_bits());
     }
 
     #[test]
