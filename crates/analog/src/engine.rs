@@ -624,9 +624,9 @@ impl ApaEngine {
     }
 
     /// Visits every (row, column) restore probability of a commit, in
-    /// the row-major order [`commit_survival`](Self::commit_survival)
-    /// returns them — the one traversal behind the allocating, buffered,
-    /// and summing variants.
+    /// the row-major order [`commit_survival_into`](Self::commit_survival_into)
+    /// stores them — the one traversal behind the buffered and summing
+    /// variants.
     ///
     /// A cell's drive is `restore_strength · wq · strength · droop`,
     /// which Rust evaluates left to right as `((rs·wq)·s)·droop`; the
@@ -675,28 +675,14 @@ impl ApaEngine {
 
     /// Per-cell probability that a commit with `restore_strength` sticks,
     /// across all trials — the smooth success metric for restore-limited
-    /// operations (WR-overdrive activation tests, Multi-RowCopy).
+    /// operations (WR-overdrive activation tests, Multi-RowCopy) — into
+    /// a caller-owned buffer (cleared first; capacity reused across
+    /// calls), row-major.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is not as wide as the subarray (as do the
-    /// buffered and summing variants).
-    pub fn commit_survival(
-        &self,
-        subarray: &Subarray,
-        rows: &[u32],
-        values: &BitRow,
-        restore_strength: f64,
-    ) -> Vec<f64> {
-        let mut probs = Vec::with_capacity(rows.len() * subarray.cols() as usize);
-        self.commit_survival_into(subarray, rows, values, restore_strength, &mut probs);
-        probs
-    }
-
-    /// [`commit_survival`](Self::commit_survival) into a caller-owned
-    /// buffer (cleared first; capacity reused across calls) — for trial
-    /// loops that would otherwise allocate the probability vector per
-    /// iteration.
+    /// Panics if `values` is not as wide as the subarray (as does the
+    /// summing variant).
     pub fn commit_survival_into(
         &self,
         subarray: &Subarray,
@@ -711,9 +697,9 @@ impl ApaEngine {
         });
     }
 
-    /// Sum of [`commit_survival`](Self::commit_survival)'s probabilities
-    /// without materializing them, added in the same row-major order —
-    /// bit-identical to `commit_survival(..).iter().sum()`.
+    /// Sum of [`commit_survival_into`](Self::commit_survival_into)'s
+    /// probabilities without materializing them, added in the same
+    /// row-major order — bit-identical to summing that buffer.
     pub fn commit_survival_sum(
         &self,
         subarray: &Subarray,
@@ -824,8 +810,9 @@ mod tests {
         let sa = subarray();
         let e = engine();
         let img = BitRow::ones(128);
-        let strong = e.commit_survival(&sa, &[0], &img, 1.0);
-        let weak = e.commit_survival(&sa, &[0], &img, 0.85);
+        let (mut strong, mut weak) = (Vec::new(), Vec::new());
+        e.commit_survival_into(&sa, &[0], &img, 1.0, &mut strong);
+        e.commit_survival_into(&sa, &[0], &img, 0.85, &mut weak);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&strong) > mean(&weak));
         assert!(mean(&strong) > 0.99);
@@ -955,7 +942,10 @@ mod tests {
         let sa = subarray();
         let e = engine();
         let img = BitRow::from_bits((0..128).map(|c| c % 5 != 0));
-        let probs = e.commit_survival(&sa, &[1, 4, 9], &img, 0.93);
+        let mut probs = Vec::new();
+        e.commit_survival_into(&sa, &[1, 4, 9], &img, 0.93, &mut probs);
+        assert_eq!(probs.len(), 3 * 128);
+        // A used buffer is cleared first.
         let mut buffered = vec![0.25; 3];
         e.commit_survival_into(&sa, &[1, 4, 9], &img, 0.93, &mut buffered);
         assert_eq!(probs, buffered);
@@ -977,6 +967,7 @@ mod tests {
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = Rng::seed_from_u64(29);
+        let mut got = Vec::new();
         let (mut saturated, mut mid, mut dead) = (0, 0, 0);
         for e in &engines {
             let p = e.params();
@@ -999,7 +990,7 @@ mod tests {
                                 want.push(restore_probability(drive, p));
                             }
                         }
-                        let got = e.commit_survival(&sa, &rows, &img, rs);
+                        e.commit_survival_into(&sa, &rows, &img, rs, &mut got);
                         assert_eq!(bits(&got), bits(&want), "cols {cols}, N {n}, rs {rs}");
                         let sum = e.commit_survival_sum(&sa, &rows, &img, rs);
                         assert_eq!(sum.to_bits(), want.iter().sum::<f64>().to_bits());
@@ -1019,7 +1010,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one image bit per column")]
     fn commit_survival_rejects_a_narrow_image() {
-        engine().commit_survival(&subarray(), &[0], &BitRow::ones(127), 1.0);
+        engine().commit_survival_into(&subarray(), &[0], &BitRow::ones(127), 1.0, &mut Vec::new());
     }
 
     #[test]

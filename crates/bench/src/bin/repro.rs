@@ -6,16 +6,14 @@
 //! ```text
 //! repro                         # reduced scale (default; ~1.0 s)
 //! repro quick                   # smoke scale (seconds)
-//! repro paper                   # the paper's full population (hours)
+//! repro paper                   # the paper's full population
+//!                               # (1 556.6 s, 1 661 MB peak RSS)
 //! repro paper --backend surrogate  # the full population on the
 //!                               # calibrated table (~2 s)
 //! repro <scale> --timings       # also print per-figure wall-clock to stderr
 //! repro <scale> --backend <which>  # execution backend: analog (default)
 //!                               # | surrogate (calibrated fast model)
 //!                               # | hybrid (adaptive table/analog mix)
-//! repro <scale> --backend hybrid --hybrid-epsilon 0.02 --hybrid-budget 1:8
-//!                               # hybrid early-stop half-width and
-//!                               # per-point analog trial budget
 //! repro <scale> --faults <name> # arm a fault-injection preset
 //!                               # (quick | dropout | chaos)
 //! repro <scale> --metrics       # telemetry summary to stderr after the run
@@ -26,8 +24,10 @@
 //!                               # merge, and replay (byte-identical output)
 //! ```
 //!
-//! The times are `crates/ledger` campaign medians (`reduced-analog`,
-//! `paper-surrogate`) on a 2-core x86-64 host.
+//! The `reduced` and `paper --backend surrogate` times are
+//! `crates/ledger` campaign medians (`reduced-analog`,
+//! `paper-surrogate`) on a 2-core x86-64 host; the `paper` time and
+//! peak RSS come from one unscaled run on the same host.
 //!
 //! `--timings` and the telemetry flags write to stderr (or to a file),
 //! so the figure tables on stdout stay byte-identical with and without
@@ -86,12 +86,6 @@ fn main() {
         _ => ExperimentConfig::reduced(),
     };
     config.backend = opts.backend;
-    if config.backend == simra_exec::BackendChoice::Hybrid {
-        // Folded into the config (and hence into checkpoint-session
-        // manifests); the session constructed below applies it to its
-        // own backend set, which is what actually executes the trials.
-        config.hybrid = opts.hybrid_params();
-    }
     if config.backend != simra_exec::BackendChoice::Analog {
         // stderr only: default-backend stdout stays byte-identical.
         eprintln!("# backend: {}", config.backend);
@@ -108,9 +102,9 @@ fn main() {
             }
         }
     }
-    // The session owns everything this run mutates — backend set (with
-    // the hybrid knobs above), telemetry handle, checkpoint slot, fleet
-    // coverage — so it is built once the config is final.
+    // The session owns everything this run mutates — backends,
+    // telemetry handle, checkpoint slot, fleet coverage — so it is
+    // built once the config is final.
     let session = Session::recorded_by(config.clone(), recorder);
     // A coordinator without --checkpoint-dir shards into a temp root,
     // removed after the run; `Some` only in that case.
@@ -163,14 +157,6 @@ fn main() {
         if opts.backend != simra_exec::BackendChoice::Analog {
             base_args.push("--backend".into());
             base_args.push(opts.backend.to_string());
-        }
-        if let Some(epsilon) = opts.hybrid_epsilon {
-            base_args.push("--hybrid-epsilon".into());
-            base_args.push(epsilon.to_string());
-        }
-        if let Some((floor, ceiling)) = opts.hybrid_budget {
-            base_args.push("--hybrid-budget".into());
-            base_args.push(format!("{floor}:{ceiling}"));
         }
         if let Some(preset) = opts.faults_preset.as_deref() {
             base_args.push("--faults".into());

@@ -18,11 +18,6 @@ usage: repro [<scale>] [--backend <which>] [--timings] [--faults <preset>] [--me
                         physics path) | surrogate (calibrated fast model) |
                         hybrid (table answers where certain, analog
                         escalation where ambiguous)
-  --hybrid-epsilon <e>  hybrid only: target Wilson half-width for the
-                        sequential early-stop rule, 0 < e < 0.5 (default 0.02)
-  --hybrid-budget <floor>:<ceiling>
-                        hybrid only: min/max analog trials per operating
-                        point (default 1:8)
   --timings             print per-figure wall-clock to stderr
   --faults <preset>     arm a fault-injection preset (quick | dropout | chaos)
   --metrics             print a telemetry summary to stderr after the run
@@ -59,12 +54,6 @@ pub struct CliOptions {
     pub faults_preset: Option<String>,
     /// `--backend <which>`: execution backend for every trial.
     pub backend: simra_exec::BackendChoice,
-    /// `--hybrid-epsilon <e>`: target Wilson half-width of the hybrid
-    /// early-stop rule (requires `--backend hybrid`).
-    pub hybrid_epsilon: Option<f64>,
-    /// `--hybrid-budget <floor>:<ceiling>`: per-point analog trial
-    /// budget of the hybrid backend (requires `--backend hybrid`).
-    pub hybrid_budget: Option<(u32, u32)>,
     /// `--checkpoint-dir <path>`: journal sweeps here for kill-and-resume.
     pub checkpoint_dir: Option<String>,
     /// `--resume`: continue the session in `--checkpoint-dir`.
@@ -88,20 +77,6 @@ impl CliOptions {
     pub fn wants_telemetry(&self) -> bool {
         self.metrics || self.metrics_out.is_some()
     }
-
-    /// The hybrid decision parameters: defaults overridden by
-    /// `--hybrid-epsilon` / `--hybrid-budget`.
-    pub fn hybrid_params(&self) -> simra_exec::HybridParams {
-        let mut params = simra_exec::HybridParams::default();
-        if let Some(epsilon) = self.hybrid_epsilon {
-            params.epsilon = epsilon;
-        }
-        if let Some((floor, ceiling)) = self.hybrid_budget {
-            params.floor = floor;
-            params.ceiling = ceiling;
-        }
-        params
-    }
 }
 
 /// A rejected invocation. `Display` yields the one-line diagnostic;
@@ -119,14 +94,6 @@ pub enum CliError {
     /// `--backend` named something other than
     /// `analog` | `surrogate` | `hybrid`.
     UnknownBackend(String),
-    /// `--hybrid-epsilon` with a value outside `(0, 0.5)`.
-    InvalidHybridEpsilon(String),
-    /// `--hybrid-budget` with a value that is not `<floor>:<ceiling>`
-    /// with `floor <= ceiling`, `ceiling >= 1`.
-    InvalidHybridBudget(String),
-    /// A `--hybrid-*` flag without `--backend hybrid`: the values would
-    /// be silently ignored, which is worse than an error.
-    HybridFlagsWithoutHybridBackend,
     /// `--resume` without the `--checkpoint-dir` it would resume into.
     ResumeWithoutDir,
     /// `--shards` with a value that is not a positive integer.
@@ -160,24 +127,6 @@ impl std::fmt::Display for CliError {
                 write!(
                     f,
                     "unknown backend: {backend:?} (expected analog | surrogate | hybrid)"
-                )
-            }
-            CliError::InvalidHybridEpsilon(value) => {
-                write!(
-                    f,
-                    "--hybrid-epsilon expects a number in (0, 0.5), got {value:?}"
-                )
-            }
-            CliError::InvalidHybridBudget(value) => {
-                write!(
-                    f,
-                    "--hybrid-budget expects <floor>:<ceiling> with floor <= ceiling and ceiling >= 1, got {value:?}"
-                )
-            }
-            CliError::HybridFlagsWithoutHybridBackend => {
-                write!(
-                    f,
-                    "--hybrid-epsilon/--hybrid-budget require --backend hybrid"
                 )
             }
             CliError::ResumeWithoutDir => {
@@ -243,20 +192,6 @@ where
                 },
                 None => return Err(CliError::MissingValue("--backend")),
             },
-            "--hybrid-epsilon" => match iter.next() {
-                Some(value) => match value.parse::<f64>() {
-                    Ok(e) if e > 0.0 && e < 0.5 => opts.hybrid_epsilon = Some(e),
-                    _ => return Err(CliError::InvalidHybridEpsilon(value)),
-                },
-                None => return Err(CliError::MissingValue("--hybrid-epsilon")),
-            },
-            "--hybrid-budget" => match iter.next() {
-                Some(value) => match parse_hybrid_budget(&value) {
-                    Some(budget) => opts.hybrid_budget = Some(budget),
-                    None => return Err(CliError::InvalidHybridBudget(value)),
-                },
-                None => return Err(CliError::MissingValue("--hybrid-budget")),
-            },
             "--checkpoint-dir" => match iter.next() {
                 Some(path) => opts.checkpoint_dir = Some(path),
                 None => return Err(CliError::MissingValue("--checkpoint-dir")),
@@ -300,21 +235,7 @@ where
     if opts.shards.is_some() && opts.resume {
         return Err(CliError::ShardsWithResume);
     }
-    if (opts.hybrid_epsilon.is_some() || opts.hybrid_budget.is_some())
-        && opts.backend != simra_exec::BackendChoice::Hybrid
-    {
-        return Err(CliError::HybridFlagsWithoutHybridBackend);
-    }
     Ok(opts)
-}
-
-/// Parses a `--hybrid-budget` value: `<floor>:<ceiling>` with
-/// `floor <= ceiling`, `ceiling > 0`.
-fn parse_hybrid_budget(value: &str) -> Option<(u32, u32)> {
-    let (floor, ceiling) = value.split_once(':')?;
-    let floor = floor.parse::<u32>().ok()?;
-    let ceiling = ceiling.parse::<u32>().ok()?;
-    (ceiling > 0 && floor <= ceiling).then_some((floor, ceiling))
 }
 
 /// Parses a `--shard-worker` value: `<i>/<N>` with `i < N`, `N > 0`.
@@ -392,6 +313,15 @@ mod tests {
                 "{flag}"
             );
         }
+        // The hybrid's decision rule is fixed: its former tuning flags
+        // are refused like any other unknown flag.
+        for (flag, value) in [("--hybrid-epsilon", "0.02"), ("--hybrid-budget", "1:8")] {
+            assert_eq!(
+                parse(&["quick", "--backend", "hybrid", flag, value]),
+                Err(CliError::UnknownFlag(flag.into())),
+                "{flag}"
+            );
+        }
     }
 
     #[test]
@@ -452,62 +382,6 @@ mod tests {
         assert_eq!(
             parse(&["--backend"]),
             Err(CliError::MissingValue("--backend"))
-        );
-    }
-
-    #[test]
-    fn hybrid_flags_parse_and_validate() {
-        let opts = parse(&[
-            "quick",
-            "--backend",
-            "hybrid",
-            "--hybrid-epsilon",
-            "0.05",
-            "--hybrid-budget",
-            "2:12",
-        ])
-        .unwrap();
-        assert_eq!(opts.hybrid_epsilon, Some(0.05));
-        assert_eq!(opts.hybrid_budget, Some((2, 12)));
-        let params = opts.hybrid_params();
-        assert_eq!(params.epsilon, 0.05);
-        assert_eq!((params.floor, params.ceiling), (2, 12));
-        // Defaults pass through untouched when the flags are absent.
-        let params = parse(&["--backend", "hybrid"]).unwrap().hybrid_params();
-        assert_eq!(params, simra_exec::HybridParams::default());
-        for bad in ["0", "0.5", "-0.1", "nan", "lots", ""] {
-            assert_eq!(
-                parse(&["--backend", "hybrid", "--hybrid-epsilon", bad]),
-                Err(CliError::InvalidHybridEpsilon(bad.into())),
-                "--hybrid-epsilon {bad:?} must be rejected"
-            );
-        }
-        for bad in ["3:2", "1:0", "1", "a:2", "1:b", ":2", "1:", ""] {
-            assert_eq!(
-                parse(&["--backend", "hybrid", "--hybrid-budget", bad]),
-                Err(CliError::InvalidHybridBudget(bad.into())),
-                "--hybrid-budget {bad:?} must be rejected"
-            );
-        }
-        assert_eq!(
-            parse(&["--backend", "hybrid", "--hybrid-epsilon"]),
-            Err(CliError::MissingValue("--hybrid-epsilon"))
-        );
-        assert_eq!(
-            parse(&["--backend", "hybrid", "--hybrid-budget"]),
-            Err(CliError::MissingValue("--hybrid-budget"))
-        );
-    }
-
-    #[test]
-    fn hybrid_flags_require_the_hybrid_backend() {
-        assert_eq!(
-            parse(&["--hybrid-epsilon", "0.05"]),
-            Err(CliError::HybridFlagsWithoutHybridBackend)
-        );
-        assert_eq!(
-            parse(&["--backend", "surrogate", "--hybrid-budget", "1:4"]),
-            Err(CliError::HybridFlagsWithoutHybridBackend)
         );
     }
 

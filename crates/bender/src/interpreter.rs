@@ -72,7 +72,9 @@ impl TestSetup {
     ///
     /// # Errors
     ///
-    /// Device errors (bad addresses) and cross-subarray APA targets.
+    /// Device errors (bad addresses, a `WR` image of the wrong width),
+    /// cross-subarray APA targets, and a wait that is negative, NaN or
+    /// infinite.
     pub fn run_program(
         &mut self,
         program: &BenderProgram,
@@ -89,8 +91,10 @@ impl TestSetup {
         for instr in program.instrs() {
             match instr {
                 BenderInstr::WaitNs(ns) => {
-                    if *ns < 0.0 {
-                        return Err(SequencerError::NegativeWait { ns: *ns });
+                    // A NaN or infinite clock would make every later
+                    // ACT → PRE → ACT read as a plain activation.
+                    if !(ns.is_finite() && *ns >= 0.0) {
+                        return Err(SequencerError::InvalidWait { ns: *ns });
                     }
                     clock_ns += ns;
                 }
@@ -297,25 +301,23 @@ mod tests {
         TestSetup::new(VendorProfile::mfr_h_m_die(), 64)
     }
 
-    #[test]
-    fn apa_program_reports_its_violations_and_wipes() {
-        let mut s = setup();
+    /// APA(0, 7) with `t1`/`t2` ns, then `WR`: the §3.2 activation test
+    /// as a program, on a rig whose rows 0..8 of `bank` hold zeros.
+    fn apa_write_program(s: &mut TestSetup, bank: BankId, t1: f64, t2: f64) -> BenderProgram {
         let cols = s.module().geometry().cols_per_row as usize;
-        let bank = BankId::new(0);
         for r in 0..8u32 {
             s.init_row(bank, RowAddr::new(r), &BitRow::zeros(cols))
                 .unwrap();
         }
-        // APA(0, 7) + WR(ones): the §3.2 activation test as a program.
         let timing = s.module().profile().timing;
         let mut p = BenderProgram::new();
         p.command(Command::Activate {
             bank,
             row: RowAddr::new(0),
         })
-        .wait_ns(3.0)
+        .wait_ns(t1)
         .command(Command::Precharge { bank })
-        .wait_ns(3.0)
+        .wait_ns(t2)
         .command(Command::Activate {
             bank,
             row: RowAddr::new(7),
@@ -325,6 +327,15 @@ mod tests {
         .wait_ns(timing.t_wr_ns)
         .command(Command::Precharge { bank })
         .wait_ns(timing.t_rp_ns);
+        p
+    }
+
+    #[test]
+    fn apa_program_reports_its_violations_and_wipes() {
+        let mut s = setup();
+        let cols = s.module().geometry().cols_per_row as usize;
+        let bank = BankId::new(0);
+        let p = apa_write_program(&mut s, bank, 3.0, 3.0);
         let ones = BitRow::ones(cols);
         let run = s.run_program(&p, Some(&ones)).unwrap();
         assert_eq!(run.commands, 5);
@@ -341,6 +352,42 @@ mod tests {
         }
         let untouched = s.read_row(bank, RowAddr::new(2)).unwrap();
         assert_eq!(untouched.count_ones(), 0);
+    }
+
+    #[test]
+    fn weak_timing_write_fails_many_cells() {
+        let mut s = setup();
+        let cols = s.module().geometry().cols_per_row as usize;
+        let bank = BankId::new(0);
+        let p = apa_write_program(&mut s, bank, 1.5, 1.5);
+        s.run_program(&p, Some(&BitRow::ones(cols))).unwrap();
+        let stored: usize = [0u32, 1, 6, 7]
+            .iter()
+            .map(|&r| s.read_row(bank, RowAddr::new(r)).unwrap().count_ones())
+            .sum();
+        let frac = stored as f64 / (4 * cols) as f64;
+        assert!(
+            frac < 0.95,
+            "grid-minimum timing should visibly fail: {frac}"
+        );
+    }
+
+    #[test]
+    fn write_image_of_the_wrong_width_is_a_typed_error() {
+        let mut s = setup();
+        let p = BenderProgram::write_row(
+            BankId::new(0),
+            RowAddr::new(0),
+            &s.module().profile().timing,
+        );
+        let err = s.run_program(&p, Some(&BitRow::ones(8))).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SequencerError::Dram(simra_dram::DramError::WidthMismatch { got: 8, .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -414,21 +461,25 @@ mod tests {
 
     #[test]
     fn negative_wait_is_a_typed_error() {
-        let mut s = setup();
-        let mut p = BenderProgram::new();
-        p.command(Command::Activate {
-            bank: BankId::new(0),
-            row: RowAddr::new(0),
-        })
-        .wait_ns(-5.0)
-        .command(Command::Precharge {
-            bank: BankId::new(0),
-        });
-        let err = s.run_program(&p, None).unwrap_err();
-        assert!(
-            matches!(err, SequencerError::NegativeWait { ns } if ns == -5.0),
-            "{err:?}"
-        );
+        // NaN and +∞ as well: either would stop the clock from measuring
+        // t1/t2, so a later APA would pass as two plain activations.
+        for bad in [-5.0, f64::NAN, f64::INFINITY] {
+            let mut s = setup();
+            let mut p = BenderProgram::new();
+            p.command(Command::Activate {
+                bank: BankId::new(0),
+                row: RowAddr::new(0),
+            })
+            .wait_ns(bad)
+            .command(Command::Precharge {
+                bank: BankId::new(0),
+            });
+            let err = s.run_program(&p, None).unwrap_err();
+            assert!(
+                matches!(err, SequencerError::InvalidWait { ns } if ns.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@ pub enum SequencerError {
         /// Subarray of `R_S`.
         second: SubarrayId,
     },
-    /// A program asked to wait a negative duration; the interpreter's
-    /// clock (and the protocol checker behind it) only runs forwards.
-    NegativeWait {
+    /// A program asked to wait a negative, NaN or infinite duration; the
+    /// interpreter's clock (and the protocol checker behind it) only runs
+    /// forwards, by finite steps.
+    InvalidWait {
         /// The offending wait (ns).
         ns: f64,
     },
@@ -34,10 +35,10 @@ impl std::fmt::Display for SequencerError {
             SequencerError::CrossSubarray { first, second } => {
                 write!(f, "APA targets span subarrays {first} and {second}")
             }
-            SequencerError::NegativeWait { ns } => {
+            SequencerError::InvalidWait { ns } => {
                 write!(
                     f,
-                    "negative wait of {ns} ns would run the program clock backwards"
+                    "invalid wait of {ns} ns (a wait must be finite and at least 0 ns)"
                 )
             }
             SequencerError::Dram(e) => write!(f, "device error: {e}"),
@@ -49,7 +50,7 @@ impl std::error::Error for SequencerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SequencerError::Dram(e) => Some(e),
-            SequencerError::CrossSubarray { .. } | SequencerError::NegativeWait { .. } => None,
+            SequencerError::CrossSubarray { .. } | SequencerError::InvalidWait { .. } => None,
         }
     }
 }
@@ -125,39 +126,6 @@ impl TestSetup {
     pub fn read_row(&mut self, bank: BankId, row: RowAddr) -> Result<BitRow, SequencerError> {
         Ok(self.module_mut().bank_mut(bank)?.read_row_nominal(row)?)
     }
-
-    /// The §3.2 activation-test sequence: APA with `timing`, then a `WR`
-    /// that overdrives the bitlines with `pattern`, updating the cells of
-    /// every simultaneously open row. Returns the structural outcome so the
-    /// caller knows which rows should now hold `pattern`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates APA resolution errors; rejects a `pattern` narrower or
-    /// wider than the module's rows.
-    pub fn apa_then_write(
-        &mut self,
-        bank: BankId,
-        r_f: RowAddr,
-        r_s: RowAddr,
-        timing: ApaTiming,
-        pattern: &BitRow,
-    ) -> Result<(SubarrayId, ApaOutcome), SequencerError> {
-        let expected = self.module().geometry().cols_per_row as usize;
-        if pattern.len() != expected {
-            return Err(SequencerError::Dram(DramError::WidthMismatch {
-                got: pattern.len(),
-                expected,
-            }));
-        }
-        let (sa, outcome) = self.resolve_apa(bank, r_f, r_s, timing)?;
-        let engine = self.engine();
-        let restore = engine.params().restore_strength(timing, self.conditions());
-        let open = outcome.open_rows();
-        let subarray = self.module_mut().bank_mut(bank)?.subarray(sa);
-        engine.commit(subarray, &open, pattern, restore);
-        Ok((sa, outcome))
-    }
 }
 
 #[cfg(test)]
@@ -214,27 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_pattern_width_is_a_typed_error() {
-        let mut s = setup();
-        let err = s
-            .apa_then_write(
-                BankId::new(0),
-                RowAddr::new(0),
-                RowAddr::new(7),
-                ApaTiming::from_ns(3.0, 3.0),
-                &BitRow::ones(8),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SequencerError::Dram(DramError::WidthMismatch { got: 8, .. })
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn error_display_is_lowercase_and_concise() {
         // Mirrors the style checks in simra_dram::error: every variant
         // renders a short lowercase message a CLI can print verbatim.
@@ -243,7 +190,8 @@ mod tests {
                 first: SubarrayId::new(0),
                 second: SubarrayId::new(1),
             },
-            SequencerError::NegativeWait { ns: -3.0 },
+            SequencerError::InvalidWait { ns: -3.0 },
+            SequencerError::InvalidWait { ns: f64::NAN },
             SequencerError::Dram(DramError::WidthMismatch {
                 got: 8,
                 expected: 256,
@@ -254,8 +202,10 @@ mod tests {
             assert!(!msg.is_empty() && msg.len() < 120, "{msg}");
             assert!(!msg.ends_with('.'), "{msg}");
         }
-        let negative = SequencerError::NegativeWait { ns: -3.0 }.to_string();
-        assert!(negative.starts_with("negative wait of -3"), "{negative}");
+        // A NaN wait is not negative; the message must not say it is.
+        let nan = SequencerError::InvalidWait { ns: f64::NAN }.to_string();
+        assert!(nan.starts_with("invalid wait of NaN ns"), "{nan}");
+        assert!(!nan.contains("negative"), "{nan}");
     }
 
     #[test]
@@ -266,7 +216,7 @@ mod tests {
             expected: 256,
         });
         assert!(e.source().is_some());
-        assert!(SequencerError::NegativeWait { ns: -1.0 }.source().is_none());
+        assert!(SequencerError::InvalidWait { ns: -1.0 }.source().is_none());
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SequencerError>();
     }
@@ -283,70 +233,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.open_row_count(), 1);
-    }
-
-    #[test]
-    fn apa_then_write_stores_pattern_in_all_open_rows() {
-        let mut s = setup();
-        let cols = s.module().geometry().cols_per_row as usize;
-        let bank = BankId::new(0);
-        // Initialise rows 0..8 with zeros, then APA(0, 7) + WR ones.
-        for r in 0..8 {
-            s.init_row(bank, RowAddr::new(r), &BitRow::zeros(cols))
-                .unwrap();
-        }
-        let ones = BitRow::ones(cols);
-        let (_, out) = s
-            .apa_then_write(
-                bank,
-                RowAddr::new(0),
-                RowAddr::new(7),
-                ApaTiming::from_ns(3.0, 3.0),
-                &ones,
-            )
-            .unwrap();
-        assert_eq!(out.open_row_count(), 4);
-        // At best timing, near-all cells take the write.
-        for r in out.open_rows() {
-            let read = s.read_row(bank, RowAddr::new(r)).unwrap();
-            let frac = read.count_ones() as f64 / cols as f64;
-            assert!(frac > 0.99, "row {r} only {frac}");
-        }
-        // Rows outside the activated set keep their data.
-        let untouched = s.read_row(bank, RowAddr::new(2)).unwrap();
-        assert_eq!(untouched.count_ones(), 0);
-    }
-
-    #[test]
-    fn weak_timing_write_fails_many_cells() {
-        let mut s = setup();
-        let cols = s.module().geometry().cols_per_row as usize;
-        let bank = BankId::new(0);
-        for r in 0..8 {
-            s.init_row(bank, RowAddr::new(r), &BitRow::zeros(cols))
-                .unwrap();
-        }
-        let ones = BitRow::ones(cols);
-        let (_, out) = s
-            .apa_then_write(
-                bank,
-                RowAddr::new(0),
-                RowAddr::new(7),
-                ApaTiming::from_ns(1.5, 1.5),
-                &ones,
-            )
-            .unwrap();
-        let mut stored = 0usize;
-        let mut total = 0usize;
-        for r in out.open_rows() {
-            let read = s.read_row(bank, RowAddr::new(r)).unwrap();
-            stored += read.count_ones();
-            total += cols;
-        }
-        let frac = stored as f64 / total as f64;
-        assert!(
-            frac < 0.95,
-            "grid-minimum timing should visibly fail: {frac}"
-        );
     }
 }

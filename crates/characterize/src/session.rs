@@ -2,9 +2,9 @@
 //! an owned value.
 //!
 //! [`Session`] is the one owner of every piece of campaign state: the
-//! [`ExperimentConfig`] (seed, backend choice, hybrid parameters, fault
-//! plan — fixed for the whole campaign), the telemetry [`Recorder`],
-//! the engine op-counter handles every rig reports through, one
+//! [`ExperimentConfig`] (seed, backend choice, fault plan — fixed for
+//! the whole campaign), the telemetry [`Recorder`], the engine
+//! op-counter handles every rig reports through, one
 //! [`HybridBackend`] whose surrogate is the session's only calibration
 //! table, an optional armed [`CheckpointSession`], and the
 //! fleet-coverage accumulator the `--faults` footer reports.
@@ -75,11 +75,9 @@ impl Session {
     }
 
     /// A session with a private recorder (enable it with
-    /// [`Recorder::enable`] if its snapshots should carry data). The
-    /// session's hybrid backend is built with the config's decision
-    /// parameters.
+    /// [`Recorder::enable`] if its snapshots should carry data).
     pub fn recorded_by(config: ExperimentConfig, recorder: Recorder) -> Self {
-        let hybrid = HybridBackend::new(config.hybrid, &recorder);
+        let hybrid = HybridBackend::new(&recorder);
         let engine_counters = EngineCounters::recorded_by(&recorder);
         Session {
             config,
@@ -208,7 +206,7 @@ mod tests {
     use simra_bender::TestSetup;
     use simra_core::rowgroup::random_group;
     use simra_dram::{ApaTiming, BankId, DramModule, Rng, SubarrayId, VendorProfile};
-    use simra_exec::{HybridParams, TrialSpec};
+    use simra_exec::TrialSpec;
 
     #[test]
     fn run_figure_opens_exactly_one_span() {
@@ -326,25 +324,5 @@ mod tests {
             1,
             "the hybrid reads the key the surrogate trial calibrated"
         );
-    }
-
-    #[test]
-    fn the_hybrid_runs_on_the_configs_params() {
-        // A near-certain point: the defaults decide after the floor
-        // trial, an unreachable epsilon escalates up to the ceiling.
-        let escalations = |hybrid: HybridParams| {
-            let mut config = ExperimentConfig::quick();
-            config.hybrid = hybrid;
-            let (session, recorder) = enabled_session(config);
-            run_trials(&session, BackendChoice::Hybrid, 8);
-            counter(&recorder, "hybrid", "escalations")
-        };
-        assert_eq!(escalations(HybridParams::default()), 1);
-        let strict = HybridParams {
-            epsilon: 1e-9,
-            floor: 1,
-            ceiling: 3,
-        };
-        assert_eq!(escalations(strict), 3);
     }
 }

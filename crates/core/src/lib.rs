@@ -48,7 +48,6 @@ pub mod frac;
 pub mod maj;
 pub mod metrics;
 pub mod multirowcopy;
-pub mod reliability;
 pub mod rowclone;
 pub mod rowgroup;
 pub mod trng;

@@ -9,12 +9,11 @@
 
 use simra_analog::SenseBatch;
 use simra_bender::TestSetup;
-use simra_decoder::ApaOutcome;
 use simra_dram::{ApaTiming, BitRow, DataPattern, Rng};
 
 use crate::error::PudError;
 use crate::frac::{init_neutral_rows, neutral_plan};
-use crate::rowgroup::GroupSpec;
+use crate::rowgroup::{expect_simultaneous, GroupSpec};
 
 /// How an X-operand majority is laid out on an N-row group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,21 +143,6 @@ fn write_layout(
     let plan = neutral_plan(setup);
     init_neutral_rows(setup, group.bank, &neutral, plan, rng)?;
     Ok(())
-}
-
-fn expect_simultaneous(
-    setup: &TestSetup,
-    group: &GroupSpec,
-    timing: ApaTiming,
-) -> Result<Vec<u32>, PudError> {
-    let (_, outcome) = setup.resolve_apa(group.bank, group.r_f, group.r_s, timing)?;
-    match outcome {
-        ApaOutcome::Simultaneous { rows } if rows == group.local_rows => Ok(rows),
-        other => Err(PudError::UnexpectedActivation {
-            expected: format!("simultaneous activation of {} rows", group.n_rows()),
-            got: format!("{other:?}"),
-        }),
-    }
 }
 
 /// Success rate (0–1) of MAJX on `group`: expected fraction of bitlines

@@ -11,11 +11,10 @@
 //! error — that is Obs. 15's cliff at `t1 = 1.5 ns` (≈ half the columns).
 
 use simra_bender::TestSetup;
-use simra_decoder::ApaOutcome;
 use simra_dram::{ApaTiming, BitRow, Rng};
 
 use crate::error::PudError;
-use crate::rowgroup::GroupSpec;
+use crate::rowgroup::{expect_simultaneous, GroupSpec};
 
 /// Outcome of a functional Multi-RowCopy.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,21 +26,6 @@ pub struct MultiRowCopyReport {
     pub driven_image: BitRow,
     /// Cells across all destinations that failed to take the write.
     pub restore_failures: usize,
-}
-
-fn resolve_group_rows(
-    setup: &TestSetup,
-    group: &GroupSpec,
-    timing: ApaTiming,
-) -> Result<Vec<u32>, PudError> {
-    let (_, outcome) = setup.resolve_apa(group.bank, group.r_f, group.r_s, timing)?;
-    match outcome {
-        ApaOutcome::Simultaneous { rows } if rows == group.local_rows => Ok(rows),
-        other => Err(PudError::UnexpectedActivation {
-            expected: format!("simultaneous activation of {} rows", group.n_rows()),
-            got: format!("{other:?}"),
-        }),
-    }
 }
 
 /// Deterministic per-column "did the amplifier latch in time" decision:
@@ -87,7 +71,7 @@ pub fn multirowcopy_success(
             expected: cols,
         });
     }
-    let rows = resolve_group_rows(setup, group, timing)?;
+    let rows = expect_simultaneous(setup, group, timing)?;
     let local_src = group.local_r_f(&geometry);
     let destinations: Vec<u32> = rows.iter().copied().filter(|r| *r != local_src).collect();
 
@@ -136,7 +120,7 @@ pub fn exec_multirowcopy(
     timing: ApaTiming,
 ) -> Result<MultiRowCopyReport, PudError> {
     let geometry = *setup.module().geometry();
-    let rows = resolve_group_rows(setup, group, timing)?;
+    let rows = expect_simultaneous(setup, group, timing)?;
     let local_src = group.local_r_f(&geometry);
     let destinations: Vec<u32> = rows.iter().copied().filter(|r| *r != local_src).collect();
     let source_image = setup.read_row(group.bank, group.r_f)?;

@@ -49,31 +49,6 @@ pub fn exec_rowclone(
     Ok(engine.commit(subarray, &[dst_local], &source_image, restore))
 }
 
-/// Success probability of a RowClone between `src` and `dst`: mean
-/// per-cell probability that the destination takes the copy across all
-/// trials.
-///
-/// # Errors
-///
-/// Same conditions as [`exec_rowclone`].
-pub fn rowclone_success(
-    setup: &mut TestSetup,
-    bank: BankId,
-    src: RowAddr,
-    dst: RowAddr,
-) -> Result<f64, PudError> {
-    let timing = ApaTiming::row_clone();
-    let (sa, _) = setup.resolve_apa(bank, src, dst, timing)?;
-    let geometry = *setup.module().geometry();
-    let (_, dst_local) = geometry.split_row(dst)?;
-    let source_image = setup.read_row(bank, src)?;
-    let engine = setup.engine();
-    let restore = engine.params().restore_strength(timing, setup.conditions());
-    let subarray = setup.module_mut().bank_mut(bank)?.subarray(sa);
-    let probs = engine.commit_survival(subarray, &[dst_local], &source_image, restore);
-    Ok(probs.iter().sum::<f64>() / probs.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,17 +78,6 @@ mod tests {
         let err =
             exec_rowclone(&mut s, BankId::new(0), RowAddr::new(0), RowAddr::new(600)).unwrap_err();
         assert!(matches!(err, PudError::Sequencer(_)));
-    }
-
-    #[test]
-    fn clone_success_is_very_high() {
-        let mut s = TestSetup::new(VendorProfile::mfr_h_m_die(), 33);
-        let cols = s.module().geometry().cols_per_row as usize;
-        let bank = BankId::new(0);
-        s.init_row(bank, RowAddr::new(5), &BitRow::ones(cols))
-            .unwrap();
-        let p = rowclone_success(&mut s, bank, RowAddr::new(5), RowAddr::new(9)).unwrap();
-        assert!(p > 0.999, "RowClone success {p}");
     }
 
     #[test]

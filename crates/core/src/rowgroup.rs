@@ -2,8 +2,11 @@
 //! activate exactly N rows, and sampling the paper's test population
 //! (3 subarrays per bank × 16 banks × 100 groups per N).
 
-use simra_decoder::{RowDecoder, MAX_PREDECODERS};
-use simra_dram::{BankId, Geometry, Rng, RowAddr, SubarrayId};
+use simra_bender::TestSetup;
+use simra_decoder::{ApaOutcome, RowDecoder, MAX_PREDECODERS};
+use simra_dram::{ApaTiming, BankId, Geometry, Rng, RowAddr, SubarrayId};
+
+use crate::error::PudError;
 
 /// One group of simultaneously activated rows in one subarray.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +36,24 @@ impl GroupSpec {
             .split_row(self.r_f)
             .expect("group was built from this geometry")
             .1
+    }
+}
+
+/// Resolves `group`'s APA with `timing` and returns its open local rows,
+/// or [`PudError::UnexpectedActivation`] unless the decoder opens exactly
+/// the group's rows at once.
+pub(crate) fn expect_simultaneous(
+    setup: &TestSetup,
+    group: &GroupSpec,
+    timing: ApaTiming,
+) -> Result<Vec<u32>, PudError> {
+    let (_, outcome) = setup.resolve_apa(group.bank, group.r_f, group.r_s, timing)?;
+    match outcome {
+        ApaOutcome::Simultaneous { rows } if rows == group.local_rows => Ok(rows),
+        other => Err(PudError::UnexpectedActivation {
+            expected: format!("simultaneous activation of {} rows", group.n_rows()),
+            got: format!("{other:?}"),
+        }),
     }
 }
 

@@ -13,11 +13,10 @@
 //!    columns; a von Neumann corrector removes residual per-column bias.
 
 use simra_bender::TestSetup;
-use simra_decoder::ApaOutcome;
 use simra_dram::{ApaTiming, BitRow, Rng};
 
 use crate::error::PudError;
-use crate::rowgroup::GroupSpec;
+use crate::rowgroup::{expect_simultaneous, GroupSpec};
 
 /// The APA timing for TRNG: the minimum ACT→ACT delay, so the first row
 /// does not over-share and skew the tie (same reasoning as MAJX, Obs. 7).
@@ -29,16 +28,7 @@ fn trng_timing() -> ApaTiming {
 /// the group's open rows.
 fn prepare_balanced(setup: &mut TestSetup, group: &GroupSpec) -> Result<Vec<u32>, PudError> {
     let timing = trng_timing();
-    let (_, outcome) = setup.resolve_apa(group.bank, group.r_f, group.r_s, timing)?;
-    let rows = match outcome {
-        ApaOutcome::Simultaneous { rows } if rows == group.local_rows => rows,
-        other => {
-            return Err(PudError::UnexpectedActivation {
-                expected: "simultaneous activation".into(),
-                got: format!("{other:?}"),
-            })
-        }
-    };
+    let rows = expect_simultaneous(setup, group, timing)?;
     if rows.len() < 2 || rows.len() % 2 != 0 {
         return Err(PudError::GroupTooSmall {
             rows: rows.len(),

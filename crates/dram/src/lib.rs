@@ -15,7 +15,7 @@
 //! * [`timing`] — JEDEC DDR4 timing parameters and the 1.5 ns issue grid,
 //! * [`command`] — the DDR command vocabulary,
 //! * [`data`] — data patterns and packed row images,
-//! * [`cell`], [`subarray`], [`bank`], [`module`] — the storage hierarchy,
+//! * [`subarray`], [`bank`], [`module`] — the storage hierarchy,
 //! * [`silicon`] — shared immutable variation planes, each row stamped on
 //!   its first read, + the silicon cache,
 //! * [`faults`] — deterministic cell-defect overlays (stuck cells,
@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bank;
-pub mod cell;
 pub mod command;
 pub mod data;
 pub mod error;
@@ -54,7 +53,6 @@ pub mod timing;
 pub mod vendor;
 
 pub use bank::Bank;
-pub use cell::Cell;
 pub use command::{ApaTiming, Command};
 pub use data::{BitRow, DataPattern};
 pub use error::DramError;

@@ -14,10 +14,18 @@
 //! owned. The per-row slice accessors ([`Subarray::row_voltages`] and
 //! friends) are what the charge-sharing hot loops iterate — contiguous,
 //! bounds-checked once per row instead of once per cell.
+//!
+//! A cell's state is a *normalized* capacitor voltage in `[0, 1]`
+//! (1.0 = VDD, 0.5 = the precharge level VDD/2), which keeps the
+//! charge-sharing arithmetic in `simra-analog` independent of the rail
+//! voltage; VPP and temperature enter through factors on transfer
+//! strength, not through the stored value. Each cell's capacitance and
+//! access-strength factors are what make some cells "unstable" for PUD
+//! in the paper's sense: their margins are systematically worse, so
+//! they fail in every trial batch.
 
 use std::sync::Arc;
 
-use crate::cell::Cell;
 use crate::data::BitRow;
 use crate::error::DramError;
 use crate::faults::SubarrayFaults;
@@ -105,34 +113,9 @@ impl Subarray {
     }
 
     #[inline]
-    fn check(&self, row: u32, col: u32) {
-        self.check_row(row);
-        assert!(
-            col < self.cols,
-            "col {col} out of range ({} cols)",
-            self.cols
-        );
-    }
-
-    #[inline]
     fn row_range(&self, row: u32) -> std::ops::Range<usize> {
         let start = row as usize * self.cols as usize;
         start..start + self.cols as usize
-    }
-
-    /// A snapshot of one cell (voltage + variation factors).
-    ///
-    /// This is the one bounds-checked scalar accessor; hot loops should
-    /// use the per-row slice accessors instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row`/`col` are out of range.
-    pub fn cell(&self, row: u32, col: u32) -> Cell {
-        self.check(row, col);
-        let i = row as usize * self.cols as usize + col as usize;
-        let (caps, strengths) = self.silicon.row_factors(row);
-        Cell::with_variation(self.voltage[i], caps[col as usize], strengths[col as usize])
     }
 
     /// One row's voltage plane.
@@ -421,10 +404,9 @@ mod tests {
         let mut sum2 = 0.0f64;
         let n = (sa.rows() * sa.cols()) as f64;
         for r in 0..sa.rows() {
-            for c in 0..sa.cols() {
-                let v = sa.cell(r, c).cap_factor() as f64;
-                sum += v;
-                sum2 += v * v;
+            for &v in sa.row_cap_factors(r) {
+                sum += v as f64;
+                sum2 += v as f64 * v as f64;
             }
         }
         let mean = sum / n;
@@ -456,24 +438,16 @@ mod tests {
     fn set_row_voltage_parks_cells() {
         let mut sa = small();
         sa.set_row_voltage(2, 0.5).unwrap();
-        for c in 0..sa.cols() {
-            assert!(sa.cell(2, c).is_neutral(1e-6));
-        }
+        assert!(sa.row_voltages(2).iter().all(|&v| (v - 0.5).abs() <= 1e-6));
     }
 
     #[test]
-    fn slice_accessors_agree_with_cell() {
+    fn row_split_mut_agrees_with_the_row_accessors() {
         let mut sa = small();
         sa.write_row(5, &BitRow::ones(64)).unwrap();
         let volts = sa.row_voltages(5).to_vec();
         let caps = sa.row_cap_factors(5).to_vec();
         let strengths = sa.row_strength_factors(5).to_vec();
-        for c in 0..sa.cols() {
-            let cell = sa.cell(5, c);
-            assert_eq!(volts[c as usize], cell.voltage());
-            assert_eq!(caps[c as usize], cell.cap_factor());
-            assert_eq!(strengths[c as usize], cell.strength_factor());
-        }
         let (v_mut, caps2, strengths2) = sa.row_split_mut(5);
         assert_eq!(v_mut, &volts[..]);
         assert_eq!(caps2, &caps[..]);
@@ -488,18 +462,6 @@ mod tests {
         sa.reset_voltages();
         assert_eq!(sa.read_row(0).unwrap().count_ones(), 0);
         assert_eq!(sa.row_cap_factors(0), &caps_before[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row 16 out of range")]
-    fn out_of_range_row_access_panics() {
-        let _ = small().cell(16, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "col 64 out of range")]
-    fn out_of_range_col_access_panics() {
-        let _ = small().cell(0, 64);
     }
 
     #[test]
@@ -524,16 +486,18 @@ mod tests {
         assert!(overlay.stuck_count() > 0, "spec dense enough to test");
         sa.set_faults(overlay.clone());
         sa.write_row(0, &BitRow::ones(64)).unwrap();
+        let written = sa.read_row(0).unwrap();
         for &(col, bit) in overlay.stuck_in_row(0) {
             assert_eq!(
-                sa.cell(0, col).as_bit(),
+                written.get(col as usize),
                 bit,
                 "stuck cell ({col}) must keep its pinned value"
             );
         }
         sa.reset_voltages();
+        let reset = sa.read_row(0).unwrap();
         for &(col, bit) in overlay.stuck_in_row(0) {
-            assert_eq!(sa.cell(0, col).as_bit(), bit);
+            assert_eq!(reset.get(col as usize), bit);
         }
     }
 

@@ -20,19 +20,19 @@
 //! [`AnalogBackend`] trial and folds the result into the estimate).
 //! A point starts answering once all three predicates hold:
 //!
-//! 1. **converged** — the interval half-width is ≤ ε (default 0.02 at
+//! 1. **converged** — the interval half-width is ≤ `EPSILON` (0.02 at
 //!    95 % confidence),
 //! 2. **consistent** — the calibrated table probability lies within the
-//!    interval widened by `max(ε, TABLE_ERROR_BAND)` (otherwise the
-//!    table is *wrong here* and every remaining trial escalates, up to
-//!    the budget ceiling; this is what rescues Obs. 8),
+//!    interval widened by `TABLE_ERROR_BAND` (otherwise the table is
+//!    *wrong here* and every remaining trial escalates, up to the budget
+//!    ceiling; this is what rescues Obs. 8),
 //! 3. **clear** — the interval contains none of the observation
 //!    thresholds the point's operation feeds
 //!    (`decision_thresholds`).
 //!
 //! A floor/ceiling trial budget clamps the sequential rule: at least
-//! `floor` analog trials are always spent (the consistency check needs
-//! evidence), and a point that is still ambiguous after `ceiling`
+//! `FLOOR` analog trials are always spent (the consistency check needs
+//! evidence), and a point that is still ambiguous after `CEILING`
 //! analog trials answers anyway from its posterior. The high-confidence
 //! bars of Obs. 1/14 (≥ 99 %) are deliberately *not* in the threshold
 //! sets: a small-sample Wilson interval can never separate 99.9 % from
@@ -45,7 +45,7 @@
 //!
 //! # Determinism
 //!
-//! Escalation decisions are a pure function of (params, spec,
+//! Escalation decisions are a pure function of (spec,
 //! observation history in slot order): the decision for trial *k* of a
 //! point depends only on the outcomes of that point's earlier analog
 //! trials *within the same slot*, which are themselves pure functions
@@ -87,8 +87,21 @@ use crate::{AnalogBackend, PudBackend, SurrogateBackend, TrialOp, TrialSpec};
 /// per-group strength correlation (columns of one group share a
 /// strength factor, so they are not fully independent) while still
 /// letting an unambiguous near-saturated point converge after one
-/// trial at the default ε = 0.02.
+/// trial at `EPSILON`.
 const SAMPLE_WEIGHT: f64 = 512.0;
+
+/// Target half-width of the 95 % Wilson interval: a point stops
+/// escalating once its estimate is at least this tight (and consistent
+/// with the table, and clear of every observation threshold).
+const EPSILON: f64 = 0.02;
+
+/// Minimum analog trials per point before the table may answer: the
+/// consistency check needs evidence.
+const FLOOR: u32 = 1;
+
+/// Maximum analog trials per point; a still-ambiguous point answers
+/// from its posterior once the ceiling is reached.
+const CEILING: u32 = 8;
 
 /// Pseudo-trial weight of the calibrated table prior in a decided
 /// point's posterior answer — a quarter of one analog trial, so the
@@ -98,42 +111,14 @@ const PRIOR_WEIGHT: f64 = 32.0;
 /// Documented absolute error band of the calibrated table (the
 /// surrogate's `CAL_GROUPS`-group probe carries a few percentage points
 /// of group-selection spread; see `surrogate`'s module docs). The
-/// consistency check widens the Wilson interval by
-/// `max(ε, TABLE_ERROR_BAND)`: a table entry within its own error band
-/// of the evidence is *agreeing*, not wrong — demanding ε-level
+/// consistency check widens the Wilson interval by this band, which
+/// exceeds `EPSILON`: a table entry within its own error band of the
+/// evidence is *agreeing*, not wrong — demanding `EPSILON`-level
 /// agreement from a ±5 pp table would escalate half the fleet for no
 /// information gain. A genuinely wrong entry (Obs. 8's MAJ7: table
 /// 0.8 % vs measured ~20 %) still fails the widened check by a wide
 /// margin.
 const TABLE_ERROR_BAND: f64 = 0.05;
-
-/// Tuning knobs of the hybrid decision rule, fixed when the backend is
-/// built. Part of the experiment config digest (so checkpoint journals
-/// refuse to resume across a parameter change) and settable from the
-/// CLI via `--hybrid-epsilon` / `--hybrid-budget`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HybridParams {
-    /// Target half-width of the 95 % Wilson interval: a point stops
-    /// escalating once its estimate is at least this tight (and
-    /// consistent with the table, and clear of every observation
-    /// threshold). Also the slack of the table-consistency check.
-    pub epsilon: f64,
-    /// Minimum analog trials per point before the table may answer.
-    pub floor: u32,
-    /// Maximum analog trials per point; a still-ambiguous point answers
-    /// from its posterior once the ceiling is reached.
-    pub ceiling: u32,
-}
-
-impl Default for HybridParams {
-    fn default() -> Self {
-        HybridParams {
-            epsilon: 0.02,
-            floor: 1,
-            ceiling: 8,
-        }
-    }
-}
 
 /// The observation thresholds a trial of `op` can feed: the success-rate
 /// bars the scoreboard compares figures against, plus the 50 % transition
@@ -205,7 +190,6 @@ impl HybridCounters {
 /// session) are fully isolated.
 pub struct HybridBackend {
     surrogate: SurrogateBackend,
-    params: HybridParams,
     counters: HybridCounters,
     /// Per-worker slot-scoped escalation state. A slot runs start to
     /// finish on one thread, so keying by thread keeps each slot's
@@ -218,19 +202,17 @@ impl fmt::Debug for HybridBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HybridBackend")
             .field("surrogate", &self.surrogate)
-            .field("params", &self.params)
             .finish_non_exhaustive()
     }
 }
 
 impl HybridBackend {
-    /// A hybrid backend with decision parameters `params` and an empty
-    /// calibration table, reporting its decision telemetry (and its
-    /// surrogate's calibration cost) to `recorder`.
-    pub fn new(params: HybridParams, recorder: &Recorder) -> Self {
+    /// A hybrid backend with an empty calibration table, reporting its
+    /// decision telemetry (and its surrogate's calibration cost) to
+    /// `recorder`.
+    pub fn new(recorder: &Recorder) -> Self {
         HybridBackend {
             surrogate: SurrogateBackend::recorded_by(recorder),
-            params,
             counters: HybridCounters::recorded_by(recorder),
             slots: Mutex::new(HashMap::new()),
         }
@@ -242,7 +224,7 @@ impl HybridBackend {
     }
 
     /// Decides the current trial of `key` on mount `slot` from the
-    /// slot-local history. Pure in (params, p_cal, op, history);
+    /// slot-local history. Pure in (p_cal, op, history);
     /// consumes no RNG.
     fn decide(&self, key: CalKey, slot: u64, p_cal: f64, op: &TrialOp) -> Action {
         let mut slots = self.slots.lock().expect("hybrid slot state poisoned");
@@ -256,29 +238,27 @@ impl HybridBackend {
             cache.slot = slot;
             cache.points.clear();
         }
-        let params = self.params;
         let counters = &self.counters;
         let state = cache.points.entry(key).or_default();
         if let Some(p) = state.answer {
             counters.table_hits.incr();
             return Action::Answer(p);
         }
-        if state.analog_trials < params.floor.max(1) {
+        if state.analog_trials < FLOOR {
             counters.escalations.incr();
             return Action::Escalate;
         }
         let est = state.estimate;
-        let slack = params.epsilon.max(TABLE_ERROR_BAND);
-        let trusted = est.consistent_with(p_cal, slack, Z_95);
-        let decided = (est.converged(params.epsilon, Z_95)
+        let trusted = est.consistent_with(p_cal, TABLE_ERROR_BAND, Z_95);
+        let decided = (est.converged(EPSILON, Z_95)
             && trusted
             && est.clear_of(decision_thresholds(op), Z_95))
-            || state.analog_trials >= params.ceiling;
+            || state.analog_trials >= CEILING;
         if !decided {
             counters.escalations.incr();
             return Action::Escalate;
         }
-        if state.analog_trials >= params.ceiling {
+        if state.analog_trials >= CEILING {
             counters.budget_capped.incr();
         } else {
             counters.early_stops.incr();
@@ -371,8 +351,8 @@ mod tests {
         )
     }
 
-    fn hybrid(params: HybridParams) -> HybridBackend {
-        HybridBackend::new(params, &Recorder::new())
+    fn hybrid() -> HybridBackend {
+        HybridBackend::new(&Recorder::new())
     }
 
     fn group_of(setup: &TestSetup, n: u32, rng: &mut Rng) -> GroupSpec {
@@ -410,7 +390,7 @@ mod tests {
         // Best-timing 32-row activation: ≈ 100 % success, table agrees,
         // interval clear of 0.5 after one weighted trial → exactly one
         // analog trial, the rest answered from the table.
-        let backend = hybrid(HybridParams::default());
+        let backend = hybrid();
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
         let (samples, spent) = run_slot(&backend, &spec, 32, 6);
         assert_eq!(spent, 1, "floor trial only");
@@ -420,32 +400,17 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_points_respect_the_budget_ceiling() {
-        // Force permanent ambiguity with an unreachable epsilon: every
-        // trial escalates until the ceiling, then the posterior answers.
-        let backend = hybrid(HybridParams {
-            epsilon: 1e-9,
-            floor: 1,
-            ceiling: 3,
-        });
-        let spec = TrialSpec::activation(ApaTiming::best_for_activation());
-        let (samples, spent) = run_slot(&backend, &spec, 32, 8);
-        assert_eq!(spent, 3, "ceiling caps escalation");
-        assert_eq!(samples.len(), 8);
-    }
-
-    #[test]
     fn table_inconsistency_forces_escalation() {
         // MAJ7 @ 32 rows on Mfr. H: the calibrated table reads ≈ 0.8 %
         // but the analog core measures ≈ 20 % — the consistency gate
         // must refuse to answer from the table and spend the whole
         // budget on analog trials (this is the Obs. 8 rescue).
-        let backend = hybrid(HybridParams::default());
+        let backend = hybrid();
         let spec = TrialSpec::majx(7, ApaTiming::best_for_majx(), DataPattern::Random);
-        let ceiling = HybridParams::default().ceiling;
-        let trials = ceiling as usize + 4;
+        let trials = CEILING as usize + 4;
         let (samples, spent) = run_slot(&backend, &spec, 32, trials);
-        assert_eq!(spent, ceiling, "inconsistent table → analog until the cap");
+        // The ceiling is pinned by value: 8 analog trials per point.
+        assert_eq!(spent, 8, "inconsistent table → analog until the cap");
         // Once capped, the answer is the empirical mean (untrusted
         // table gets zero prior weight): far from the table's 0.8 %.
         let last = samples.last().unwrap().expect("feasible");
@@ -455,14 +420,14 @@ mod tests {
     #[test]
     fn decisions_are_byte_identical_across_instances_and_replays() {
         let spec = TrialSpec::majx(5, ApaTiming::best_for_majx(), DataPattern::Random);
-        let (a, _) = run_slot(&hybrid(HybridParams::default()), &spec, 32, 10);
-        let (b, _) = run_slot(&hybrid(HybridParams::default()), &spec, 32, 10);
+        let (a, _) = run_slot(&hybrid(), &spec, 32, 10);
+        let (b, _) = run_slot(&hybrid(), &spec, 32, 10);
         assert_eq!(a, b, "same seed, fresh slot → identical samples");
     }
 
     #[test]
     fn slot_boundaries_reset_the_escalation_state() {
-        let backend = hybrid(HybridParams::default());
+        let backend = hybrid();
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
         let (first, spent_first) = run_slot(&backend, &spec, 32, 4);
         // A later mount on the same thread must not inherit the decided
@@ -474,7 +439,7 @@ mod tests {
 
     #[test]
     fn infeasible_configurations_return_none_without_state() {
-        let backend = hybrid(HybridParams::default());
+        let backend = hybrid();
         let (mut setup, mut rng) = rig(VendorProfile::mfr_m_e_die(), 3);
         let group = group_of(&setup, 16, &mut rng);
         let spec = TrialSpec::majx(9, ApaTiming::best_for_majx(), DataPattern::Random);

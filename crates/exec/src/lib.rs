@@ -51,7 +51,7 @@ use simra_core::multirowcopy::multirowcopy_success;
 use simra_core::rowgroup::GroupSpec;
 use simra_dram::{ApaTiming, BitRow, DataPattern, Manufacturer, Rng};
 
-pub use hybrid::{HybridBackend, HybridParams};
+pub use hybrid::HybridBackend;
 pub use manifest::{
     stable_digest, ManifestError, PointDigest, ShardSpec, SweepManifest,
     SWEEP_MANIFEST_SCHEMA_VERSION,
