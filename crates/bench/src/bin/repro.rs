@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro                         # reduced scale (default; ~1.0 s)
+//! repro                         # reduced scale (default; ~0.9 s)
 //! repro quick                   # smoke scale (seconds)
 //! repro paper                   # the paper's full population
 //!                               # (1 556.6 s, 1 661 MB peak RSS)
@@ -227,6 +227,23 @@ fn main() {
         println!("{table}");
         table
     });
+    if opts.shard_worker.is_some() {
+        // The figure sweeps are the only journaled stages, so a worker's
+        // job ends here: the coordinator computes everything below from
+        // the merged journals. The worker's snapshot rides with its
+        // journal so the coordinator can merge all workers' telemetry.
+        let dir = opts
+            .checkpoint_dir
+            .as_deref()
+            .expect("the CLI rejects --shard-worker without --checkpoint-dir");
+        let path = std::path::Path::new(dir).join("telemetry.json");
+        let snapshot = session.recorder().snapshot();
+        if let Err(err) = std::fs::write(&path, snapshot.to_json() + "\n") {
+            eprintln!("failed to write {}: {err}", path.display());
+            std::process::exit(1);
+        }
+        return;
+    }
     let (fig15a, fig15b) = timed(timings, "fig15", || fig15_spice(&session));
     println!("{fig15a}");
     println!("{fig15b}");
@@ -296,21 +313,6 @@ fn main() {
         }
         if opts.metrics {
             eprint!("{}", snapshot.summary());
-        }
-    }
-
-    if opts.shard_worker.is_some() {
-        // The worker's snapshot rides with its journal so the
-        // coordinator can merge all workers' telemetry.
-        let dir = opts
-            .checkpoint_dir
-            .as_deref()
-            .expect("the CLI rejects --shard-worker without --checkpoint-dir");
-        let path = std::path::Path::new(dir).join("telemetry.json");
-        let snapshot = session.recorder().snapshot();
-        if let Err(err) = std::fs::write(&path, snapshot.to_json() + "\n") {
-            eprintln!("failed to write {}: {err}", path.display());
-            std::process::exit(1);
         }
     }
 

@@ -33,8 +33,9 @@ usage: repro [<scale>] [--backend <which>] [--timings] [--faults <preset>] [--me
   --resume              continue the checkpoint session in --checkpoint-dir
                         (requires an existing session with the same arguments)
   --shard-worker <i>/<N>
-                        internal: run as shard worker i of N, journaling only
-                        its slots into --checkpoint-dir (spawned by --shards)";
+                        internal: run the figure sweeps as shard worker i of
+                        N, journaling only its slots into --checkpoint-dir,
+                        then exit (spawned by --shards)";
 
 /// Parsed `repro` invocation.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -60,8 +61,9 @@ pub struct CliOptions {
     pub resume: bool,
     /// `--shards <N>`: run as a coordinator over N worker processes.
     pub shards: Option<u32>,
-    /// `--shard-worker <i>/<N>` (internal): run as shard worker `i` of
-    /// `N`, journaling only the slots it owns into `--checkpoint-dir`.
+    /// `--shard-worker <i>/<N>` (internal): run the figure sweeps as
+    /// shard worker `i` of `N`, journaling only the slots it owns into
+    /// `--checkpoint-dir`, then exit.
     pub shard_worker: Option<(u32, u32)>,
 }
 
@@ -104,6 +106,9 @@ pub enum CliError {
     ShardConflict,
     /// `--shard-worker` without the `--checkpoint-dir` it journals into.
     ShardWorkerWithoutDir,
+    /// `--shard-worker` with `--metrics` or `--metrics-out`: a worker
+    /// exits after its figure sweeps, before any scoreboard exists.
+    ShardWorkerWithMetrics,
     /// `--shards` with `--resume`: a rerun coordinator resumes on its
     /// own, so the explicit flag would only mislead.
     ShardsWithResume,
@@ -146,6 +151,12 @@ impl std::fmt::Display for CliError {
             }
             CliError::ShardWorkerWithoutDir => {
                 write!(f, "--shard-worker requires --checkpoint-dir")
+            }
+            CliError::ShardWorkerWithMetrics => {
+                write!(
+                    f,
+                    "--shard-worker writes only <dir>/telemetry.json; pass --metrics and --metrics-out to the coordinator"
+                )
             }
             CliError::ShardsWithResume => {
                 write!(
@@ -231,6 +242,9 @@ where
     }
     if opts.shard_worker.is_some() && opts.checkpoint_dir.is_none() {
         return Err(CliError::ShardWorkerWithoutDir);
+    }
+    if opts.shard_worker.is_some() && opts.wants_telemetry() {
+        return Err(CliError::ShardWorkerWithMetrics);
     }
     if opts.shards.is_some() && opts.resume {
         return Err(CliError::ShardsWithResume);
@@ -467,6 +481,11 @@ mod tests {
             parse(&["--shards", "2", "--checkpoint-dir", "d", "--resume"]),
             Err(CliError::ShardsWithResume)
         );
+        for flag in [&["--metrics"][..], &["--metrics-out", "m.json"]] {
+            let mut args = vec!["--shard-worker", "0/2", "--checkpoint-dir", "d"];
+            args.extend_from_slice(flag);
+            assert_eq!(parse(&args), Err(CliError::ShardWorkerWithMetrics));
+        }
         // A coordinator without --checkpoint-dir is fine (temp root).
         assert_eq!(parse(&["--shards", "2"]).unwrap().shards, Some(2));
     }

@@ -17,12 +17,13 @@
 //! campaign — a key one figure probed is a cache hit for every later
 //! figure — while two concurrent sessions keep fully separate tables.
 
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 use simra_core::metrics::{mean, pct, BoxStats};
 use simra_exec::TrialSpec;
 
-use crate::fleet::{run_sweep, FleetOutcome, SweepPoint};
+use crate::fleet::{executor_threads, run_sweep, FleetOutcome, SweepPoint};
+use crate::pool::FleetPool;
 use crate::report::Table;
 use crate::session::Session;
 
@@ -55,10 +56,15 @@ pub(crate) enum Stat {
 }
 
 impl Stat {
-    /// This statistic of `samples`; `summary` holds the cell's one
-    /// [`BoxStats`], computed on first use and shared by its block's rows.
-    fn of(self, samples: &[f64], summary: &OnceCell<BoxStats>) -> f64 {
-        let boxed = || summary.get_or_init(|| BoxStats::from_samples_or_nan(samples));
+    /// Whether this statistic reads the cell's [`BoxStats`].
+    fn boxed(self) -> bool {
+        !matches!(self, Stat::Mean)
+    }
+
+    /// This statistic of `samples`; `summary` is their [`BoxStats`],
+    /// present whenever [`Stat::boxed`] holds.
+    fn of(self, samples: &[f64], summary: Option<&BoxStats>) -> f64 {
+        let boxed = || summary.expect("box cells are summarised before the rows fill");
         pct(match self {
             Stat::Mean => mean(samples),
             Stat::BoxMean => boxed().mean,
@@ -107,8 +113,9 @@ impl RowBlock {
 
 /// Runs figure `name` under its `figure/<name>` span: sweeps the
 /// distinct points of every block's cells as one grid (in first-use
-/// order: block order, then column order) and returns the table whose
-/// rows those blocks declare, in order.
+/// order: block order, then column order), summarises the points its
+/// box statistics read as one [`FleetPool`] job, and returns the table
+/// whose rows those blocks declare, in order.
 pub(crate) fn figure_table(
     session: &Session,
     name: &str,
@@ -138,15 +145,34 @@ pub(crate) fn figure_table(
             })
             .collect();
         let samples = sweep_trial_samples(session, &points);
+        // Every point a box statistic reads, summarised once. A paper-scale
+        // box cell holds 86 400 samples, so the sorts run as one fleet job.
+        let mut boxed: Vec<usize> = blocks
+            .iter()
+            .zip(&cells)
+            .filter(|(block, _)| block.rows.iter().any(|(_, stat)| stat.boxed()))
+            .flat_map(|(_, cells)| cells.iter().flatten().copied())
+            .collect();
+        boxed.sort_unstable();
+        boxed.dedup();
+        let summaries: Vec<OnceLock<BoxStats>> = points.iter().map(|_| OnceLock::new()).collect();
+        let verdict =
+            FleetPool::global().run_tasks(boxed.len(), executor_threads(boxed.len()), |i| {
+                let point = boxed[i];
+                summaries[point].get_or_init(|| BoxStats::from_samples_or_nan(&samples[point]));
+            });
+        if let Err(err) = verdict {
+            panic!("{err}");
+        }
         let mut table = Table::new(title, session.config().describe_scale(), columns);
         for (block, cells) in blocks.iter().zip(&cells) {
-            let summaries = vec![OnceCell::new(); cells.len()];
             for (label, stat) in &block.rows {
                 let values = cells
                     .iter()
-                    .zip(&summaries)
-                    .map(|(cell, summary)| {
-                        cell.map_or(f64::NAN, |point| stat.of(&samples[point], summary))
+                    .map(|cell| {
+                        cell.map_or(f64::NAN, |point| {
+                            stat.of(&samples[point], summaries[point].get())
+                        })
                     })
                     .collect();
                 table.push_row(label.clone(), values);

@@ -587,10 +587,10 @@ fn manifest_for<P: Debug>(
 /// keep the outcome grid rectangular so the worker's figure runners —
 /// each run once, as in any campaign — can digest the sweep (their
 /// tables are garbage for unowned slots, but a worker's stdout is
-/// discarded — only its journal matters). The sample must be finite: a
-/// NaN sample would trip the finite-sample sort in
-/// `BoxStats::from_samples`. The `attempts: 0` marker distinguishes it
-/// from any real result.
+/// discarded, and it exits after the last figure sweep — only its
+/// journal matters). The sample must be finite: a non-finite sample
+/// would trip the finite-samples check in `BoxStats::from_samples`.
+/// The `attempts: 0` marker distinguishes it from any real result.
 fn unowned_slot() -> ModuleResult {
     ModuleResult::Completed {
         samples: vec![0.0],

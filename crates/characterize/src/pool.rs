@@ -18,8 +18,10 @@
 //!
 //! Spawning per job is cheap at the grain the fleet uses. A sweep is one
 //! job whose tasks are whole module chains ([`crate::fleet`]), so a
-//! campaign opens twelve jobs at every scale — eleven figure sweeps and
-//! the per-die table — however many points and modules they span. (The
+//! campaign opens twelve such jobs at every scale — eleven figure sweeps
+//! and the per-die table — however many points and modules they span,
+//! plus one job per figure table that sorts its box cells' samples
+//! (Figs. 3, 6 and 10). (The
 //! executor before the grid scheduler spawned threads once per sweep
 //! *point*; that is what a persistent pool used to save.)
 //!

@@ -2,11 +2,14 @@
 //!
 //! A sharded campaign splits every sweep's (module × point) grid across
 //! `N` worker *processes*. Each worker is the `repro` binary re-invoked
-//! in its hidden `--shard-worker i/N` mode: it runs the full campaign
-//! serially — so its sweep numbering matches every other process — but
-//! each sweep schedules and journals only the slots
+//! in its hidden `--shard-worker i/N` mode: it runs every figure sweep
+//! in campaign order — so its sweep numbering matches every other
+//! process — but each sweep schedules and journals only the slots
 //! [`slot_shard`] assigns to shard `i`,
-//! into the worker's own checkpoint directory (`<root>/shard-i`). The
+//! into the worker's own checkpoint directory (`<root>/shard-i`). After
+//! the last sweep it writes its telemetry snapshot there and exits; the
+//! stages after the sweeps journal nothing, so only the coordinator runs
+//! them. The
 //! [`ShardCoordinator`] spawns the workers, respawns crashed ones with
 //! the fleet's charged-backoff policy (a killed worker resumes from its
 //! own journal, exactly like a single-process kill), then merges the

@@ -174,6 +174,49 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_module_after_frac_matches_a_fresh_one() {
+        use simra_dram::DramModule;
+        let bank = BankId::new(3);
+        let spec = CellFaultSpec {
+            seed: 5,
+            stuck_per_million: 20_000.0,
+            ..Default::default()
+        };
+        for faults in [None, Some(spec)] {
+            let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 1);
+            setup.module_mut().set_fault_spec(faults);
+            let mut rng = Rng::seed_from_u64(6);
+            for round in 0..2 {
+                for row in [10, 11, 700, 1500] {
+                    frac_row(&mut setup, bank, RowAddr::new(row), &mut rng).unwrap();
+                }
+                setup.module_mut().reset_for_reuse();
+                let mut fresh = DramModule::new(VendorProfile::mfr_h_m_die(), 1);
+                fresh.set_fault_spec(faults);
+                let geometry = *fresh.geometry();
+                let used = setup.module().bank(bank).unwrap();
+                let fresh = fresh.bank_mut(bank).unwrap();
+                for id in (0..geometry.subarrays_per_bank).map(simra_dram::SubarrayId::new) {
+                    let Some(sa) = used.subarray_if_materialized(id) else {
+                        continue;
+                    };
+                    let expected = fresh.subarray(id);
+                    for row in 0..sa.rows() {
+                        let bits = |sa: &simra_dram::Subarray| -> Vec<u32> {
+                            sa.row_voltages(row).iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert!(
+                            bits(sa) == bits(expected),
+                            "faults {faults:?}, round {round}, {id:?} row {row}"
+                        );
+                    }
+                }
+                assert_eq!(used.materialized_subarrays(), 3);
+            }
+        }
+    }
+
+    #[test]
     fn frac_rejected_on_non_frac_parts() {
         let mut setup = TestSetup::new(VendorProfile::mfr_m_e_die(), 1);
         let mut rng = Rng::seed_from_u64(0);

@@ -24,13 +24,32 @@ pub struct BoxStats {
 impl BoxStats {
     /// Summarises a sample set.
     ///
+    /// Sorts total-order integer keys (`order_key`) without keeping
+    /// equal keys in input order: equal keys are equal bit patterns, so
+    /// the sorted values, and every statistic read from them, are
+    /// bit-identical to a stable `partial_cmp` sort's. The one exception
+    /// is +0.0 beside −0.0, which compare equal but sort apart here; no
+    /// backend emits −0.0, and debug builds assert that.
+    ///
     /// # Panics
     ///
     /// Panics if `samples` is empty or contains non-finite values.
     pub fn from_samples(samples: &[f64]) -> Self {
         assert!(!samples.is_empty(), "cannot summarise an empty sample set");
-        let mut s: Vec<f64> = samples.to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("samples must be finite"));
+        let mut keys: Vec<u64> = samples
+            .iter()
+            .map(|&x| {
+                assert!(x.is_finite(), "samples must be finite");
+                order_key(x)
+            })
+            .collect();
+        keys.sort_unstable();
+        let s: Vec<f64> = keys.into_iter().map(from_order_key).collect();
+        debug_assert!(
+            s.windows(2)
+                .all(|w| w[0] < w[1] || w[0].to_bits() == w[1].to_bits()),
+            "+0.0 and -0.0 in one sample set sort apart from the stable order"
+        );
         let q = |p: f64| -> f64 {
             // Linear interpolation between closest ranks.
             let pos = p * (s.len() - 1) as f64;
@@ -85,6 +104,28 @@ impl std::fmt::Display for BoxStats {
             self.min, self.q1, self.median, self.q3, self.max, self.mean
         )
     }
+}
+
+/// A key whose integer order is the numeric order of finite `x`
+/// (−0.0 just below +0.0): the sign bit flipped for positives, every
+/// bit flipped for negatives.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    f64::from_bits(bits)
 }
 
 /// Mean of a slice (success rates are usually averaged across groups).
@@ -155,9 +196,100 @@ mod tests {
     #[test]
     #[should_panic(expected = "samples must be finite")]
     fn nan_sample_rejected_loudly() {
-        // A NaN sample must trip the finite-samples invariant during the
+        // A NaN sample must trip the finite-samples invariant before the
         // sort, not silently poison the quartiles.
         BoxStats::from_samples(&[1.0, f64::NAN, 2.0]);
+    }
+
+    /// The summary as it was computed before the sort keys: a stable
+    /// `partial_cmp` sort of a copy.
+    fn stable_sort_summary(samples: &[f64]) -> BoxStats {
+        let mut s = samples.to_vec();
+        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let q = |p: f64| {
+            let pos = p * (s.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            if lo == hi {
+                s[lo]
+            } else {
+                s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+            }
+        };
+        BoxStats {
+            min: s[0],
+            q1: q(0.25),
+            median: q(0.5),
+            q3: q(0.75),
+            max: s[s.len() - 1],
+            mean: s.iter().sum::<f64>() / s.len() as f64,
+            count: s.len(),
+        }
+    }
+
+    #[test]
+    fn key_sort_matches_the_stable_sort_bit_for_bit() {
+        let mut rng = simra_dram::Rng::seed_from_u64(0xB0C5);
+        let bits = |s: BoxStats| [s.min, s.q1, s.median, s.q3, s.max, s.mean].map(f64::to_bits);
+        for len in [1usize, 2, 3, 4, 5, 7, 8, 64, 999, 4096] {
+            for _ in 0..16 {
+                // Success rates: the rails 0.0 and 1.0, a few repeated
+                // levels, arbitrary fractions, and some negatives for the
+                // key's other half.
+                let samples: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0u32..5) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => f64::from(rng.gen_range(0u32..8)) / 8.0,
+                        3 => rng.gen::<f64>(),
+                        _ => -rng.gen::<f64>() * 1e3,
+                    })
+                    .collect();
+                let summary = BoxStats::from_samples(&samples);
+                let oracle = stable_sort_summary(&samples);
+                assert_eq!(bits(summary), bits(oracle), "{len} samples");
+                assert_eq!(summary.count, oracle.count);
+            }
+        }
+    }
+
+    #[test]
+    fn order_keys_sort_like_the_values() {
+        let values = [
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            0.5,
+            1.0,
+            f64::MAX,
+        ];
+        for pair in values.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        for v in values {
+            assert_eq!(from_order_key(order_key(v)).to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must be finite")]
+    fn infinite_sample_rejected() {
+        BoxStats::from_samples(&[1.0, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must be finite")]
+    fn negative_infinite_sample_rejected() {
+        BoxStats::from_samples(&[f64::NEG_INFINITY, 1.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sort apart from the stable order")]
+    fn mixed_signed_zeros_trip_the_debug_assertion() {
+        BoxStats::from_samples(&[0.0, -0.0, 1.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 128 subarrays but a characterization run only ever opens a handful, and
 //! lazy materialisation keeps memory proportional to what is tested.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::data::BitRow;
 use crate::error::DramError;
@@ -21,12 +21,6 @@ pub struct Bank {
     subarrays: BTreeMap<SubarrayId, Subarray>,
     /// Cell-fault spec applied to every subarray (present and future).
     fault_spec: Option<CellFaultSpec>,
-    /// Subarrays handed out mutably since the last [`Bank::reset_for_reuse`]
-    /// — the only ones whose voltage plane can differ from the fresh
-    /// (all-zero, faults-pinned) state, and therefore the only ones reset
-    /// needs to touch. Keeps rig reuse O(planes used by the last point)
-    /// instead of O(every plane ever materialised).
-    touched: BTreeSet<SubarrayId>,
 }
 
 impl Bank {
@@ -38,7 +32,6 @@ impl Bank {
             seed,
             subarrays: BTreeMap::new(),
             fault_spec: None,
-            touched: BTreeSet::new(),
         }
     }
 
@@ -58,10 +51,6 @@ impl Bank {
         self.fault_spec = spec;
         let seed = self.seed;
         for (id, sa) in self.subarrays.iter_mut() {
-            // Re-deriving an overlay pins cells (and a cleared overlay
-            // leaves old pins behind), so these planes are no longer in
-            // the canonical fresh state.
-            self.touched.insert(*id);
             match spec {
                 Some(s) if !s.is_empty() => {
                     sa.set_faults(s.derive(sa.rows(), sa.cols(), Self::subarray_seed(seed, *id)));
@@ -77,19 +66,16 @@ impl Bank {
     }
 
     /// Returns the bank to its exact just-constructed state without
-    /// dropping any materialised silicon: every voltage plane touched
-    /// since the last reset zeroed (with faulted cells re-pinned) —
-    /// untouched planes are already in that state. A reused bank is
-    /// indistinguishable from a fresh [`Bank::new`] because fresh
-    /// subarrays also start with an all-zero plane and materialisation
-    /// is a pure function of `(geometry, variation, seed, fault_spec)`.
+    /// dropping any materialised silicon: every materialised subarray
+    /// zeroes the rows written since the last reset and re-pins their
+    /// faulted cells ([`Subarray::reset_voltages`]); a subarray nothing
+    /// wrote resets in O(1). A reused bank is indistinguishable from a
+    /// fresh [`Bank::new`] because fresh subarrays also start with an
+    /// all-zero plane and materialisation is a pure function of
+    /// `(geometry, variation, seed, fault_spec)`.
     pub fn reset_for_reuse(&mut self) {
-        // Only planes handed out mutably since the last reset can differ
-        // from the fresh state; everything else is already zeroed+pinned.
-        for id in std::mem::take(&mut self.touched) {
-            if let Some(sa) = self.subarrays.get_mut(&id) {
-                sa.reset_voltages();
-            }
+        for sa in self.subarrays.values_mut() {
+            sa.reset_voltages();
         }
     }
 
@@ -105,7 +91,6 @@ impl Bank {
         let variation = self.variation;
         let seed = self.seed;
         let fault_spec = self.fault_spec;
-        self.touched.insert(id);
         self.subarrays.entry(id).or_insert_with(|| {
             let sa_seed = Self::subarray_seed(seed, id);
             let mut sa = Subarray::new(
@@ -278,6 +263,95 @@ mod tests {
             .unwrap();
         b.reset_for_reuse();
         assert_eq!(*b.subarray(SubarrayId::new(0)), before);
+    }
+
+    /// Asserts that every subarray `used` materialised matches, bit for
+    /// bit, the same subarray of a fresh bank with `used`'s fault spec.
+    fn assert_fresh(used: &Bank, context: &str) {
+        let mut fresh = bank();
+        fresh.set_fault_spec(used.fault_spec().copied());
+        let mut compared = 0;
+        for id in (0..used.geometry().subarrays_per_bank).map(SubarrayId::new) {
+            let Some(sa) = used.subarray_if_materialized(id) else {
+                continue;
+            };
+            let expected = fresh.subarray(id);
+            assert!(
+                sa.voltage_bits() == expected.voltage_bits(),
+                "subarray {id:?}: {context}"
+            );
+            assert_eq!(sa.faults(), expected.faults(), "{context}");
+            compared += 1;
+        }
+        assert_eq!(compared, used.materialized_subarrays());
+        assert!(*used == fresh, "PartialEq: {context}");
+    }
+
+    #[test]
+    fn reuse_matches_fresh_over_random_interleavings() {
+        let mut rng = Rng::seed_from_u64(31);
+        let specs = [
+            Some(dense_spec()),
+            Some(CellFaultSpec {
+                seed: 0x51,
+                stuck_per_million: 2_000.0,
+                sense_offset_shift: 0.01,
+            }),
+            None,
+        ];
+        for sequence in 0..12 {
+            let mut b = bank();
+            let cols = b.geometry().cols_per_row as usize;
+            let rows = b.geometry().rows_per_subarray;
+            for step in 0..32 {
+                let id = SubarrayId::new(rng.gen_range(0u16..3));
+                let row = rng.gen_range(0..rows);
+                match rng.gen_range(0u32..12) {
+                    0 => b.set_fault_spec(specs[rng.gen_range(0..specs.len())]),
+                    1 | 2 => {
+                        b.reset_for_reuse();
+                        assert_fresh(&b, &format!("sequence {sequence}, step {step}"));
+                    }
+                    3 | 4 => {
+                        let img = BitRow::random(&mut rng, cols);
+                        let addr = RowAddr::new(u32::from(id.raw()) * rows + row);
+                        b.write_row_nominal(addr, &img).unwrap();
+                    }
+                    5 | 6 => b.subarray(id).set_row_voltage(row, 0.6).unwrap(),
+                    7 | 8 => {
+                        let sa = b.subarray(id);
+                        let (volts, _, strengths) = sa.row_split_mut(row);
+                        for (v, &s) in volts.iter_mut().zip(strengths) {
+                            *v = 0.4 * s;
+                        }
+                        sa.pin_row_faults(row);
+                    }
+                    9 | 10 => {
+                        let sa = b.subarray(id);
+                        sa.row_voltages_mut(row).fill(0.3);
+                        sa.pin_row_faults(row);
+                    }
+                    // A read materialises without writing.
+                    _ => {
+                        let _ = b.subarray(id).read_row(row).unwrap();
+                    }
+                }
+            }
+            b.reset_for_reuse();
+            assert_fresh(&b, &format!("sequence {sequence}, end"));
+        }
+    }
+
+    #[test]
+    fn reset_after_a_cleared_spec_drops_its_pins() {
+        let mut b = bank();
+        let _ = b.subarray(SubarrayId::new(2));
+        b.set_fault_spec(Some(dense_spec()));
+        b.reset_for_reuse();
+        assert_fresh(&b, "installed");
+        b.set_fault_spec(None);
+        b.reset_for_reuse();
+        assert_fresh(&b, "cleared");
     }
 
     #[test]

@@ -197,6 +197,53 @@ mod tests {
     }
 
     #[test]
+    fn reuse_matches_fresh_module_bit_for_bit() {
+        use crate::data::BitRow;
+        use crate::geometry::{RowAddr, SubarrayId};
+        use crate::Rng;
+        let spec = CellFaultSpec {
+            seed: 0xFA,
+            stuck_per_million: 10_000.0,
+            sense_offset_shift: 0.005,
+        };
+        let mut rng = Rng::seed_from_u64(41);
+        let mut used = DramModule::new(VendorProfile::mfr_h_m_die(), 77);
+        let cols = used.geometry().cols_per_row as usize;
+        let rows = used.geometry().rows_per_bank();
+        for (round, faults) in [None, Some(spec), Some(spec), None].into_iter().enumerate() {
+            used.set_fault_spec(faults);
+            for bank in [0u16, 5, 15] {
+                let bank = used.bank_mut(BankId::new(bank)).unwrap();
+                for _ in 0..4 {
+                    let row = RowAddr::new(rng.gen_range(0..rows));
+                    let img = BitRow::random(&mut rng, cols);
+                    bank.write_row_nominal(row, &img).unwrap();
+                }
+                bank.subarray(SubarrayId::new(1))
+                    .set_row_voltage(9, 0.5)
+                    .unwrap();
+            }
+            used.reset_for_reuse();
+            let mut fresh = DramModule::new(VendorProfile::mfr_h_m_die(), 77);
+            fresh.set_fault_spec(faults);
+            for bank in used.bank_ids() {
+                let used_bank = used.bank(bank).unwrap();
+                let fresh_bank = fresh.bank_mut(bank).unwrap();
+                for id in (0..used_bank.geometry().subarrays_per_bank).map(SubarrayId::new) {
+                    let Some(sa) = used_bank.subarray_if_materialized(id) else {
+                        continue;
+                    };
+                    assert!(
+                        sa.voltage_bits() == fresh_bank.subarray(id).voltage_bits(),
+                        "round {round}, bank {bank:?}, subarray {id:?}"
+                    );
+                }
+            }
+            assert!(used == fresh, "round {round}");
+        }
+    }
+
+    #[test]
     fn fault_spec_reaches_every_bank() {
         let mut m = DramModule::new(VendorProfile::mfr_h_m_die(), 9);
         m.set_fault_spec(Some(CellFaultSpec {
