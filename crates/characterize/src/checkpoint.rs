@@ -1,15 +1,23 @@
-//! Crash-resilient sweep execution: write-ahead checkpoint journals
-//! and kill-and-resume.
+//! Crash-resilient sweeps: write-ahead checkpoint journals and
+//! kill-and-resume.
 //!
 //! A characterization campaign is a serial sequence of [`run_sweep`]
 //! calls. When its [`crate::session::Session`] has a checkpoint
 //! session armed ([`crate::session::Session::arm_checkpoints`]), every
-//! sweep writes a *journal* in the checkpoint directory: one CRC-guarded
+//! sweep keeps a *journal* in the checkpoint directory: one CRC-guarded
 //! line per completed (module, point) task, appended and fsynced the
 //! moment the task's result exists. A run killed at any instant —
 //! including mid-write — can then be resumed: the journal's intact
 //! prefix is replayed into the sweep's result slots and only the
 //! remaining (module, point) tasks are scheduled.
+//!
+//! This module is the journal I/O only: framing, records, loading and
+//! validation, appends, compaction, merging, and session arming. The
+//! sweep itself runs in [`run_sweep_on`], which opens each sweep's
+//! journal with `CheckpointSession::open_sweep` (getting back the
+//! replayed slots), runs the slots still owed, hands each fresh result
+//! to `SweepJournal::append` as it lands, and ends with
+//! `SweepJournal::compact`.
 //!
 //! # File format
 //!
@@ -32,7 +40,9 @@
 //! the manifest fsync — restarts fresh, as if it never existed. A
 //! *complete* manifest line that fails its CRC, by contrast, is a
 //! typed error — it claims to prove what the journal belongs to but
-//! cannot be trusted, and resuming would be a silent guess.
+//! cannot be trusted, and resuming would be a silent guess. So is an
+//! intact record that addresses a slot outside the sweep's grid, or one
+//! its shard does not own ([`CheckpointError::Corrupt`]).
 //!
 //! # Determinism
 //!
@@ -42,8 +52,9 @@
 //! a pure function of the slot that involves no other point. Replaying
 //! a journaled result is therefore indistinguishable from re-running
 //! the task; scheduling only the remaining slots perturbs nothing.
-//! Session coverage is recorded once per *merged* outcome, so the
-//! fleet-coverage footer matches too.
+//! Compaction writes exactly the records the journal replayed or
+//! appended, so a slot the sweep never finished (a chain lost to a
+//! panic) stays out of the journal and re-runs on resume.
 //!
 //! # Fingerprint rules
 //!
@@ -59,40 +70,34 @@
 //!
 //! The same journals are the hand-off medium for multi-process sweeps
 //! (see [`crate::shard`]). A *shard worker* session
-//! ([`crate::session::Session::arm_sharded_checkpoints`]) runs every
-//! sweep through the sharded path: only the `(module,
-//! point)` slots [`slot_shard`] assigns to the worker are scheduled and
-//! journaled, and the journal manifest records the shard spec. The
-//! coordinator then fuses the per-shard journals with
-//! [`merge_sweep_journals`] — producing a journal byte-identical to an
-//! unsharded run's, because every record is a pure function of its slot
-//! — and replays the merged directory in-process for the final,
-//! byte-identical campaign output. A killed worker resumes from its own
-//! journal exactly like a single-process run.
+//! ([`crate::session::Session::arm_sharded_checkpoints`]) opens every
+//! sweep's journal pinned to its shard: the journal owns only the
+//! `(module, point)` slots [`slot_shard`] assigns to the worker, so
+//! only those are scheduled and journaled, and the manifest records the
+//! shard spec. The coordinator then fuses the per-shard
+//! journals with [`merge_sweep_journals`] — producing a journal
+//! byte-identical to an unsharded run's, because every record is a pure
+//! function of its slot — and replays the merged directory in-process
+//! for the final, byte-identical campaign output. A killed worker
+//! resumes from its own journal exactly like a single-process run.
 //!
 //! [`run_sweep`]: crate::fleet::run_sweep
+//! [`run_sweep_on`]: crate::fleet::run_sweep_on
 
 use std::fmt::Debug;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use simra_bender::TestSetup;
-use simra_core::rowgroup::GroupSpec;
-use simra_dram::Rng;
 use simra_exec::{stable_digest, ManifestError, PointDigest, ShardSpec, SweepManifest};
 use simra_faults::FaultPlan;
 use simra_telemetry::json::{self, Value};
 use simra_telemetry::{Counter, Recorder};
 
 use crate::config::ExperimentConfig;
-use crate::fleet::{
-    self, FailureCause, FleetClock, FleetOutcome, FleetPolicy, ModuleResult, SweepPoint,
-};
-use crate::pool::FleetPool;
-use crate::session::Session;
+use crate::fleet::{FailureCause, ModuleResult, SweepPoint};
 
 /// Schema version of the journal *record* lines (the manifest line
 /// carries its own version, `SWEEP_MANIFEST_SCHEMA_VERSION`).
@@ -235,6 +240,19 @@ fn io_err(context: &str, path: &Path, source: std::io::Error) -> CheckpointError
     }
 }
 
+/// A typed [`CheckpointError::Mismatch`] naming the first field where
+/// the manifest on disk differs from the current one.
+fn check_manifest(on_disk: &SweepManifest, current: &SweepManifest) -> Result<(), CheckpointError> {
+    match on_disk.mismatch(current) {
+        Some((field, on_disk, current)) => Err(CheckpointError::Mismatch {
+            field,
+            on_disk,
+            current,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// IEEE CRC-32 (the zlib/PNG polynomial), bitwise. The journal writes
 /// a handful of lines per sweep; table-free simplicity beats speed.
 fn crc32(bytes: &[u8]) -> u32 {
@@ -268,24 +286,6 @@ fn unframe(line: &[u8]) -> Option<&str> {
     std::str::from_utf8(payload).ok()
 }
 
-/// Telemetry counters of the checkpoint layer, under module
-/// `"checkpoint"`.
-struct CheckpointTelemetry {
-    records_written: Counter,
-    resume_points_skipped: Counter,
-    journal_truncated: Counter,
-}
-
-impl CheckpointTelemetry {
-    fn new(recorder: &Recorder) -> Self {
-        CheckpointTelemetry {
-            records_written: recorder.counter("checkpoint", "checkpoint_records_written"),
-            resume_points_skipped: recorder.counter("checkpoint", "resume_points_skipped"),
-            journal_truncated: recorder.counter("checkpoint", "journal_truncated"),
-        }
-    }
-}
-
 /// One journaled result: which (module, point) slot, and its outcome.
 #[derive(Debug, Clone, PartialEq)]
 struct JournalRecord {
@@ -294,12 +294,12 @@ struct JournalRecord {
     result: ModuleResult,
 }
 
-fn render_record(record: &JournalRecord) -> String {
-    let JournalRecord {
-        module,
-        point,
-        result,
-    } = record;
+/// The framed journal line of `(module, point)`'s result.
+fn record_line(module: usize, point: usize, result: &ModuleResult) -> String {
+    frame(&render_record(module, point, result))
+}
+
+fn render_record(module: usize, point: usize, result: &ModuleResult) -> String {
     match result {
         ModuleResult::Completed { samples, attempts } => format!(
             "{{\"schema_version\":{JOURNAL_SCHEMA_VERSION},\"module\":{module},\
@@ -465,8 +465,9 @@ struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates a fresh journal and durably writes its manifest line.
-    fn create(path: &Path, manifest: &SweepManifest) -> Result<Self, CheckpointError> {
+    /// Creates a fresh journal and durably writes its framed manifest
+    /// line.
+    fn create(path: &Path, manifest_line: &str) -> Result<Self, CheckpointError> {
         let file = OpenOptions::new()
             .write(true)
             .create_new(true)
@@ -476,7 +477,7 @@ impl JournalWriter {
             path: path.to_path_buf(),
             file,
         };
-        writer.append_line(&frame(&manifest.to_json()))?;
+        writer.append_line(manifest_line)?;
         Ok(writer)
     }
 
@@ -582,236 +583,132 @@ fn manifest_for<P: Debug>(
     }
 }
 
-/// The placeholder filling outcome slots a shard does not own. Never
-/// journaled (compaction writes owned slots only); its only job is to
-/// keep the outcome grid rectangular so the worker's figure runners —
-/// each run once, as in any campaign — can digest the sweep (their
-/// tables are garbage for unowned slots, but a worker's stdout is
-/// discarded, and it exits after the last figure sweep — only its
-/// journal matters). The sample must be finite: a non-finite sample
-/// would trip the finite-samples check in `BoxStats::from_samples`.
-/// The `attempts: 0` marker distinguishes it from any real result.
-fn unowned_slot() -> ModuleResult {
-    ModuleResult::Completed {
-        samples: vec![0.0],
-        attempts: 0,
+/// A sweep's result slots, `[module][point]`.
+pub(crate) type SlotGrid = Vec<Vec<Option<ModuleResult>>>;
+
+/// Files the records of the journal at `path` into `grid`, the
+/// `[module][point]` slots of an `n_points`-wide sweep: the one record
+/// validator of resume and merge. A record must address a slot inside
+/// the grid that `shard` owns per [`slot_shard`] (any slot when `None`);
+/// anything else is [`CheckpointError::Corrupt`], since its CRC held and
+/// the journal is therefore wrong, not torn. A later record of a slot
+/// replaces an earlier one: duplicates only arise from a crash between
+/// a write and its bookkeeping, and are identical by determinism anyway.
+fn file_records(
+    path: &Path,
+    records: Vec<JournalRecord>,
+    grid: &mut SlotGrid,
+    n_points: usize,
+    shard: Option<ShardSpec>,
+) -> Result<(), CheckpointError> {
+    let corrupt = |detail: String| CheckpointError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let modules = grid.len();
+    for JournalRecord {
+        module,
+        point,
+        result,
+    } in records
+    {
+        if module >= modules || point >= n_points {
+            return Err(corrupt(format!(
+                "record addresses slot (module {module}, point {point}) outside the \
+                 {modules}×{n_points} grid"
+            )));
+        }
+        if let Some(ShardSpec { index, count }) = shard {
+            let owner = slot_shard(module, point, n_points, count);
+            if owner != index {
+                return Err(corrupt(format!(
+                    "record for slot (module {module}, point {point}) found in shard {index}'s \
+                     journal, but shard {owner} owns it"
+                )));
+            }
+        }
+        grid[module][point] = Some(result);
     }
+    Ok(())
 }
 
-/// The armed branch of [`run_sweep_on`]: journals every completed
-/// (module, point) task under `<dir>/<sweep_id>.journal` and — when that
-/// journal already exists — validates its manifest, replays its records,
-/// and schedules only the remaining tasks. Returns results
-/// byte-identical to an unarmed [`run_sweep_on`] of the same inputs, in
-/// any kill/resume interleaving.
-///
-/// On a shard-worker session only the `(module, point)` slots owned by
-/// its shard per [`slot_shard`] run and are journaled; the rest are
-/// masked out of scheduling. The journal's manifest records the shard,
-/// so a resume with a different shard spec — or an unsharded resume of a
-/// shard journal — is a typed mismatch. A worker's outcomes are **not**
-/// the sweep's results: unowned slots hold inert placeholders
-/// (`unowned_slot`); [`merge_sweep_journals`] plus an unsharded replay
-/// over the merged journal produce the real results.
-///
-/// [`run_sweep_on`]: crate::fleet::run_sweep_on
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_checkpointed<P, F>(
-    checkpoint: &CheckpointSession,
-    sweep_id: &str,
-    pool: &FleetPool,
-    session: &Session,
-    points: &[SweepPoint<P>],
-    policy: FleetPolicy,
-    clock: &dyn FleetClock,
-    workers: usize,
-    op: F,
-) -> Result<Vec<FleetOutcome>, CheckpointError>
-where
-    P: Sync + Debug,
-    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
-{
-    let dir = checkpoint.dir();
-    let shard = checkpoint.shard();
-    let telemetry = CheckpointTelemetry::new(session.recorder());
-    let config = session.config();
-    let manifest = manifest_for(config, sweep_id, points, shard);
-    let path = dir.join(format!("{sweep_id}.journal"));
-    let modules = config.modules.len();
-    let owned = |module: usize, point: usize| {
-        shard.is_none_or(|s| slot_shard(module, point, points.len(), s.count) == s.index)
-    };
-    // [module][point] slots replayed from the journal.
-    let mut replayed: Vec<Vec<Option<ModuleResult>>> = (0..modules)
-        .map(|_| (0..points.len()).map(|_| None).collect())
-        .collect();
-    let writer = if path.exists() {
-        match load_journal(&path)? {
-            JournalState::Fresh { had_bytes } => {
-                // Nothing trustworthy on disk — a crash before the
-                // manifest line became durable. Restart this journal as
-                // if it never existed.
-                if had_bytes {
-                    telemetry.journal_truncated.incr();
-                }
-                fs::remove_file(&path)
-                    .map_err(|e| io_err("removing manifest-less journal", &path, e))?;
-                JournalWriter::create(&path, &manifest)?
-            }
-            JournalState::Loaded(loaded) => {
-                if let Some((field, on_disk, current)) = loaded.manifest.mismatch(&manifest) {
-                    return Err(CheckpointError::Mismatch {
-                        field,
-                        on_disk,
-                        current,
-                    });
-                }
-                if loaded.truncate_to.is_some() {
-                    telemetry.journal_truncated.incr();
-                }
-                for record in loaded.records {
-                    if record.module >= modules || record.point >= points.len() {
-                        return Err(CheckpointError::Corrupt {
-                            path: path.clone(),
-                            detail: format!(
-                                "record addresses slot (module {}, point {}) outside the \
-                                 {modules}×{} grid",
-                                record.module,
-                                record.point,
-                                points.len()
-                            ),
-                        });
-                    }
-                    if !owned(record.module, record.point) {
-                        return Err(CheckpointError::Corrupt {
-                            path: path.clone(),
-                            detail: format!(
-                                "record addresses slot (module {}, point {}), which shard {} \
-                                 of {} does not own",
-                                record.module,
-                                record.point,
-                                shard.map_or(0, |s| s.index),
-                                shard.map_or(1, |s| s.count),
-                            ),
-                        });
-                    }
-                    // Last record wins; duplicates can only arise from a
-                    // crash between a retryable write and its
-                    // bookkeeping, and the records are identical by
-                    // determinism anyway.
-                    if replayed[record.module][record.point].is_none() {
-                        telemetry.resume_points_skipped.incr();
-                    }
-                    replayed[record.module][record.point] = Some(record.result);
-                }
-                JournalWriter::open_append(&path, loaded.truncate_to)?
-            }
+/// One sweep's open journal, from [`CheckpointSession::open_sweep`] to
+/// [`SweepJournal::compact`]. It keeps the framed line of every record
+/// it replayed or appended: exactly what compaction writes.
+pub(crate) struct SweepJournal {
+    sweep_id: String,
+    path: PathBuf,
+    manifest_line: String,
+    n_points: usize,
+    shard: Option<ShardSpec>,
+    records_written: Counter,
+    appender: Mutex<Appender>,
+}
+
+/// The half of a [`SweepJournal`] the sweep's chains share.
+struct Appender {
+    writer: JournalWriter,
+    /// The record line of each journaled slot, at `module · n_points +
+    /// point`: (module, point) order, the compacted order.
+    lines: Vec<Option<String>>,
+    /// The first failed append. Later appends are dropped, and
+    /// [`SweepJournal::compact`] reports it instead of compacting.
+    failure: Option<CheckpointError>,
+}
+
+impl SweepJournal {
+    /// The sweep's id, `sweep-NNNN`.
+    pub(crate) fn sweep_id(&self) -> &str {
+        &self.sweep_id
+    }
+
+    /// Whether this process runs and journals the `(module, point)`
+    /// slot: every slot, unless the session is a shard worker, which
+    /// owns the slots [`slot_shard`] assigns to its shard.
+    pub(crate) fn owns(&self, module: usize, point: usize) -> bool {
+        self.shard
+            .is_none_or(|s| slot_shard(module, point, self.n_points, s.count) == s.index)
+    }
+
+    /// Appends a fresh result and fsyncs it before returning: the
+    /// record is on disk before the sweep moves on, which is what makes
+    /// the journal *write-ahead*. Chains call this concurrently.
+    pub(crate) fn append(&self, module: usize, point: usize, result: &ModuleResult) {
+        let line = record_line(module, point, result);
+        // Every step below leaves the appender whole: a poisoned lock
+        // cannot hide a half-made update.
+        let mut appender = self.appender.lock().unwrap_or_else(PoisonError::into_inner);
+        if appender.failure.is_some() {
+            return;
         }
-    } else {
-        fs::create_dir_all(dir).map_err(|e| io_err("creating checkpoint dir", dir, e))?;
-        JournalWriter::create(&path, &manifest)?
-    };
-    // Masked slots: already replayed, or owned by another shard. With
-    // every unowned slot masked, `all_done` means "every slot this
-    // process owns is journaled" in shard mode and "the whole grid is
-    // journaled" otherwise.
-    let skip: Vec<Vec<bool>> = replayed
-        .iter()
-        .enumerate()
-        .map(|(module, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(point, slot)| slot.is_some() || !owned(module, point))
-                .collect()
-        })
-        .collect();
-    let all_done = skip.iter().all(|row| row.iter().all(|s| *s));
-    let fresh: Vec<Vec<Option<ModuleResult>>> = if all_done {
-        (0..modules)
-            .map(|_| (0..points.len()).map(|_| None).collect())
-            .collect()
-    } else {
-        // Workers append concurrently; the mutex serializes writes and
-        // carries the first I/O error out of the observer closure.
-        let shared: Mutex<(JournalWriter, Option<CheckpointError>)> = Mutex::new((writer, None));
-        let observer = |module: usize, point: usize, result: &ModuleResult| {
-            let line = frame(&render_record(&JournalRecord {
-                module,
-                point,
-                result: result.clone(),
-            }));
-            let mut guard = shared.lock().expect("journal writer poisoned");
-            if guard.1.is_none() {
-                match guard.0.append_line(&line) {
-                    Ok(()) => telemetry.records_written.incr(),
-                    Err(e) => guard.1 = Some(e),
-                }
+        match appender.writer.append_line(&line) {
+            Ok(()) => {
+                self.records_written.incr();
+                appender.lines[module * self.n_points + point] = Some(line);
             }
-        };
-        let fresh = fleet::run_sweep_grid_on(
-            pool,
-            session,
-            points,
-            policy,
-            clock,
-            workers,
-            op,
-            Some(&skip),
-            Some(&observer),
-        );
-        let (_, failure) = shared.into_inner().expect("journal writer poisoned");
-        if let Some(e) = failure {
-            // The sweep ran, but its results are not durably journaled;
-            // returning them would break the resume contract.
+            Err(e) => appender.failure = Some(e),
+        }
+    }
+
+    /// Snapshot compaction: replaces the append-order journal with its
+    /// canonical form — the manifest line plus every record replayed or
+    /// appended, sorted by (module, point) — via atomic tmp-file +
+    /// rename. A kill during compaction leaves either the old journal
+    /// or the new one, both complete. Fails with the first failed
+    /// append instead, if any: the sweep's results are then not durably
+    /// journaled, and returning them would break the resume contract.
+    pub(crate) fn compact(self) -> Result<(), CheckpointError> {
+        let appender = self
+            .appender
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = appender.failure {
             return Err(e);
         }
-        fresh
-    };
-    let outcomes: Vec<FleetOutcome> = (0..points.len())
-        .map(|point| FleetOutcome {
-            slots: (0..modules)
-                .map(|module| {
-                    let slot = replayed[module][point]
-                        .take()
-                        .or_else(|| fresh[module][point].clone());
-                    match slot {
-                        Some(result) => result,
-                        None if !owned(module, point) => unowned_slot(),
-                        None => {
-                            unreachable!("every owned grid slot is either replayed or freshly run")
-                        }
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    if shard.is_none() {
-        // Worker outcomes are placeholder-ridden scaffolding, not the
-        // sweep's results; coverage is recorded by the merged replay.
-        for outcome in &outcomes {
-            session.record_coverage(outcome);
-        }
+        let mut lines = vec![self.manifest_line];
+        lines.extend(appender.lines.into_iter().flatten());
+        atomic_rewrite(&self.path, &lines)
     }
-    // Snapshot compaction: replace the append-order journal with its
-    // canonical form — manifest line plus owned records sorted by
-    // (module, point) — via atomic tmp-file + rename. A kill during
-    // compaction leaves either the old journal or the new one, both
-    // complete. Placeholders for unowned slots are never written.
-    let mut lines = vec![frame(&manifest.to_json())];
-    for module in 0..modules {
-        for (point, outcome) in outcomes.iter().enumerate() {
-            if owned(module, point) {
-                let record = JournalRecord {
-                    module,
-                    point,
-                    result: outcome.slots[module].clone(),
-                };
-                lines.push(frame(&render_record(&record)));
-            }
-        }
-    }
-    atomic_rewrite(&path, &lines)?;
-    Ok(outcomes)
 }
 
 /// Merges completed per-shard journals of one sweep into a single
@@ -822,10 +719,11 @@ where
 /// shard `i/inputs.len()`); all manifests must agree on every other
 /// field. Every shard must cover exactly the slots [`slot_shard`]
 /// assigns it — a missing slot is [`CheckpointError::ShardIncomplete`]
-/// (resume that worker first), a record outside the shard's ownership
-/// is [`CheckpointError::Corrupt`]. On success the merged journal holds
-/// the stripped (unsharded) manifest plus all records sorted by
-/// `(module, point)`, written atomically; returns the record count.
+/// (resume that worker first), a record outside the grid or the shard's
+/// ownership is [`CheckpointError::Corrupt`]. On success the merged
+/// journal holds the stripped (unsharded) manifest plus all records
+/// sorted by `(module, point)`, written atomically; returns the record
+/// count.
 ///
 /// The byte-identity argument: every record is a pure function of
 /// `(config, module, point)` — per-slot RNG streams involve no other
@@ -843,9 +741,9 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
         });
     }
     let mut base: Option<SweepManifest> = None;
-    let mut slots: Vec<Vec<Option<ModuleResult>>> = Vec::new();
-    for (index, path) in inputs.iter().enumerate() {
-        let index = index as u32;
+    let mut slots: SlotGrid = Vec::new();
+    for (index, path) in (0..count).zip(inputs) {
+        let shard = ShardSpec { index, count };
         let JournalState::Loaded(loaded) = load_journal(path)? else {
             return Err(CheckpointError::Corrupt {
                 path: path.clone(),
@@ -854,19 +752,12 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
         };
         let mut manifest = loaded.manifest;
         match manifest.shard.take() {
-            Some(spec) if spec.index == index && spec.count == count => {}
-            Some(spec) => {
+            Some(spec) if spec == shard => {}
+            on_disk => {
                 return Err(CheckpointError::Mismatch {
                     field: "shard",
-                    on_disk: spec.to_string(),
-                    current: format!("{index}/{count}"),
-                });
-            }
-            None => {
-                return Err(CheckpointError::Mismatch {
-                    field: "shard",
-                    on_disk: "unsharded".into(),
-                    current: format!("{index}/{count}"),
+                    on_disk: on_disk.map_or_else(|| "unsharded".into(), |s| s.to_string()),
+                    current: shard.to_string(),
                 });
             }
         }
@@ -877,49 +768,14 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
                 slots = vec![vec![None; manifest.points.len()]; manifest.modules];
                 base = Some(manifest);
             }
-            Some(b) => {
-                if let Some((field, on_disk, current)) = b.mismatch(&manifest) {
-                    return Err(CheckpointError::Mismatch {
-                        field,
-                        on_disk,
-                        current,
-                    });
-                }
-            }
+            Some(b) => check_manifest(b, &manifest)?,
         }
         let n_points = base.as_ref().expect("base manifest just set").points.len();
-        for record in loaded.records {
-            if record.module >= slots.len() || record.point >= n_points {
-                return Err(CheckpointError::Corrupt {
-                    path: path.clone(),
-                    detail: format!(
-                        "record addresses slot (module {}, point {}) outside the {}×{} grid",
-                        record.module,
-                        record.point,
-                        slots.len(),
-                        n_points
-                    ),
-                });
-            }
-            if slot_shard(record.module, record.point, n_points, count) != index {
-                return Err(CheckpointError::Corrupt {
-                    path: path.clone(),
-                    detail: format!(
-                        "record for slot (module {}, point {}) found in shard {index}'s \
-                         journal, but shard {} owns it",
-                        record.module,
-                        record.point,
-                        slot_shard(record.module, record.point, n_points, count)
-                    ),
-                });
-            }
-            slots[record.module][record.point] = Some(record.result);
-        }
+        file_records(path, loaded.records, &mut slots, n_points, Some(shard))?;
     }
     let base = base.expect("count > 0 guarantees a base manifest");
     let n_points = base.points.len();
     let mut lines = vec![frame(&base.to_json())];
-    let mut records = 0usize;
     for (module, row) in slots.into_iter().enumerate() {
         for (point, slot) in row.into_iter().enumerate() {
             let Some(result) = slot else {
@@ -931,19 +787,14 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
                     point,
                 });
             };
-            lines.push(frame(&render_record(&JournalRecord {
-                module,
-                point,
-                result,
-            })));
-            records += 1;
+            lines.push(record_line(module, point, &result));
         }
     }
     if let Some(dir) = output.parent() {
         fs::create_dir_all(dir).map_err(|e| io_err("creating merge output dir", dir, e))?;
     }
     atomic_rewrite(output, &lines)?;
-    Ok(records)
+    Ok(lines.len() - 1)
 }
 
 /// One armed checkpoint session, owned by a
@@ -952,8 +803,8 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
 pub struct CheckpointSession {
     dir: PathBuf,
     next: AtomicUsize,
-    /// `Some` when this session is a shard worker: every sweep runs
-    /// through the sharded checkpoint path, owning only its slots.
+    /// `Some` when this session is a shard worker: every sweep's
+    /// journal owns only the shard's slots.
     shard: Option<ShardSpec>,
 }
 
@@ -964,11 +815,11 @@ const SESSION_FILE: &str = "session.json";
 impl CheckpointSession {
     /// Arms checkpointing over `dir` for a campaign running `config`:
     /// every sweep issued through the returned session journals into
-    /// `dir`. Pass `shard` to arm a *shard-worker* session whose sweeps
-    /// run through the sharded checkpoint path, owning only the slots
-    /// [`slot_shard`] assigns to the shard; the session manifest
-    /// records the spec, so resuming a shard directory with a different
-    /// spec (or unsharded) is a typed mismatch.
+    /// `dir`. Pass `shard` to arm a *shard-worker* session whose sweep
+    /// journals own only the slots [`slot_shard`] assigns to the shard;
+    /// the session manifest records the spec, so resuming a shard
+    /// directory with a different spec (or unsharded) is a typed
+    /// mismatch.
     ///
     /// A fresh session (`resume = false`) refuses a directory that
     /// already holds one ([`CheckpointError::DirInUse`]) and records
@@ -992,14 +843,7 @@ impl CheckpointSession {
             }
             let text = fs::read_to_string(&session_path)
                 .map_err(|e| io_err("reading session manifest", &session_path, e))?;
-            let on_disk = SweepManifest::from_json(text.trim())?;
-            if let Some((field, on_disk, current)) = on_disk.mismatch(&manifest) {
-                return Err(CheckpointError::Mismatch {
-                    field,
-                    on_disk,
-                    current,
-                });
-            }
+            check_manifest(&SweepManifest::from_json(text.trim())?, &manifest)?;
         } else {
             if session_path.exists() {
                 return Err(CheckpointError::DirInUse { path: session_path });
@@ -1013,11 +857,6 @@ impl CheckpointSession {
         })
     }
 
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The shard this session is pinned to, if it is a worker session.
     pub fn shard(&self) -> Option<ShardSpec> {
         self.shard
@@ -1028,12 +867,89 @@ impl CheckpointSession {
     pub(crate) fn next_sweep_id(&self) -> String {
         format!("sweep-{:04}", self.next.fetch_add(1, Ordering::SeqCst))
     }
+
+    /// Opens the journal of the sweep `(config, points)` at
+    /// `<dir>/<sweep_id>.journal`, ready for appends. A new journal is
+    /// created with its manifest line. An existing one must carry this
+    /// sweep's manifest ([`CheckpointError::Mismatch`] otherwise); its
+    /// damaged tail is cut off, and its records are validated and
+    /// returned as the replayed `[module][point]` slots.
+    pub(crate) fn open_sweep<P: Debug>(
+        &self,
+        sweep_id: String,
+        config: &ExperimentConfig,
+        recorder: &Recorder,
+        points: &[SweepPoint<P>],
+    ) -> Result<(SweepJournal, SlotGrid), CheckpointError> {
+        let records_written = recorder.counter("checkpoint", "checkpoint_records_written");
+        let resume_points_skipped = recorder.counter("checkpoint", "resume_points_skipped");
+        let journal_truncated = recorder.counter("checkpoint", "journal_truncated");
+        let manifest = manifest_for(config, &sweep_id, points, self.shard);
+        let manifest_line = frame(&manifest.to_json());
+        let path = self.dir.join(format!("{sweep_id}.journal"));
+        let (modules, n_points) = (config.modules.len(), points.len());
+        let mut replayed = vec![vec![None; n_points]; modules];
+        let writer = if path.exists() {
+            match load_journal(&path)? {
+                JournalState::Fresh { had_bytes } => {
+                    // Nothing trustworthy on disk — a crash before the
+                    // manifest line became durable. Restart this journal
+                    // as if it never existed.
+                    if had_bytes {
+                        journal_truncated.incr();
+                    }
+                    fs::remove_file(&path)
+                        .map_err(|e| io_err("removing manifest-less journal", &path, e))?;
+                    JournalWriter::create(&path, &manifest_line)?
+                }
+                JournalState::Loaded(loaded) => {
+                    check_manifest(&loaded.manifest, &manifest)?;
+                    if loaded.truncate_to.is_some() {
+                        journal_truncated.incr();
+                    }
+                    file_records(&path, loaded.records, &mut replayed, n_points, self.shard)?;
+                    JournalWriter::open_append(&path, loaded.truncate_to)?
+                }
+            }
+        } else {
+            fs::create_dir_all(&self.dir)
+                .map_err(|e| io_err("creating checkpoint dir", &self.dir, e))?;
+            JournalWriter::create(&path, &manifest_line)?
+        };
+        let mut lines = Vec::with_capacity(modules * n_points);
+        for (module, row) in replayed.iter().enumerate() {
+            for (point, slot) in row.iter().enumerate() {
+                lines.push(
+                    slot.as_ref()
+                        .map(|result| record_line(module, point, result)),
+                );
+            }
+        }
+        let skipped = lines.iter().flatten().count();
+        resume_points_skipped.add(skipped as u64);
+        let journal = SweepJournal {
+            sweep_id,
+            path,
+            manifest_line,
+            n_points,
+            shard: self.shard,
+            records_written,
+            appender: Mutex::new(Appender {
+                writer,
+                lines,
+                failure: None,
+            }),
+        };
+        Ok((journal, replayed))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::MockClock;
+    use crate::fleet::{self, FleetOutcome};
+    use crate::session::Session;
+    use simra_dram::Rng;
     use std::sync::atomic::AtomicU32;
 
     /// A per-test scratch directory under the system temp dir; no
@@ -1048,13 +964,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create scratch dir");
         dir
-    }
-
-    fn probe_op(scale: &f64, setup: &mut TestSetup, g: &GroupSpec, rng: &mut Rng) -> Option<f64> {
-        Some(
-            (g.local_rows[0] as f64 + rng.gen::<f64>() + setup.module().seed() as f64 * 1e-6)
-                * scale,
-        )
     }
 
     fn two_module_config() -> ExperimentConfig {
@@ -1073,8 +982,39 @@ mod tests {
             .collect()
     }
 
+    /// The test sweep on `session`, through the one sweep body: an op
+    /// that consumes the stream and reads the group, the module and the
+    /// point, so any stream, slot or parameter mix-up shows.
+    fn sweep(session: &Session) -> Vec<FleetOutcome> {
+        fleet::run_sweep(session, &points(), |scale, setup, g, rng| {
+            let seed = setup.module().seed() as f64;
+            Some((g.local_rows[0] as f64 + rng.gen::<f64>() + seed * 1e-6) * scale)
+        })
+    }
+
+    /// Runs the test sweep on `session` armed over `dir` — fresh, or
+    /// resuming when `dir` already holds a session — pinned to `shard`
+    /// when given.
+    fn run_armed_in(session: &Session, dir: &Path, shard: Option<ShardSpec>) -> Vec<FleetOutcome> {
+        let resume = dir.join(SESSION_FILE).exists();
+        match shard {
+            Some(shard) => session.arm_sharded_checkpoints(dir, resume, shard),
+            None => session.arm_checkpoints(dir, resume),
+        }
+        .expect("arm the checkpoint session");
+        sweep(session)
+    }
+
+    fn run_armed(config: &ExperimentConfig, dir: &Path) -> Vec<FleetOutcome> {
+        run_armed_in(&Session::new(config.clone()), dir, None)
+    }
+
+    fn reference(config: &ExperimentConfig) -> Vec<FleetOutcome> {
+        sweep(&Session::new(config.clone()))
+    }
+
     /// A checkpoint context over `dir` that numbers its first sweep
-    /// `sweep-0000`, built without `session.json` so each test drives
+    /// `sweep-0000`, built without `session.json` so a test can drive
     /// the journal layer alone.
     fn checkpoint_at(dir: &Path, shard: Option<ShardSpec>) -> CheckpointSession {
         CheckpointSession {
@@ -1084,43 +1024,18 @@ mod tests {
         }
     }
 
-    fn run_checkpointed_in(
-        session: &Session,
-        dir: &Path,
-        shard: Option<ShardSpec>,
-    ) -> Result<Vec<FleetOutcome>, CheckpointError> {
-        let clock = MockClock::new();
-        run_sweep_checkpointed(
-            &checkpoint_at(dir, shard),
-            "sweep-0000",
-            FleetPool::global(),
-            session,
-            &points(),
-            FleetPolicy::default(),
-            &clock,
-            2,
-            probe_op,
-        )
-    }
-
-    fn run_checkpointed(
+    /// Opens the test sweep's journal in `dir` as the first sweep of a
+    /// session pinned to `shard`, as `run_sweep_on` does before it
+    /// schedules anything, and returns the replayed slots.
+    fn open(
         config: &ExperimentConfig,
         dir: &Path,
-    ) -> Result<Vec<FleetOutcome>, CheckpointError> {
-        run_checkpointed_in(&Session::new(config.clone()), dir, None)
-    }
-
-    fn reference(config: &ExperimentConfig) -> Vec<FleetOutcome> {
-        let clock = MockClock::new();
-        fleet::run_sweep_on(
-            FleetPool::global(),
-            &Session::new(config.clone()),
-            &points(),
-            FleetPolicy::default(),
-            &clock,
-            2,
-            probe_op,
-        )
+        shard: Option<ShardSpec>,
+    ) -> Result<SlotGrid, CheckpointError> {
+        let recorder = Recorder::new();
+        let opened =
+            checkpoint_at(dir, shard).open_sweep("sweep-0000".into(), config, &recorder, &points());
+        opened.map(|(_, replayed)| replayed)
     }
 
     /// Sum of one counter across a recorder's snapshot (0 if never
@@ -1156,7 +1071,7 @@ mod tests {
     fn fresh_run_matches_uncheckpointed_reference() {
         let config = two_module_config();
         let dir = scratch("fresh");
-        let outcomes = run_checkpointed(&config, &dir).unwrap();
+        let outcomes = run_armed(&config, &dir);
         assert_eq!(outcomes, reference(&config));
         assert!(journal_path(&dir).exists());
         let _ = fs::remove_dir_all(&dir);
@@ -1166,51 +1081,21 @@ mod tests {
     fn completed_journal_replays_without_rerunning() {
         let config = two_module_config();
         let dir = scratch("replay");
-        let first = run_checkpointed(&config, &dir).unwrap();
-        // Second run fast-forwards entirely through the journal: no
-        // fleet task starts, and every one of the 2 × 4 slots is
-        // counted as skipped.
+        let first = run_armed(&config, &dir);
+        let journal =
+            fs::read(journal_path(&dir)).expect("an armed sweep writes sweep-0000.journal");
+        // A resumed session fast-forwards entirely through the journal:
+        // no fleet series is even registered, every one of the 2 × 4
+        // slots is counted as skipped, and compaction rewrites the same
+        // bytes.
         let recorder = Recorder::new();
         recorder.enable();
         let session = Session::recorded_by(config.clone(), recorder.clone());
-        let second = run_checkpointed_in(&session, &dir, None).unwrap();
+        let second = run_armed_in(&session, &dir, None);
         assert_eq!(first, second);
-        assert_eq!(counter(&recorder, "fleet", "task_started"), 0);
-        assert_eq!(counter(&recorder, "checkpoint", "resume_points_skipped"), 8);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn armed_run_sweep_on_journals_and_a_resumed_session_replays() {
-        // The explicit-pool entry point honours an armed session exactly
-        // like `run_sweep`: it writes the journal, and a resumed session
-        // replays it instead of re-running the grid.
-        let config = two_module_config();
-        let dir = scratch("armed-on");
-        let pool = FleetPool::new(2);
-        let clock = MockClock::new();
-        let sweep = |session: &Session| {
-            fleet::run_sweep_on(
-                &pool,
-                session,
-                &points(),
-                FleetPolicy::default(),
-                &clock,
-                2,
-                probe_op,
-            )
-        };
-        let fresh = Session::new(config.clone());
-        fresh.arm_checkpoints(&dir, false).unwrap();
-        let first = sweep(&fresh);
-        assert_eq!(first, reference(&config));
-        let journal = fs::read(journal_path(&dir)).expect("armed sweep writes sweep-0000.journal");
-        let recorder = Recorder::new();
-        recorder.enable();
-        let resumed = Session::recorded_by(config.clone(), recorder.clone());
-        resumed.arm_checkpoints(&dir, true).unwrap();
-        assert_eq!(sweep(&resumed), first);
-        assert_eq!(counter(&recorder, "fleet", "task_started"), 0);
+        let snapshot = recorder.snapshot();
+        assert!(snapshot.counters.iter().all(|c| c.module != "fleet"));
+        assert!(snapshot.histograms.iter().all(|h| h.module != "fleet"));
         assert_eq!(counter(&recorder, "checkpoint", "resume_points_skipped"), 8);
         assert_eq!(fs::read(journal_path(&dir)).unwrap(), journal);
         let _ = fs::remove_dir_all(&dir);
@@ -1220,7 +1105,7 @@ mod tests {
     fn partial_journal_resumes_to_identical_results() {
         let config = two_module_config();
         let dir = scratch("partial");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         let data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
@@ -1229,7 +1114,7 @@ mod tests {
         // was killed early — then resume.
         for keep in [1usize, 2, 3, spans.len() - 1] {
             fs::write(&path, &data[..spans[keep - 1].1]).unwrap();
-            let resumed = run_checkpointed(&config, &dir).unwrap();
+            let resumed = run_armed(&config, &dir);
             assert_eq!(resumed, full, "keep={keep}");
             // Resume compacted the journal back to its full form.
             assert_eq!(fs::read(&path).unwrap(), data, "keep={keep}");
@@ -1241,7 +1126,7 @@ mod tests {
     fn torn_final_record_is_truncated_not_trusted() {
         let config = two_module_config();
         let dir = scratch("torn");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         let data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
@@ -1251,7 +1136,7 @@ mod tests {
         let mut torn = data[..keep].to_vec();
         torn.extend_from_slice(&data[spans[3].0..spans[3].0 + 17]);
         fs::write(&path, &torn).unwrap();
-        let resumed = run_checkpointed(&config, &dir).unwrap();
+        let resumed = run_armed(&config, &dir);
         assert_eq!(resumed, full);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1264,7 +1149,7 @@ mod tests {
         // refuses with a typed `Corrupt`. It never panics or guesses.
         let config = two_module_config();
         let dir = scratch("damaged");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         let data = fs::read(&path).unwrap();
         let (mut resumed, mut corrupt) = (0, 0);
@@ -1283,9 +1168,9 @@ mod tests {
                 }
             }
             fs::write(&path, &bytes).unwrap();
-            match run_checkpointed(&config, &dir) {
-                Ok(outcomes) => {
-                    assert_eq!(outcomes, full, "case {case}");
+            match open(&config, &dir, None) {
+                Ok(_) => {
+                    assert_eq!(run_armed(&config, &dir), full, "case {case}");
                     resumed += 1;
                 }
                 Err(CheckpointError::Corrupt { .. }) => corrupt += 1,
@@ -1303,17 +1188,17 @@ mod tests {
     fn empty_or_torn_manifest_journal_restarts_fresh() {
         let config = two_module_config();
         let dir = scratch("freshagain");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         // A kill between journal creation and the manifest line's fsync
         // leaves an empty file; resume must restart the journal as
         // fresh, not fail with a typed error.
         fs::write(&path, b"").unwrap();
-        assert_eq!(run_checkpointed(&config, &dir).unwrap(), full);
+        assert_eq!(run_armed(&config, &dir), full);
         // ... or a torn, newline-less manifest prefix — same recovery.
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..20]).unwrap();
-        assert_eq!(run_checkpointed(&config, &dir).unwrap(), full);
+        assert_eq!(run_armed(&config, &dir), full);
         // Both recoveries recreated and compacted the full journal.
         assert_eq!(fs::read(&path).unwrap(), data);
         let _ = fs::remove_dir_all(&dir);
@@ -1323,7 +1208,7 @@ mod tests {
     fn torn_tail_resume_appends_at_eof_and_survives_second_kill() {
         let config = two_module_config();
         let dir = scratch("doublekill");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         let data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
@@ -1352,7 +1237,7 @@ mod tests {
         assert_eq!(&mid_run[keep..], &data[spans[3].0..spans[3].1]);
         // The second kill struck before compaction; a second resume
         // must load this journal and finish byte-identical.
-        let resumed = run_checkpointed(&config, &dir).unwrap();
+        let resumed = run_armed(&config, &dir);
         assert_eq!(resumed, full);
         assert_eq!(fs::read(&path).unwrap(), data);
         let _ = fs::remove_dir_all(&dir);
@@ -1362,7 +1247,7 @@ mod tests {
     fn flipped_crc_byte_fails_safe() {
         let config = two_module_config();
         let dir = scratch("crcflip");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         let path = journal_path(&dir);
         let mut data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
@@ -1373,7 +1258,7 @@ mod tests {
         let mid = (start + end) / 2;
         data[mid] ^= 0x01;
         fs::write(&path, &data).unwrap();
-        let resumed = run_checkpointed(&config, &dir).unwrap();
+        let resumed = run_armed(&config, &dir);
         assert_eq!(resumed, full);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1382,7 +1267,7 @@ mod tests {
     fn stale_schema_version_is_a_typed_error() {
         let config = two_module_config();
         let dir = scratch("stale");
-        run_checkpointed(&config, &dir).unwrap();
+        run_armed(&config, &dir);
         let path = journal_path(&dir);
         let data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
@@ -1396,7 +1281,7 @@ mod tests {
         rewritten.push(b'\n');
         rewritten.extend_from_slice(&data[spans[0].1..]);
         fs::write(&path, &rewritten).unwrap();
-        match run_checkpointed(&config, &dir) {
+        match open(&config, &dir, None) {
             Err(CheckpointError::Manifest(ManifestError::SchemaVersion {
                 found: 99,
                 expected: 1,
@@ -1410,12 +1295,12 @@ mod tests {
     fn corrupt_manifest_line_is_a_typed_error() {
         let config = two_module_config();
         let dir = scratch("badmanifest");
-        run_checkpointed(&config, &dir).unwrap();
+        run_armed(&config, &dir);
         let path = journal_path(&dir);
         let mut data = fs::read(&path).unwrap();
         data[2] ^= 0xFF; // damage the manifest line's CRC field
         fs::write(&path, &data).unwrap();
-        match run_checkpointed(&config, &dir) {
+        match open(&config, &dir, None) {
             Err(CheckpointError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("manifest"), "{detail}");
             }
@@ -1428,17 +1313,17 @@ mod tests {
     fn mismatched_seed_refuses_resume() {
         let config = two_module_config();
         let dir = scratch("mismatch");
-        run_checkpointed(&config, &dir).unwrap();
+        run_armed(&config, &dir);
         let mut other = config.clone();
         other.seed ^= 1;
-        match run_checkpointed(&other, &dir) {
+        match open(&other, &dir, None) {
             Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "seed"),
             other => panic!("expected a manifest mismatch, got {other:?}"),
         }
         // A scale change is caught by the config digest.
         let mut other = config.clone();
         other.groups_per_subarray += 1;
-        match run_checkpointed(&other, &dir) {
+        match open(&other, &dir, None) {
             Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "config_digest"),
             other => panic!("expected a manifest mismatch, got {other:?}"),
         }
@@ -1455,12 +1340,12 @@ mod tests {
             ..FaultPlan::default()
         });
         let dir = scratch("mismatch-faults");
-        run_checkpointed(&faulted, &dir).unwrap();
+        run_armed(&faulted, &dir);
         let mut other = faulted.clone();
         let cells = other.faults.as_mut().and_then(|p| p.cells.as_mut());
         let cells = cells.expect("the plan has cells");
         cells.stuck_per_million = cells.stuck_per_million.next_up();
-        match run_checkpointed(&other, &dir) {
+        match open(&other, &dir, None) {
             Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "faults"),
             other => panic!("expected a manifest mismatch, got {other:?}"),
         }
@@ -1483,11 +1368,11 @@ mod tests {
             ..FaultPlan::default()
         });
         let dir = scratch("faulted");
-        let full = run_checkpointed(&config, &dir).unwrap();
+        let full = run_armed(&config, &dir);
         assert!(full
             .iter()
             .any(|o| matches!(o.slots[1], ModuleResult::Failed { .. })));
-        let replayed = run_checkpointed(&config, &dir).unwrap();
+        let replayed = run_armed(&config, &dir);
         assert_eq!(replayed, full);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1532,7 +1417,7 @@ mod tests {
             },
         ];
         for record in &records {
-            let line = frame(&render_record(record));
+            let line = record_line(record.module, record.point, &record.result);
             let payload = unframe(line.as_bytes()).expect("own frame must verify");
             let parsed = parse_record(payload).expect("own record must parse");
             assert_eq!(parsed.module, record.module);
@@ -1571,19 +1456,15 @@ mod tests {
         assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
-    fn run_sharded(
-        config: &ExperimentConfig,
-        dir: &Path,
-        shard: ShardSpec,
-    ) -> Result<Vec<FleetOutcome>, CheckpointError> {
-        run_checkpointed_in(&Session::new(config.clone()), dir, Some(shard))
+    fn run_sharded(config: &ExperimentConfig, dir: &Path, shard: ShardSpec) -> Vec<FleetOutcome> {
+        run_armed_in(&Session::new(config.clone()), dir, Some(shard))
     }
 
     #[test]
     fn sharded_journals_merge_byte_identical_to_an_unsharded_run() {
         let config = two_module_config();
         let unsharded = scratch("shard-ref");
-        let full = run_checkpointed(&config, &unsharded).unwrap();
+        let full = run_armed(&config, &unsharded);
         let golden = fs::read(journal_path(&unsharded)).unwrap();
         let n_points = points().len();
         for count in [1u32, 2, 3, 5] {
@@ -1591,7 +1472,7 @@ mod tests {
             let mut inputs = Vec::new();
             for index in 0..count {
                 let dir = root.join(format!("shard-{index}"));
-                let outcomes = run_sharded(&config, &dir, ShardSpec { index, count }).unwrap();
+                let outcomes = run_sharded(&config, &dir, ShardSpec { index, count });
                 for (point, outcome) in outcomes.iter().enumerate() {
                     for (module, slot) in outcome.slots.iter().enumerate() {
                         if slot_shard(module, point, n_points, count) == index {
@@ -1626,19 +1507,19 @@ mod tests {
     fn a_killed_shard_worker_resumes_and_merges_identically() {
         let config = two_module_config();
         let unsharded = scratch("shard-kill-ref");
-        run_checkpointed(&config, &unsharded).unwrap();
+        run_armed(&config, &unsharded);
         let golden = fs::read(journal_path(&unsharded)).unwrap();
         let root = scratch("shard-kill");
         let dirs: Vec<PathBuf> = (0..2).map(|i| root.join(format!("shard-{i}"))).collect();
-        run_sharded(&config, &dirs[0], ShardSpec { index: 0, count: 2 }).unwrap();
-        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 }).unwrap();
+        run_sharded(&config, &dirs[0], ShardSpec { index: 0, count: 2 });
+        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 });
         // "Kill" shard 1 after its first record: truncate the journal to
         // the manifest plus one intact record, then resume it.
         let path = journal_path(&dirs[1]);
         let data = fs::read(&path).unwrap();
         let spans = line_spans(&data);
         fs::write(&path, &data[..spans[1].1]).unwrap();
-        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 }).unwrap();
+        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 });
         let inputs: Vec<PathBuf> = dirs.iter().map(|d| journal_path(d)).collect();
         let merged = root.join("merged").join("sweep-0000.journal");
         merge_sweep_journals(&inputs, &merged).unwrap();
@@ -1652,8 +1533,8 @@ mod tests {
         let config = two_module_config();
         let root = scratch("shard-hole");
         let dirs: Vec<PathBuf> = (0..2).map(|i| root.join(format!("shard-{i}"))).collect();
-        run_sharded(&config, &dirs[0], ShardSpec { index: 0, count: 2 }).unwrap();
-        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 }).unwrap();
+        run_sharded(&config, &dirs[0], ShardSpec { index: 0, count: 2 });
+        run_sharded(&config, &dirs[1], ShardSpec { index: 1, count: 2 });
         // Drop shard 1's final record (an intact truncation, as if the
         // worker never got to that slot).
         let path = journal_path(&dirs[1]);
@@ -1678,7 +1559,7 @@ mod tests {
         let root = scratch("shard-spec");
         // An unsharded journal offered as shard 0.
         let unsharded = root.join("unsharded");
-        run_checkpointed(&config, &unsharded).unwrap();
+        run_armed(&config, &unsharded);
         let merged = root.join("merged").join("sweep-0000.journal");
         match merge_sweep_journals(&[journal_path(&unsharded)], &merged) {
             Err(CheckpointError::Mismatch {
@@ -1690,7 +1571,7 @@ mod tests {
         }
         // Shard 0's journal offered in shard 1's position.
         let shard0 = root.join("shard-0");
-        run_sharded(&config, &shard0, ShardSpec { index: 0, count: 2 }).unwrap();
+        run_sharded(&config, &shard0, ShardSpec { index: 0, count: 2 });
         match merge_sweep_journals(&[journal_path(&shard0), journal_path(&shard0)], &merged) {
             Err(CheckpointError::Mismatch {
                 field: "shard",
@@ -1709,12 +1590,12 @@ mod tests {
     fn sharded_session_refuses_a_different_spec_on_resume() {
         let config = two_module_config();
         let dir = scratch("shard-respec");
-        run_sharded(&config, &dir, ShardSpec { index: 0, count: 2 }).unwrap();
-        match run_sharded(&config, &dir, ShardSpec { index: 1, count: 2 }) {
+        run_sharded(&config, &dir, ShardSpec { index: 0, count: 2 });
+        match open(&config, &dir, Some(ShardSpec { index: 1, count: 2 })) {
             Err(CheckpointError::Mismatch { field: "shard", .. }) => {}
             other => panic!("expected a shard mismatch, got {other:?}"),
         }
-        match run_checkpointed(&config, &dir) {
+        match open(&config, &dir, None) {
             Err(CheckpointError::Mismatch { field: "shard", .. }) => {}
             other => panic!("expected a shard mismatch, got {other:?}"),
         }
@@ -1732,7 +1613,11 @@ mod tests {
     ) {
         let manifest = manifest_for(config, "sweep-0000", pts, shard);
         let mut lines = vec![frame(&manifest.to_json())];
-        lines.extend(records.iter().map(|r| frame(&render_record(r))));
+        lines.extend(
+            records
+                .iter()
+                .map(|r| record_line(r.module, r.point, &r.result)),
+        );
         let mut buf = String::new();
         for line in &lines {
             buf.push_str(line);
@@ -1819,5 +1704,130 @@ mod tests {
             );
             let _ = fs::remove_dir_all(&root);
         }
+    }
+
+    /// Every record of the test sweep's 2 × 4 grid that `shard` owns.
+    fn owned_records(shard: ShardSpec) -> Vec<JournalRecord> {
+        let n_points = points().len();
+        (0..2)
+            .flat_map(|module| (0..n_points).map(move |point| (module, point)))
+            .filter(|&(module, point)| {
+                slot_shard(module, point, n_points, shard.count) == shard.index
+            })
+            .map(|(module, point)| JournalRecord {
+                module,
+                point,
+                result: synthetic_result(module, point, 7),
+            })
+            .collect()
+    }
+
+    /// Resumes the test sweep over `dir`, keeping only the verdict.
+    fn resume_verdict(
+        config: &ExperimentConfig,
+        dir: &Path,
+        shard: Option<ShardSpec>,
+    ) -> Result<(), CheckpointError> {
+        open(config, dir, shard).map(|_| ())
+    }
+
+    /// Builds shard journals of the test sweep under `root` (shard 0
+    /// gets `extra` on top of its own records) and merges them.
+    fn merge_with_extra(root: &Path, extra: JournalRecord) -> Result<usize, CheckpointError> {
+        let config = two_module_config();
+        let inputs: Vec<PathBuf> = (0..2u32)
+            .map(|index| {
+                let shard = ShardSpec { index, count: 2 };
+                let mut records = owned_records(shard);
+                if index == 0 {
+                    records.push(extra.clone());
+                }
+                let path = root.join(format!("shard-{index}.journal"));
+                write_synthetic_journal(&path, &config, &points(), Some(shard), &records);
+                path
+            })
+            .collect();
+        merge_sweep_journals(&inputs, &root.join("merged.journal"))
+    }
+
+    #[test]
+    fn a_record_outside_the_grid_is_corrupt_on_resume_and_in_merge() {
+        // Shard 0 of 2 would own both slots (2 · 4 + 0 and 4 are even),
+        // so only the grid check can refuse them.
+        let config = two_module_config();
+        for (module, point) in [(2usize, 0usize), (0, 4)] {
+            let stray = JournalRecord {
+                module,
+                point,
+                result: synthetic_result(module, point, 7),
+            };
+            let dir = scratch("stray-resume");
+            let records = [
+                owned_records(ShardSpec { index: 0, count: 1 }),
+                vec![stray.clone()],
+            ];
+            write_synthetic_journal(
+                &journal_path(&dir),
+                &config,
+                &points(),
+                None,
+                &records.concat(),
+            );
+            match resume_verdict(&config, &dir, None) {
+                Err(CheckpointError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("grid"), "{detail}")
+                }
+                other => {
+                    panic!("slot ({module}, {point}) must be corrupt on resume, got {other:?}")
+                }
+            }
+            let root = scratch("stray-merge");
+            match merge_with_extra(&root, stray) {
+                Err(CheckpointError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("grid"), "{detail}")
+                }
+                other => {
+                    panic!("slot ({module}, {point}) must be corrupt in a merge, got {other:?}")
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn a_record_its_shard_does_not_own_is_corrupt_on_resume_and_in_merge() {
+        // Slot (0, 1) is flattened slot 1: shard 1 of 2 owns it.
+        let config = two_module_config();
+        let shard = ShardSpec { index: 0, count: 2 };
+        let foreign = JournalRecord {
+            module: 0,
+            point: 1,
+            result: synthetic_result(0, 1, 7),
+        };
+        let dir = scratch("foreign-resume");
+        let records = [owned_records(shard), vec![foreign.clone()]];
+        write_synthetic_journal(
+            &journal_path(&dir),
+            &config,
+            &points(),
+            Some(shard),
+            &records.concat(),
+        );
+        match resume_verdict(&config, &dir, Some(shard)) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("own"), "{detail}")
+            }
+            other => panic!("a foreign slot must be corrupt on resume, got {other:?}"),
+        }
+        let root = scratch("foreign-merge");
+        match merge_with_extra(&root, foreign) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("own"), "{detail}")
+            }
+            other => panic!("a foreign slot must be corrupt in a merge, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -23,12 +23,16 @@
 //!
 //! # Entry points
 //!
-//! [`run_sweep_on`] is the one place a sweep runs, on an explicit pool,
-//! retry policy, clock and worker count. If the session has an armed
-//! checkpoint context (fresh, resumed or shard-worker; see
-//! [`crate::checkpoint`]) the sweep is journaled there; otherwise the
-//! plain grid runs. [`run_sweep`] is `run_sweep_on` with the session's
-//! defaults, and figure runners reach it through
+//! [`run_sweep_on`] is the only code that schedules a sweep, on an
+//! explicit pool, retry policy, clock and worker count, for unarmed,
+//! fresh, resumed and shard-worker sessions alike. On a session with an
+//! armed checkpoint context (see [`crate::checkpoint`]) it first opens
+//! the sweep's journal, which hands back the slots already replayed
+//! from disk and says which slots this process owns; it then runs only
+//! the slots still owed, appends each fresh result to the journal as it
+//! lands, assembles the outcomes and records coverage once, and has
+//! the journal compact itself. [`run_sweep`] is `run_sweep_on` with the
+//! session's defaults, and figure runners reach it through
 //! [`sweep_trial_samples`](crate::backend::sweep_trial_samples). A fleet
 //! run at a single N is a one-point sweep. [`collect_group_samples_serial`]
 //! is the serial reference the identity tests compare against.
@@ -96,7 +100,7 @@
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use simra_analog::params::NOMINAL_VPP;
@@ -107,6 +111,7 @@ use simra_dram::{DramModule, Rng};
 use simra_faults::{FaultPlan, ModuleFaultKind};
 use simra_telemetry::{Counter, Histogram, Recorder};
 
+use crate::checkpoint::{CheckpointError, CheckpointSession, SweepJournal};
 use crate::config::{ExperimentConfig, ModuleUnderTest};
 use crate::pool::{panic_message, FleetPool};
 use crate::session::Session;
@@ -352,9 +357,9 @@ struct FleetTelemetry {
     task_completed: Counter,
     task_failed: Counter,
     task_panicked: Counter,
-    /// Module chains lost whole (a panic escaped the per-slot
-    /// catch_unwind, e.g. in a slot observer) and degraded to per-slot
-    /// failures.
+    /// Module chains lost to a panic that escaped the per-slot
+    /// catch_unwind (e.g. from the clock); the slots they never
+    /// finished degrade to per-slot failures.
     chain_panicked: Counter,
     deadline_tripped: Counter,
     /// (module × point) tasks submitted as one grid.
@@ -399,6 +404,9 @@ struct SweepCtx<'a, P, F> {
     points: &'a [SweepPoint<P>],
     op: &'a F,
     telemetry: &'a FleetTelemetry,
+    /// The sweep's journal on an armed session: each fresh result is
+    /// appended the moment its slot completes.
+    journal: Option<&'a SweepJournal>,
 }
 
 /// One chain's group draw at `n`: the groups [`sample_groups`] drew from
@@ -688,47 +696,35 @@ where
     }
 }
 
-/// Callback handed each fresh `(module, point, result)` the moment the
-/// slot completes — the checkpoint journal's write-ahead hook.
-pub(crate) type SlotObserver<'a> = &'a (dyn Fn(usize, usize, &ModuleResult) + Sync);
-
-/// One module's chain: every *scheduled* sweep point in order, on one
-/// pooled rig and one list of group draws, at most one per distinct N
-/// and dropped with the chain. `skip[k]` masks out point `k` (its slot
-/// stays `None`) — the checkpoint layer uses this to schedule only the
-/// points a resumed run still owes. Skipping is invisible to the points
-/// that do run: a draw is a pure function of `(config, module, N)`
-/// ([`module_stream_seed`]), made lazily by the first scheduled task at
-/// its N, so a masked chain produces bit-identical results for the
-/// slots it executes and draws nothing at an N it never runs.
-/// `observer` (if any) sees each fresh result as `(module, point,
-/// result)` the moment the slot completes — the checkpoint journal's
-/// write-ahead hook.
+/// One module's chain: every point it still owes (`owed[k]`), in order,
+/// on one pooled rig and one list of group draws, at most one per
+/// distinct N and dropped with the chain. Each fresh result goes to the
+/// journal, if any, and then into `slots[k]`, so a chain lost to a
+/// panic keeps the slots it finished. Skipping is invisible to the
+/// points that do run: a draw is a pure function of `(config, module,
+/// N)` ([`module_stream_seed`]), made lazily by the first scheduled
+/// task at its N, so a masked chain produces bit-identical results for
+/// the slots it executes and draws nothing at an N it never runs.
 fn run_chain<P, F>(
     ctx: &SweepCtx<'_, P, F>,
     index: usize,
-    skip: Option<&[bool]>,
-    observer: Option<SlotObserver<'_>>,
-) -> Vec<Option<ModuleResult>>
-where
+    owed: &[bool],
+    slots: &Mutex<Vec<Option<ModuleResult>>>,
+) where
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
 {
     let mut rig: Option<DramModule> = None;
     let mut draws: Vec<GroupDraw> = Vec::new();
-    ctx.points
-        .iter()
-        .enumerate()
-        .map(|(point_index, point)| {
-            if skip.is_some_and(|s| s[point_index]) {
-                return None;
-            }
-            let result = run_slot(ctx, index, point, &mut rig, &mut draws);
-            if let Some(observe) = observer {
-                observe(index, point_index, &result);
-            }
-            Some(result)
-        })
-        .collect()
+    for (point_index, point) in ctx.points.iter().enumerate() {
+        if !owed[point_index] {
+            continue;
+        }
+        let result = run_slot(ctx, index, point, &mut rig, &mut draws);
+        if let Some(journal) = ctx.journal {
+            journal.append(index, point_index, &result);
+        }
+        slots.lock().unwrap_or_else(PoisonError::into_inner)[point_index] = Some(result);
+    }
 }
 
 /// Resolves the worker count from an (injected) `SIMRA_THREADS` value:
@@ -780,97 +776,29 @@ impl FleetCoverage {
     }
 }
 
-/// The partial-grid sweep engine underneath [`run_sweep_on`] and the
-/// checkpoint layer's resume path: runs one chain per module over
-/// `points`, masking out `(module, point)` slots where
-/// `skip[module][point]` is true, and reporting each fresh result to
-/// `observer` as it lands. Returns the chain-major `[module][point]`
-/// matrix with `None` in masked slots.
-///
-/// Task telemetry counts *scheduled* slots only, so a resume that owes
-/// three tasks queues three tasks. Session coverage is **not** recorded
-/// here — callers account for it once they hold the full (replayed +
-/// fresh) picture.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_grid_on<P, F>(
-    pool: &FleetPool,
-    session: &Session,
-    points: &[SweepPoint<P>],
-    policy: FleetPolicy,
-    clock: &dyn FleetClock,
-    workers: usize,
-    op: F,
-    skip: Option<&[Vec<bool>]>,
-    observer: Option<SlotObserver<'_>>,
-) -> Vec<Vec<Option<ModuleResult>>>
-where
-    P: Sync,
-    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
-{
-    let config = session.config();
-    let fault_free = FaultPlan::default();
-    let plan = config.faults.as_ref().unwrap_or(&fault_free);
-    let telemetry = FleetTelemetry::new(session.recorder());
-    let modules = config.modules.len();
-    let scheduled = match skip {
-        None => (modules * points.len()) as u64,
-        Some(mask) => mask
-            .iter()
-            .map(|row| row.iter().filter(|s| !**s).count() as u64)
-            .sum(),
-    };
-    telemetry.grid_tasks.add(scheduled);
-    let ctx = SweepCtx {
-        session,
-        config,
-        plan,
-        policy,
-        clock,
-        points,
-        op: &op,
-        telemetry: &telemetry,
-    };
-    let chains: Vec<Mutex<Option<Vec<Option<ModuleResult>>>>> =
-        (0..modules).map(|_| Mutex::new(None)).collect();
-    let pool_verdict = pool.run_tasks(modules, workers, |index| {
-        let results = run_chain(&ctx, index, skip.map(|s| s[index].as_slice()), observer);
-        *chains[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(results);
-    });
-    chains
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(results) => results,
-                // The chain task panicked outside `run_slot`'s
-                // catch_unwind (e.g. a poisoned observer) and never
-                // stored its results. Degrade that module to per-slot
-                // panic failures instead of aborting the sweep — the
-                // other chains' results are intact, and a checkpointed
-                // run re-schedules these slots on resume.
-                None => {
-                    let message = pool_verdict
-                        .as_ref()
-                        .err()
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "fleet chain vanished without a panic".into());
-                    telemetry.chain_panicked.incr();
-                    (0..points.len())
-                        .map(|point| {
-                            if skip.is_some_and(|s| s[index][point]) {
-                                None
-                            } else {
-                                Some(ModuleResult::Failed {
-                                    attempts: 1,
-                                    cause: FailureCause::Panic(message.clone()),
-                                })
-                            }
-                        })
-                        .collect()
-                }
-            }
-        })
-        .collect()
+/// The placeholder filling the outcome slots a shard worker does not
+/// own. It is never journaled (only fresh results of owned slots are
+/// appended); its only job is to keep the outcome grid rectangular so
+/// the worker's figure runners — each run once, as in any campaign —
+/// can digest the sweep. Their tables are garbage for unowned slots,
+/// but a worker's stdout is discarded, and it exits after the last
+/// figure sweep: only its journal matters. The sample must be finite:
+/// a non-finite sample would trip the finite-samples check in
+/// `BoxStats::from_samples`. The `attempts: 0` marker distinguishes it
+/// from any real result.
+fn unowned_slot() -> ModuleResult {
+    ModuleResult::Completed {
+        samples: vec![0.0],
+        attempts: 0,
+    }
+}
+
+/// Ends the process on a checkpoint failure, with the typed error's
+/// message and code 2: the user asked for durable checkpoints, and
+/// carrying on without them would silently break the resume contract.
+fn checkpoint_failure(sweep_id: &str, e: CheckpointError) -> ! {
+    eprintln!("error: checkpoint failure in {sweep_id}: {e}");
+    std::process::exit(2);
 }
 
 /// The one sweep entry point: runs `op` over the whole (module × point)
@@ -880,14 +808,21 @@ where
 /// Returns one [`FleetOutcome`] per point, in point order.
 ///
 /// When the session has an armed checkpoint context
-/// ([`Session::arm_checkpoints`]), the sweep is journaled and — on a
-/// resumed session — fast-forwarded through its journal; a shard-worker
-/// session runs only the slots its shard owns (see [`crate::checkpoint`]).
-/// A checkpoint failure exits the process with the typed error's message
-/// and code 2: the user asked for durable checkpoints, and carrying on
-/// without them would silently break the resume contract. The `P: Debug`
-/// bound exists for the checkpoint manifest, which fingerprints each
-/// point's parameters.
+/// ([`Session::arm_checkpoints`]), the sweep's journal is opened first:
+/// the slots it replays do not run again, and on a shard-worker session
+/// the slots other shards own do not run at all (their outcome slots
+/// hold an inert placeholder). Every fresh result is journaled as it
+/// lands, and the journal is compacted once the outcomes are assembled.
+/// A checkpoint failure exits the process with the typed error's
+/// message and code 2. The `P: Debug` bound exists for the checkpoint
+/// manifest, which fingerprints each point's parameters.
+///
+/// Task telemetry counts *scheduled* slots only: a resume that owes
+/// three tasks queues three, and one that owes none registers no
+/// `fleet/*` series. Session coverage is recorded once per outcome,
+/// replayed and fresh slots alike, except on a shard worker, whose
+/// outcomes are scaffolding; the coordinator's merged replay records
+/// the coverage.
 ///
 /// The outcome is identical for identical `(config, points, policy)`
 /// regardless of `pool`, `workers`, scheduling, or checkpointing — and
@@ -914,36 +849,98 @@ where
     for point in points {
         assert_group_size(point.n);
     }
-    if let Some(checkpoint) = session.checkpoint() {
-        let sweep_id = checkpoint.next_sweep_id();
-        return crate::checkpoint::run_sweep_checkpointed(
-            checkpoint, &sweep_id, pool, session, points, policy, clock, workers, op,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: checkpoint failure in {sweep_id}: {e}");
-            std::process::exit(2);
+    let config = session.config();
+    let modules = config.modules.len();
+    // [module][point], holding every replayed result from the start.
+    let (journal, mut slots) = match session.checkpoint() {
+        Some(checkpoint) => {
+            let sweep_id = checkpoint.next_sweep_id();
+            let (journal, replayed) = checkpoint
+                .open_sweep(sweep_id.clone(), config, session.recorder(), points)
+                .unwrap_or_else(|e| checkpoint_failure(&sweep_id, e));
+            (Some(journal), replayed)
+        }
+        None => (None, vec![vec![None; points.len()]; modules]),
+    };
+    // A slot is owed unless it was replayed or another shard owns it.
+    let owed: Vec<Vec<bool>> = (0..modules)
+        .map(|m| {
+            let owns = |p| journal.as_ref().is_none_or(|j| j.owns(m, p));
+            (0..points.len())
+                .map(|p| slots[m][p].is_none() && owns(p))
+                .collect()
+        })
+        .collect();
+    let scheduled = owed.iter().flatten().filter(|&&owed| owed).count();
+    if scheduled > 0 {
+        let telemetry = FleetTelemetry::new(session.recorder());
+        telemetry.grid_tasks.add(scheduled as u64);
+        let fault_free = FaultPlan::default();
+        let ctx = SweepCtx {
+            session,
+            config,
+            plan: config.faults.as_ref().unwrap_or(&fault_free),
+            policy,
+            clock,
+            points,
+            op: &op,
+            telemetry: &telemetry,
+            journal: journal.as_ref(),
+        };
+        // A chain locks only its own row, and only to store one result,
+        // so a poisoned row is still whole.
+        let rows: Vec<Mutex<Vec<Option<ModuleResult>>>> =
+            slots.into_iter().map(Mutex::new).collect();
+        let verdict = pool.run_tasks(modules, workers, |index| {
+            run_chain(&ctx, index, &owed[index], &rows[index]);
         });
+        slots = rows
+            .into_iter()
+            .map(|row| row.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        if let Err(lost) = verdict {
+            // A chain panicked outside `run_slot`'s catch_unwind. Degrade
+            // the slots it never finished to panic failures instead of
+            // aborting the sweep: the other chains' results are intact,
+            // and these were never journaled, so a checkpointed run
+            // re-runs them on resume.
+            let message = lost.to_string();
+            for (row, owed) in slots.iter_mut().zip(&owed) {
+                let mut chain_lost = false;
+                for (slot, _) in row.iter_mut().zip(owed).filter(|(s, &o)| o && s.is_none()) {
+                    chain_lost = true;
+                    *slot = Some(ModuleResult::Failed {
+                        attempts: 1,
+                        cause: FailureCause::Panic(message.clone()),
+                    });
+                }
+                if chain_lost {
+                    telemetry.chain_panicked.incr();
+                }
+            }
+        }
     }
-    let grid = run_sweep_grid_on(
-        pool, session, points, policy, clock, workers, op, None, None,
-    );
-    let mut chains: Vec<std::vec::IntoIter<Option<ModuleResult>>> =
-        grid.into_iter().map(Vec::into_iter).collect();
     let outcomes: Vec<FleetOutcome> = (0..points.len())
-        .map(|_| FleetOutcome {
-            slots: chains
+        .map(|point| FleetOutcome {
+            slots: slots
                 .iter_mut()
-                .map(|chain| {
-                    chain
-                        .next()
-                        .expect("fleet chain lost a sweep point")
-                        .expect("unmasked grid leaves no slot empty")
-                })
+                .map(|row| row[point].take().unwrap_or_else(unowned_slot))
                 .collect(),
         })
         .collect();
-    for outcome in &outcomes {
-        session.record_coverage(outcome);
+    // A shard worker's outcomes are scaffolding around the slots it
+    // owns; the coordinator's merged replay records the coverage.
+    let worker = session.checkpoint().and_then(CheckpointSession::shard);
+    if worker.is_none() {
+        for outcome in &outcomes {
+            session.record_coverage(outcome);
+        }
+    }
+    if let Some(journal) = journal {
+        let sweep_id = journal.sweep_id().to_owned();
+        journal
+            .compact()
+            .unwrap_or_else(|e| checkpoint_failure(&sweep_id, e));
     }
     outcomes
 }
@@ -1139,52 +1136,151 @@ mod tests {
         config
     }
 
+    /// A fresh path under the system temp dir for one test's checkpoint
+    /// directory.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("simra-fleet-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A clock whose `panic_at`-th reading panics. `run_slot` reads the
+    /// clock once per attempt, outside its catch_unwind, so the panic
+    /// takes the whole chain down: the one failure per-slot isolation
+    /// cannot catch.
+    struct FailingClock {
+        reads: AtomicU64,
+        panic_at: u64,
+    }
+
+    impl FailingClock {
+        fn at(panic_at: u64) -> Self {
+            FailingClock {
+                reads: AtomicU64::new(0),
+                panic_at,
+            }
+        }
+    }
+
+    impl FleetClock for FailingClock {
+        fn now_ms(&self) -> f64 {
+            let read = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
+            if read == self.panic_at {
+                panic!("clock failed at read {read}");
+            }
+            0.0
+        }
+    }
+
     #[test]
-    fn panicking_observer_degrades_one_chain_and_spares_the_rest() {
-        // A panic that escapes `run_slot`'s catch_unwind (the slot
-        // observer runs outside it) used to abort the whole process via
-        // the pool's re-raise. Now it degrades that module's chain to
-        // per-slot panic failures while the other chains complete.
-        let config = two_module_config();
+    fn panicking_clock_degrades_one_chain_and_spares_the_rest() {
+        // A panic that escapes `run_slot`'s catch_unwind used to abort
+        // the whole process via the pool's re-raise. Now it degrades the
+        // slots its chain never finished to panic failures while the
+        // other chains complete. One worker runs module 0's chain first,
+        // so the clock's first reading takes module 0 down before it
+        // finishes any slot.
         let points: Vec<SweepPoint<f64>> =
             [2u32, 4].iter().map(|&n| SweepPoint::new(n, 1.0)).collect();
-        let clock = MockClock::new();
         let pool = FleetPool::new(2);
-        let observer: SlotObserver<'_> = &|module, _point, _result| {
-            if module == 0 {
-                panic!("observer rejected module 0");
-            }
-        };
-        let grid = run_sweep_grid_on(
+        let recorder = Recorder::new();
+        recorder.enable();
+        let session = Session::recorded_by(two_module_config(), recorder.clone());
+        let outcomes = run_sweep_on(
             &pool,
-            &session_for(&config),
+            &session,
             &points,
             FleetPolicy::default(),
-            &clock,
-            2,
+            &FailingClock::at(1),
+            1,
             sweep_probe_op,
-            None,
-            Some(observer),
         );
-        assert_eq!(grid.len(), 2);
-        for slot in &grid[0] {
-            match slot {
-                Some(ModuleResult::Failed {
+        assert_eq!(outcomes.len(), 2);
+        for outcome in &outcomes {
+            match &outcome.slots[0] {
+                ModuleResult::Failed {
                     attempts: 1,
                     cause: FailureCause::Panic(msg),
-                }) => assert!(msg.contains("observer rejected module 0"), "{msg}"),
+                } => assert!(msg.contains("clock failed at read 1"), "{msg}"),
                 other => panic!("module 0 must degrade to panic failures, got {other:?}"),
             }
-        }
-        for slot in &grid[1] {
             assert!(
-                matches!(slot, Some(ModuleResult::Completed { .. })),
-                "module 1 must complete despite module 0's chain panic: {slot:?}"
+                matches!(outcome.slots[1], ModuleResult::Completed { .. }),
+                "module 1 must complete despite module 0's chain panic: {:?}",
+                outcome.slots[1]
             );
         }
+        assert_eq!(recorder.counter("fleet", "chain_panicked").get(), 1);
         // A later job on the same budget still runs.
         pool.run_tasks(3, 2, |_| {})
             .expect("pool usable after a chain panic");
+    }
+
+    #[test]
+    fn a_lost_chain_stays_out_of_the_journal_and_reruns_on_resume() {
+        // One worker: module 0's chain reads the clock four times (one
+        // attempt per point), module 1's first slot reads it a fifth time
+        // and completes, and the sixth reading takes module 1's chain
+        // down with three slots unfinished. Those three degrade to panic
+        // failures in this run's outcomes but never reach the journal,
+        // so a resume re-runs them to the unarmed outcome.
+        let config = two_module_config();
+        let points: Vec<SweepPoint<f64>> = [2u32, 4, 8, 4]
+            .iter()
+            .map(|&n| SweepPoint::new(n, f64::from(n) * 0.5))
+            .collect();
+        let sweep = |session: &Session, clock: &dyn FleetClock, workers: usize| {
+            run_sweep_on(
+                FleetPool::global(),
+                session,
+                &points,
+                FleetPolicy::default(),
+                clock,
+                workers,
+                sweep_probe_op,
+            )
+        };
+        let unarmed = sweep(&session_for(&config), &MockClock::new(), 2);
+        let dir = scratch("lost-chain");
+        let armed = session_for(&config);
+        armed
+            .arm_checkpoints(&dir, false)
+            .expect("arm a fresh session");
+        let lost = sweep(&armed, &FailingClock::at(6), 1);
+        for (k, (lost, unarmed)) in lost.iter().zip(&unarmed).enumerate() {
+            assert_eq!(lost.slots[0], unarmed.slots[0], "point {k}");
+            if k == 0 {
+                assert_eq!(lost.slots[1], unarmed.slots[1]);
+            } else {
+                assert!(
+                    matches!(
+                        &lost.slots[1],
+                        ModuleResult::Failed {
+                            cause: FailureCause::Panic(_),
+                            ..
+                        }
+                    ),
+                    "point {k}: {:?}",
+                    lost.slots[1]
+                );
+            }
+        }
+        let journal = std::fs::read_to_string(dir.join("sweep-0000.journal")).unwrap();
+        assert_eq!(
+            journal.lines().count(),
+            1 + 5,
+            "manifest + the 5 finished slots"
+        );
+        assert!(!journal.contains("\"failed\""), "{journal}");
+        let recorder = Recorder::new();
+        recorder.enable();
+        let resumed = Session::recorded_by(config, recorder.clone());
+        resumed
+            .arm_checkpoints(&dir, true)
+            .expect("resume the session");
+        assert_eq!(sweep(&resumed, &MockClock::new(), 2), unarmed);
+        assert_eq!(recorder.counter("fleet", "grid_tasks").get(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1249,16 +1345,16 @@ mod tests {
 
     #[test]
     fn each_chain_draws_its_groups_once_per_n() {
-        // Module 0 runs N ∈ {2, 4, 8} (3 draws); the mask hides module
-        // 1's only N = 8 point, so it draws at N ∈ {2, 4} alone (2). An
-        // injected panic makes every module-0 task retry, and the retry
-        // must rerun the groups its first attempt drew, not draw again.
+        // Module 0 runs N ∈ {2, 4, 8} (3 draws); module 1's only N = 8
+        // point is replayed from its journal, so its masked chain draws
+        // at N ∈ {2, 4} alone (2). An injected panic makes every module-0
+        // task retry, and the retry must rerun the groups its first
+        // attempt drew, not draw again.
         let points: Vec<SweepPoint<f64>> = [2u32, 4, 2, 8, 4]
             .iter()
             .enumerate()
             .map(|(k, &n)| SweepPoint::new(n, 1.0 + k as f64))
             .collect();
-        let skip = vec![vec![false; 5], vec![false, false, false, true, false]];
         let panic_on_module_0 = FaultPlan {
             modules: vec![ModuleFault {
                 module_index: 0,
@@ -1266,46 +1362,62 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        for faults in [None, Some(panic_on_module_0)] {
-            let mut config = two_module_config();
-            config.faults = faults;
-            let retried = config.faults.is_some();
-            let recorder = simra_telemetry::Recorder::new();
-            recorder.enable();
-            let session = Session::recorded_by(config.clone(), recorder.clone());
-            let grid = run_sweep_grid_on(
+        let sweep = |session: &Session| {
+            run_sweep_on(
                 FleetPool::global(),
-                &session,
+                session,
                 &points,
                 FleetPolicy::default(),
                 &MockClock::new(),
                 2,
                 sweep_probe_op,
-                Some(&skip),
-                None,
-            );
+            )
+        };
+        for (tag, faults) in [("draws", None), ("draws-retried", Some(panic_on_module_0))] {
+            let mut config = two_module_config();
+            config.faults = faults;
+            let retried = config.faults.is_some();
+            // Journal the whole grid, then keep the manifest and module
+            // 1's N = 8 record alone (records are in (module, point)
+            // order): the journal of a run killed right after that slot.
+            let dir = scratch(tag);
+            let fresh = session_for(&config);
+            fresh
+                .arm_checkpoints(&dir, false)
+                .expect("arm a fresh session");
+            sweep(&fresh);
+            let path = dir.join("sweep-0000.journal");
+            let journal = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = journal.lines().collect();
+            let kept = format!("{}\n{}\n", lines[0], lines[1 + points.len() + 3]);
+            std::fs::write(&path, kept).unwrap();
+            let recorder = Recorder::new();
+            recorder.enable();
+            let session = Session::recorded_by(config.clone(), recorder.clone());
+            session
+                .arm_checkpoints(&dir, true)
+                .expect("resume the session");
+            let outcomes = sweep(&session);
+            assert_eq!(recorder.counter("fleet", "grid_tasks").get(), 9);
             assert_eq!(recorder.counter("fleet", "group_draws").get(), 5);
             let per_module = config.groups_per_module();
-            for (module, chain) in grid.iter().enumerate() {
-                for (k, (point, slot)) in points.iter().zip(chain).enumerate() {
-                    if skip[module][k] {
-                        assert!(slot.is_none(), "masked slot ran: module {module} point {k}");
-                        continue;
-                    }
-                    let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
-                        sweep_probe_op(&point.params, s, g, r)
-                    });
+            for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
+                let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                    sweep_probe_op(&point.params, s, g, r)
+                });
+                for (module, slot) in outcome.slots.iter().enumerate() {
                     let attempts = if retried && module == 0 { 2 } else { 1 };
                     assert_eq!(
-                        slot.as_ref(),
-                        Some(&ModuleResult::Completed {
+                        slot,
+                        &ModuleResult::Completed {
                             samples: serial[module * per_module..][..per_module].to_vec(),
                             attempts,
-                        }),
+                        },
                         "module {module} point {k} (retried: {retried})"
                     );
                 }
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -133,9 +133,9 @@ impl Session {
     }
 
     /// Arms a *shard-worker* checkpoint session: like
-    /// [`Session::arm_checkpoints`], but every sweep runs through the
-    /// sharded path, owning only the slots
-    /// [`slot_shard`](crate::checkpoint::slot_shard) assigns to `shard`.
+    /// [`Session::arm_checkpoints`], but every sweep's journal owns only
+    /// the slots [`slot_shard`](crate::checkpoint::slot_shard) assigns
+    /// to `shard`, so only those run.
     pub fn arm_sharded_checkpoints(
         &self,
         dir: &Path,
@@ -163,10 +163,11 @@ impl Session {
     }
 
     /// Records one fleet outcome into the session's coverage
-    /// accounting. The checkpoint layer calls this for *merged*
-    /// outcomes (journal-replayed slots plus freshly executed ones), so
-    /// a resumed run's coverage footer counts every module task exactly
-    /// once — byte-identical to an uninterrupted run.
+    /// accounting. [`run_sweep_on`](crate::fleet::run_sweep_on) calls
+    /// this once per assembled outcome (journal-replayed slots plus
+    /// freshly executed ones), so a resumed run's coverage footer
+    /// counts every module task exactly once — byte-identical to an
+    /// uninterrupted run.
     pub(crate) fn record_coverage(&self, outcome: &FleetOutcome) {
         let mut state = self.coverage.lock().expect("session coverage poisoned");
         for (index, slot) in outcome.slots.iter().enumerate() {

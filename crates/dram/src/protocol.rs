@@ -28,19 +28,6 @@ pub enum TimingRule {
     TRfc,
 }
 
-impl TimingRule {
-    /// The rule's nominal value (ns) under `t`.
-    pub fn nominal_ns(self, t: &TimingParams) -> f64 {
-        match self {
-            TimingRule::TRas => t.t_ras_ns,
-            TimingRule::TRp => t.t_rp_ns,
-            TimingRule::TRcd => t.t_rcd_ns,
-            TimingRule::TWr => t.t_wr_ns,
-            TimingRule::TRfc => t.t_rfc_ns,
-        }
-    }
-}
-
 impl std::fmt::Display for TimingRule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {

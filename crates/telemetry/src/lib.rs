@@ -138,12 +138,6 @@ impl Recorder {
         self.inner.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Turns recording off. Registered series and their values survive;
-    /// only new recordings stop.
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Relaxed);
-    }
-
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
