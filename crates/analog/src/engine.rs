@@ -8,11 +8,11 @@
 use std::cell::RefCell;
 use std::fmt;
 
+use simra_dram::rng::box_muller;
 use simra_dram::{ApaTiming, BitRow, Rng, Subarray};
 use simra_telemetry::{Counter, Recorder};
 
 use crate::charge::{bitline_deltas_batch_into, bitline_deltas_into_scalar};
-use crate::math::{box_muller, standard_normal};
 use crate::params::{CircuitParams, OperatingConditions};
 use crate::sense::{resolve, restore_probability, survival_probability};
 
@@ -331,7 +331,7 @@ impl ApaEngine {
         let offsets = subarray.sense_offsets();
         let biases = subarray.bias_directions();
         let resolved = BitRow::from_bits(result.deltas.iter().enumerate().map(|(c, &delta)| {
-            let noise = standard_normal(rng) * sigma;
+            let noise = rng.standard_normal() * sigma;
             resolve(delta, offsets[c] as f64, noise, self.biased_amps, biases[c])
         }));
         result.resolved = resolved;
@@ -374,7 +374,7 @@ impl ApaEngine {
             .map(|_| {
                 let resolved =
                     BitRow::from_bits(base.deltas.iter().enumerate().map(|(c, &delta)| {
-                        let noise = standard_normal(rng) * sigma;
+                        let noise = rng.standard_normal() * sigma;
                         resolve(delta, offsets[c] as f64, noise, self.biased_amps, biases[c])
                     }));
                 SenseResult {

@@ -1,46 +1,5 @@
-//! Small numeric helpers: the standard normal CDF, its inverse, and the
-//! Box–Muller transform behind every Gaussian draw in the analog model.
-
-use simra_dram::Rng;
-
-/// One Box–Muller transform: maps uniforms `u1 ∈ (0, 1]` and
-/// `u2 ∈ [0, 1)` to a standard normal sample.
-///
-/// This is the single shared form of the transform — [`standard_normal`]
-/// (the engine's sampled-noise draws), the engine's hashed per-group
-/// spread, and the Monte-Carlo sampler all route through it. The `TAU`
-/// constant is bit-identical to the `2.0 * PI` the call sites
-/// historically spelled out (doubling only bumps the exponent), so
-/// consolidating here changed no output.
-#[inline]
-pub fn box_muller(u1: f64, u2: f64) -> f64 {
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// One standard normal sample from `rng`, consuming exactly two uniform
-/// draws: `gen_range(EPSILON..1.0)` then `gen_range(0.0..1.0)`.
-///
-/// The draw forms are load-bearing: every pre-existing Box–Muller site
-/// that samples from a caller RNG used exactly this pair, so the stream
-/// position after a call is unchanged from the historical inline code.
-/// (The surrogate backend keeps its own `(1 − u)`-flavored convention —
-/// its raw `gen()` draws are part of its replay contract.)
-#[inline]
-pub fn standard_normal(rng: &mut Rng) -> f64 {
-    let u1 = rng.gen_range(f64::EPSILON..1.0);
-    let u2 = rng.gen_range(0.0..1.0);
-    box_muller(u1, u2)
-}
-
-/// Fills `out` with standard normal samples, drawing in slice order —
-/// element `i` consumes the same two uniforms a loop of
-/// [`standard_normal`] calls would, so batched callers replay the exact
-/// scalar stream.
-pub fn fill_standard_normals(rng: &mut Rng, out: &mut [f64]) {
-    for z in out.iter_mut() {
-        *z = standard_normal(rng);
-    }
-}
+//! Small numeric helpers: the standard normal CDF and its inverse. Normal
+//! draws live with the generator, in `simra_dram::rng`.
 
 /// Error function, Abramowitz–Stegun 7.1.26 (max error ≈ 1.5e-7).
 pub fn erf(x: f64) -> f64 {
@@ -146,60 +105,5 @@ mod tests {
     #[should_panic(expected = "phi_inv requires")]
     fn phi_inv_rejects_bounds() {
         phi_inv(0.0);
-    }
-
-    #[test]
-    fn box_muller_known_points() {
-        // u2 = 0.25 → cos(π/2) ≈ 0 (exactly 0 up to cos rounding).
-        assert!(box_muller(1.0, 0.25).abs() < 1e-15);
-        // u1 = e^{-1/2} → radius 1; u2 = 0 → cos(0) = 1.
-        assert!((box_muller((-0.5f64).exp(), 0.0) - 1.0).abs() < 1e-12);
-        // u2 = 0.5 flips the sign.
-        assert!((box_muller((-0.5f64).exp(), 0.5) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn box_muller_is_bit_identical_to_the_inline_form() {
-        // The historical call sites spelled `2.0 * PI`; the helper uses
-        // `TAU`. Doubling PI is exact in f64, so the two must agree to
-        // the last bit for arbitrary uniforms.
-        let mut u = 0.123_456_789_f64;
-        for _ in 0..1000 {
-            let u1 = u.max(f64::EPSILON);
-            let u2 = (u * 7.77).fract();
-            let inline = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            assert_eq!(inline.to_bits(), box_muller(u1, u2).to_bits());
-            u = (u * 997.0).fract();
-        }
-    }
-
-    #[test]
-    fn standard_normal_pins_the_draw_convention() {
-        // Exactly two uniforms per sample, in the historical forms, so
-        // the stream position matches the pre-consolidation inline code.
-        let mut a = Rng::seed_from_u64(42);
-        let mut b = Rng::seed_from_u64(42);
-        for _ in 0..64 {
-            let z = standard_normal(&mut a);
-            let u1: f64 = b.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = b.gen_range(0.0..1.0);
-            let inline = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            assert_eq!(z.to_bits(), inline.to_bits());
-        }
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same residual stream");
-    }
-
-    #[test]
-    fn fill_matches_a_loop_of_scalar_draws() {
-        let mut a = Rng::seed_from_u64(7);
-        let mut b = Rng::seed_from_u64(7);
-        let mut batch = [0.0; 33];
-        fill_standard_normals(&mut a, &mut batch);
-        for (i, &z) in batch.iter().enumerate() {
-            assert_eq!(z.to_bits(), standard_normal(&mut b).to_bits(), "lane {i}");
-        }
-        // Sanity: the samples look like a standard normal.
-        let mean = batch.iter().sum::<f64>() / batch.len() as f64;
-        assert!(mean.abs() < 1.0, "mean {mean}");
     }
 }

@@ -11,7 +11,6 @@
 
 use simra_dram::Rng;
 
-use crate::math::{fill_standard_normals, standard_normal};
 use crate::params::CircuitParams;
 
 /// VDD used to convert normalized perturbations to millivolts in reports.
@@ -113,7 +112,9 @@ pub fn run_point(
     while base < sets {
         let width = SET_LANES.min(sets - base);
         let block = &mut normals[..draws_per_set * width];
-        fill_standard_normals(&mut rng, block);
+        for z in block.iter_mut() {
+            *z = rng.standard_normal();
+        }
         let mut num = [0.0f64; SET_LANES];
         let mut cap_sum = [0.0f64; SET_LANES];
         for (i, &v) in voltages.iter().enumerate() {
@@ -159,8 +160,8 @@ pub fn run_point_scalar(
         let mut cap_sum = 0.0;
         for &v in &voltages {
             // Capacitor and transistor parameters each varied by ±sigma.
-            let cap = (1.0 + standard_normal(&mut rng) * sigma).max(0.05);
-            let xfer = (1.0 + standard_normal(&mut rng) * sigma).max(0.0);
+            let cap = (1.0 + rng.standard_normal() * sigma).max(0.05);
+            let xfer = (1.0 + rng.standard_normal() * sigma).max(0.0);
             num += cap * xfer * (v - 0.5);
             cap_sum += cap;
         }

@@ -4,10 +4,10 @@
 //! Usage:
 //!
 //! ```text
-//! repro                         # reduced scale (default; ~0.9 s)
+//! repro                         # reduced scale (default; ~0.7 s)
 //! repro quick                   # smoke scale (seconds)
 //! repro paper                   # the paper's full population
-//!                               # (1 556.6 s, 1 661 MB peak RSS)
+//!                               # (1 197.2 s, 1 716 MB peak RSS)
 //! repro paper --backend surrogate  # the full population on the
 //!                               # calibrated table (~2 s)
 //! repro <scale> --timings       # also print per-figure wall-clock to stderr

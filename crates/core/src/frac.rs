@@ -8,7 +8,6 @@
 //! rows there with complementary all-0/all-1 pairs instead
 //! ([`neutral_plan`]).
 
-use simra_analog::math::standard_normal;
 use simra_bender::TestSetup;
 use simra_dram::{BankId, BitRow, Rng, RowAddr};
 
@@ -57,9 +56,10 @@ pub fn frac_row(
     let geometry = *setup.module().geometry();
     let (sa_id, local) = geometry.split_row(row)?;
     let sa = setup.module_mut().bank_mut(bank)?.subarray(sa_id);
-    for v in sa.row_voltages_mut(local) {
-        let residual = standard_normal(rng) * sigma;
-        *v = (0.5 + residual as f32).clamp(0.0, 1.0);
+    let row = sa.row_voltages_mut(local);
+    rng.fill_normals_f32(sigma, row);
+    for v in row {
+        *v = (0.5 + *v).clamp(0.0, 1.0);
     }
     sa.pin_row_faults(local);
     Ok(())
@@ -124,6 +124,60 @@ mod tests {
         assert!(near as f64 / sa.cols() as f64 > 0.99);
         for (col, &v) in volts.iter().enumerate() {
             assert!(v > 0.01 && v < 0.99, "cell {col} at rail: {v}");
+        }
+    }
+
+    /// `frac_row`'s per-cell loop before residuals were drawn in
+    /// batches, frozen as its oracle.
+    fn frac_row_oracle(setup: &mut TestSetup, bank: BankId, row: RowAddr, rng: &mut Rng) {
+        let sigma = setup.engine().params().frac_residual_sigma;
+        let geometry = *setup.module().geometry();
+        let (sa_id, local) = geometry.split_row(row).unwrap();
+        let sa = setup.module_mut().bank_mut(bank).unwrap().subarray(sa_id);
+        for v in sa.row_voltages_mut(local) {
+            let residual = rng.standard_normal() * sigma;
+            *v = (0.5 + residual as f32).clamp(0.0, 1.0);
+        }
+        sa.pin_row_faults(local);
+    }
+
+    #[test]
+    fn frac_row_matches_the_per_cell_oracle() {
+        let bank = BankId::new(0);
+        let stuck = CellFaultSpec {
+            seed: 9,
+            stuck_per_million: 200_000.0,
+            ..Default::default()
+        };
+        // The calibrated residual, and one wide enough to hit the clamp.
+        for sigma in [None, Some(2.0)] {
+            for faults in [None, Some(stuck)] {
+                let setups: [TestSetup; 2] = std::array::from_fn(|_| {
+                    let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 1);
+                    setup.set_circuit_params(sigma.map(|frac_residual_sigma| CircuitParams {
+                        frac_residual_sigma,
+                        ..CircuitParams::calibrated()
+                    }));
+                    setup.module_mut().set_fault_spec(faults);
+                    setup
+                });
+                let [mut batched, mut oracle] = setups;
+                let (mut rng, mut oracle_rng) = (Rng::seed_from_u64(11), Rng::seed_from_u64(11));
+                for row in [10, 11, 700, 1500] {
+                    let row = RowAddr::new(row);
+                    frac_row(&mut batched, bank, row, &mut rng).unwrap();
+                    frac_row_oracle(&mut oracle, bank, row, &mut oracle_rng);
+                    let bits = |setup: &mut TestSetup| -> Vec<u32> {
+                        let geometry = *setup.module().geometry();
+                        let (sa_id, local) = geometry.split_row(row).unwrap();
+                        let sa = setup.module_mut().bank_mut(bank).unwrap().subarray(sa_id);
+                        sa.row_voltages(local).iter().map(|v| v.to_bits()).collect()
+                    };
+                    let at = format!("sigma {sigma:?}, faults {faults:?}, {row:?}");
+                    assert!(bits(&mut batched) == bits(&mut oracle), "{at}");
+                }
+                assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "stream position");
+            }
         }
     }
 

@@ -15,13 +15,14 @@
 //! offsets, then per-column bias directions — the same draw order the
 //! original `Subarray::new` used, so stamped silicon is bit-identical to
 //! the pre-cache model. A cell takes four draws (two Box–Muller
-//! Gaussians), so row `r` owns draws `[4·r·cols, 4·(r+1)·cols)` and the
-//! column planes start at draw `4·rows·cols`. [`Rng::jump`] reaches any
-//! of them in O(1), which is what lets a row be stamped on its first
-//! read instead of with the whole plane: most rows of a subarray are
-//! never opened by a campaign. Fault injection (see [`crate::faults`])
-//! never draws from this stream: defect overlays come from a dedicated,
-//! salted stream so faulty and fault-free silicon share one stamp.
+//! Gaussians, through [`Rng::fill_normals_f32`]), so row `r` owns draws
+//! `[4·r·cols, 4·(r+1)·cols)` and the column planes start at draw
+//! `4·rows·cols`. [`Rng::jump`] reaches any of them in O(1), which is
+//! what lets a row be stamped on its first read instead of with the
+//! whole plane: most rows of a subarray are never opened by a
+//! campaign. Fault injection (see [`crate::faults`]) never draws from
+//! this stream: defect overlays come from a dedicated, salted stream so
+//! faulty and fault-free silicon share one stamp.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -34,12 +35,9 @@ use crate::subarray::VariationParams;
 /// Draws per cell: a capacitance and a strength Gaussian of two each.
 const DRAWS_PER_CELL: u64 = 4;
 
-/// Gaussian sample via Box–Muller; avoids pulling in a distributions crate.
-fn gaussian(rng: &mut Rng) -> f32 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-}
+/// Cells per [`Rng::fill_normals_f32`] call when stamping a row: two
+/// Gaussians each, so one call fills one stack chunk of 64.
+const CELLS_PER_FILL: usize = 32;
 
 /// The immutable variation planes of one subarray, stored structure-of-
 /// arrays so the charge-sharing inner loops run over contiguous `f32`
@@ -74,9 +72,11 @@ impl SiliconPlanes {
     pub fn stamp(rows: u32, cols: u32, variation: VariationParams, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         rng.jump(DRAWS_PER_CELL * rows as u64 * cols as u64);
-        let sense_offsets = (0..cols)
-            .map(|_| gaussian(&mut rng) * variation.sense_offset_sigma)
-            .collect();
+        let mut sense_offsets = vec![0.0; cols as usize];
+        rng.fill_normals_f32(1.0, &mut sense_offsets);
+        for offset in &mut sense_offsets {
+            *offset *= variation.sense_offset_sigma;
+        }
         let bias_direction = (0..cols).map(|_| rng.gen()).collect();
         SiliconPlanes {
             rows,
@@ -118,10 +118,18 @@ impl SiliconPlanes {
         rng.jump(DRAWS_PER_CELL * row as u64 * cols as u64);
         let mut factors = vec![0.0; 2 * cols];
         let (caps, strengths) = factors.split_at_mut(cols);
-        for (cap, strength) in caps.iter_mut().zip(strengths) {
-            *cap = (1.0 + gaussian(&mut rng) * self.variation.cell_cap_sigma).clamp(0.05, 4.0);
-            *strength =
-                (1.0 + gaussian(&mut rng) * self.variation.cell_strength_sigma).clamp(0.05, 4.0);
+        // Each cell draws its capacitance Gaussian, then its strength one.
+        let mut gaussians = [0.0; 2 * CELLS_PER_FILL];
+        for (caps, strengths) in caps
+            .chunks_mut(CELLS_PER_FILL)
+            .zip(strengths.chunks_mut(CELLS_PER_FILL))
+        {
+            let gaussians = &mut gaussians[..2 * caps.len()];
+            rng.fill_normals_f32(1.0, gaussians);
+            for ((cap, strength), g) in caps.iter_mut().zip(strengths).zip(gaussians.chunks(2)) {
+                *cap = (1.0 + g[0] * self.variation.cell_cap_sigma).clamp(0.05, 4.0);
+                *strength = (1.0 + g[1] * self.variation.cell_strength_sigma).clamp(0.05, 4.0);
+            }
         }
         factors.into_boxed_slice()
     }
@@ -252,15 +260,21 @@ pub fn stamped_planes(
 mod tests {
     use super::*;
 
-    /// The eager whole-plane stamp loop the lazy rows replaced, frozen as
-    /// their oracle: `(cap factors, strength factors)` row-major, then
-    /// sense offsets and bias directions.
+    /// The eager whole-plane stamp loop the lazy rows replaced, with its
+    /// inline libm Box–Muller, frozen as their oracle: `(cap factors,
+    /// strength factors)` row-major, then sense offsets and bias
+    /// directions.
     fn eager_stamp(
         rows: u32,
         cols: u32,
         variation: VariationParams,
         seed: u64,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<bool>) {
+        fn gaussian(rng: &mut Rng) -> f32 {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+        }
         let mut rng = Rng::seed_from_u64(seed);
         let n = rows as usize * cols as usize;
         let mut cap_factor = Vec::with_capacity(n);
