@@ -76,21 +76,7 @@ pub fn maj3_110_voltages(n: u32) -> Vec<f64> {
     v
 }
 
-/// Sets evaluated together by the batched [`run_point`] path: the normal
-/// draws for a whole block are buffered up front and the independent
-/// per-set accumulators then run as fixed-width lanes the compiler can
-/// vectorize.
-const SET_LANES: usize = 8;
-
 /// Runs the Monte-Carlo study for one (N, variation) point.
-///
-/// Sets are independent, so they are evaluated `SET_LANES` at a time:
-/// each block draws its normals into a buffer in the exact scalar order
-/// (set-major; capacitor before transistor per voltage) and then sweeps
-/// the voltage ladder once with per-set lane accumulators. Bit-identical
-/// to the frozen [`run_point_scalar`] — same draws, same per-set
-/// accumulation order, same expression shapes — which this module's
-/// tests enforce.
 pub fn run_point(
     params: &CircuitParams,
     n_rows: u32,
@@ -103,55 +89,6 @@ pub fn run_point(
     let mut rng = Rng::seed_from_u64(config.seed ^ ((n_rows as u64) << 32) ^ variation_pct as u64);
     // A zero-set study has no distribution to summarise; clamp rather
     // than panic on the degenerate configuration.
-    let sets = config.sets.max(1);
-    let mut perturbations = Vec::with_capacity(sets);
-    let mut successes = 0usize;
-    let draws_per_set = 2 * voltages.len();
-    let mut normals = vec![0.0f64; draws_per_set * SET_LANES];
-    let mut base = 0;
-    while base < sets {
-        let width = SET_LANES.min(sets - base);
-        let block = &mut normals[..draws_per_set * width];
-        for z in block.iter_mut() {
-            *z = rng.standard_normal();
-        }
-        let mut num = [0.0f64; SET_LANES];
-        let mut cap_sum = [0.0f64; SET_LANES];
-        for (i, &v) in voltages.iter().enumerate() {
-            for (lane, (num, cap_sum)) in num.iter_mut().zip(&mut cap_sum).enumerate().take(width) {
-                // Capacitor and transistor parameters each varied by
-                // ±sigma, drawn in the scalar order within the lane.
-                let z_cap = block[lane * draws_per_set + 2 * i];
-                let z_xfer = block[lane * draws_per_set + 2 * i + 1];
-                let cap = (1.0 + z_cap * sigma).max(0.05);
-                let xfer = (1.0 + z_xfer * sigma).max(0.0);
-                *num += cap * xfer * (v - 0.5);
-                *cap_sum += cap;
-            }
-        }
-        for lane in 0..width {
-            let delta = num[lane] / (params.beta + cap_sum[lane]);
-            perturbations.push(delta * VDD_VOLTS * 1000.0);
-            if delta > params.sense_deadzone {
-                successes += 1;
-            }
-        }
-        base += width;
-    }
-    summarize(n_rows, variation_pct, perturbations, successes, sets)
-}
-
-/// Frozen scalar reference for [`run_point`]: the pre-batching set loop,
-/// kept verbatim as the bit-identity contract of the vectorized path.
-pub fn run_point_scalar(
-    params: &CircuitParams,
-    n_rows: u32,
-    variation_pct: u32,
-    config: MonteCarloConfig,
-) -> MonteCarloPoint {
-    let voltages = maj3_110_voltages(n_rows);
-    let sigma = variation_pct as f64 / 100.0;
-    let mut rng = Rng::seed_from_u64(config.seed ^ ((n_rows as u64) << 32) ^ variation_pct as u64);
     let sets = config.sets.max(1);
     let mut perturbations = Vec::with_capacity(sets);
     let mut successes = 0usize;
@@ -171,17 +108,6 @@ pub fn run_point_scalar(
             successes += 1;
         }
     }
-    summarize(n_rows, variation_pct, perturbations, successes, sets)
-}
-
-/// Shared distribution summary of a point's perturbation samples.
-fn summarize(
-    n_rows: u32,
-    variation_pct: u32,
-    mut perturbations: Vec<f64>,
-    successes: usize,
-    sets: usize,
-) -> MonteCarloPoint {
     perturbations.sort_by(f64::total_cmp);
     let q = |p: f64| -> f64 {
         let idx = ((perturbations.len() - 1) as f64 * p).round() as usize;
@@ -416,22 +342,6 @@ mod tests {
         let p = CircuitParams::calibrated();
         let cfg = MonteCarloConfig { sets: 100, seed: 5 };
         assert_eq!(run_point(&p, 8, 20, cfg), run_point(&p, 8, 20, cfg));
-    }
-
-    #[test]
-    fn batched_point_matches_the_frozen_scalar_reference() {
-        let p = CircuitParams::calibrated();
-        // Set counts straddling the lane width, incl. a partial block.
-        for sets in [1usize, 7, 8, 9, 100] {
-            let cfg = MonteCarloConfig { sets, seed: 5 };
-            for n in [1u32, 4, 32] {
-                assert_eq!(
-                    run_point(&p, n, 30, cfg),
-                    run_point_scalar(&p, n, 30, cfg),
-                    "sets={sets} n={n}"
-                );
-            }
-        }
     }
 
     #[test]

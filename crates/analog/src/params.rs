@@ -268,14 +268,6 @@ impl CircuitParams {
             1.0
         }
     }
-
-    /// The systematic margin (normalized volts) a bitline must exceed so
-    /// that its cells survive all `effective_trials` trials of per-trial
-    /// Gaussian noise with ≥ 50 % probability: dead zone + noise quantile.
-    pub fn stability_threshold(&self) -> f64 {
-        let p_per_trial = 0.5f64.powf(1.0 / self.effective_trials as f64);
-        self.sense_deadzone + crate::math::phi_inv(p_per_trial) * self.trial_noise_sigma
-    }
 }
 
 impl Default for CircuitParams {
@@ -375,13 +367,5 @@ mod tests {
         // Droop scales with the 1-fraction of the image.
         assert!(p.restore_drive(true, 32, 1.0) < p.restore_drive(true, 32, 0.5));
         assert_eq!(p.restore_drive(true, 32, 0.0), 1.0);
-    }
-
-    #[test]
-    fn stability_threshold_above_deadzone() {
-        let p = CircuitParams::calibrated();
-        assert!(p.stability_threshold() > p.sense_deadzone);
-        let z = (p.stability_threshold() - p.sense_deadzone) / p.trial_noise_sigma;
-        assert!(z > 3.0 && z < 4.5, "z = {z}");
     }
 }

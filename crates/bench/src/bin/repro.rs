@@ -231,15 +231,17 @@ fn main() {
         // The figure sweeps are the only journaled stages, so a worker's
         // job ends here: the coordinator computes everything below from
         // the merged journals. The worker's snapshot rides with its
-        // journal so the coordinator can merge all workers' telemetry.
+        // journal so the coordinator can merge all workers' telemetry,
+        // and marks the shard done.
         let dir = opts
             .checkpoint_dir
             .as_deref()
             .expect("the CLI rejects --shard-worker without --checkpoint-dir");
-        let path = std::path::Path::new(dir).join("telemetry.json");
         let snapshot = session.recorder().snapshot();
-        if let Err(err) = std::fs::write(&path, snapshot.to_json() + "\n") {
-            eprintln!("failed to write {}: {err}", path.display());
+        if let Err(err) =
+            simra_characterize::shard::write_worker_telemetry(std::path::Path::new(dir), &snapshot)
+        {
+            eprintln!("failed to write the worker telemetry: {err}");
             std::process::exit(1);
         }
         return;

@@ -174,10 +174,21 @@ fn rerunning_a_completed_coordinator_replays_byte_identical() {
     let root = scratch("rerun");
     let root_s = root.to_str().expect("scratch path is UTF-8");
     let first = stdout_of(&["quick", "--shards", "2", "--checkpoint-dir", root_s]);
+    let read = |name: &str| std::fs::read(root.join(name)).expect("read a coordinator file");
+    let files = [
+        "shard-0/worker.log",
+        "shard-1/worker.log",
+        "telemetry-merged.json",
+    ];
+    let before: Vec<Vec<u8>> = files.iter().map(|name| read(name)).collect();
     // Everything — workers and the merged session — is already on
-    // disk; the rerun resumes all of it and replays.
+    // disk: the rerun spawns no worker, so no log grows and the merged
+    // telemetry keeps the first run's counters, and it replays.
     let second = stdout_of(&["quick", "--shards", "2", "--checkpoint-dir", root_s]);
     assert_eq!(second, first);
+    for (name, bytes) in files.iter().zip(&before) {
+        assert!(read(name) == *bytes, "the rerun changed {name}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -3,7 +3,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simra_analog::params::{NOMINAL_TEMPERATURE_C, NOMINAL_VPP};
 use simra_analog::{ApaEngine, CircuitParams, EngineCounters, OperatingConditions};
 use simra_dram::{DramModule, VendorProfile};
 
@@ -163,14 +162,6 @@ impl TestSetup {
         Ok(())
     }
 
-    /// Resets to the nominal operating point.
-    pub fn reset_conditions(&mut self) {
-        self.conditions = OperatingConditions {
-            temperature_c: NOMINAL_TEMPERATURE_C,
-            vpp_v: NOMINAL_VPP,
-        };
-    }
-
     /// An analog engine bound to the mounted module's vendor quirks and
     /// the rig's current operating point, reporting to the rig's
     /// counter handles.
@@ -198,9 +189,6 @@ mod tests {
         s.set_vpp(2.3).unwrap();
         assert_eq!(s.conditions().temperature_c, 70.0);
         assert!((s.conditions().vpp_v - 2.3).abs() < 1e-9);
-        s.reset_conditions();
-        assert_eq!(s.conditions().temperature_c, 50.0);
-        assert_eq!(s.conditions().vpp_v, 2.5);
     }
 
     #[test]

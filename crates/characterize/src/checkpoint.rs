@@ -516,15 +516,18 @@ impl JournalWriter {
 }
 
 /// Atomically rewrites `path` with the given lines: write a sibling
-/// tmp file, fsync it, rename it over the original. Used for snapshot
-/// compaction — the journal is replaced by its canonical form (records
-/// sorted by (module, point)) in one step that either fully happens or
-/// leaves the old journal intact.
-fn atomic_rewrite(path: &Path, lines: &[String]) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("journal.tmp");
+/// tmp file (`path` plus `.tmp`), fsync it, rename it over the original.
+/// Used for snapshot compaction — the journal is replaced by its
+/// canonical form (records sorted by (module, point)) in one step that
+/// either fully happens or leaves the old journal intact — and for the
+/// session manifest and a shard worker's telemetry, which must exist
+/// only whole.
+pub(crate) fn atomic_rewrite(path: &Path, lines: &[String]) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     {
-        let mut file =
-            File::create(&tmp).map_err(|e| io_err("creating compaction file", &tmp, e))?;
+        let mut file = File::create(&tmp).map_err(|e| io_err("creating tmp file", &tmp, e))?;
         let mut buf = String::new();
         for line in lines {
             buf.push_str(line);
@@ -532,9 +535,9 @@ fn atomic_rewrite(path: &Path, lines: &[String]) -> Result<(), CheckpointError> 
         }
         file.write_all(buf.as_bytes())
             .and_then(|()| file.sync_all())
-            .map_err(|e| io_err("writing compaction file", &tmp, e))?;
+            .map_err(|e| io_err("writing tmp file", &tmp, e))?;
     }
-    fs::rename(&tmp, path).map_err(|e| io_err("renaming compaction file over", path, e))?;
+    fs::rename(&tmp, path).map_err(|e| io_err("renaming tmp file over", path, e))?;
     // Make the rename itself durable where the platform allows it.
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {

@@ -647,11 +647,11 @@ where
                 }
                 None => {
                     let module = &ctx.config.modules[index];
-                    let mut dram = DramModule::new(module.profile.clone(), module.seed);
-                    if let Some(spec) = ctx.plan.cell_spec() {
-                        dram.set_fault_spec(Some(spec));
-                    }
-                    dram
+                    DramModule::with_faults(
+                        module.profile.clone(),
+                        module.seed,
+                        ctx.plan.cell_spec(),
+                    )
                 }
             };
             run_point_attempt(

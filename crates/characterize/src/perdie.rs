@@ -14,7 +14,7 @@ use simra_bender::TestSetup;
 use simra_core::metrics::{mean, pct};
 use simra_core::rowgroup::sample_groups;
 use simra_dram::vendor::paper_fleet;
-use simra_dram::{ApaTiming, DataPattern, DramModule, Manufacturer, Rng, VendorProfile};
+use simra_dram::{ApaTiming, DataPattern, DramModule, Rng, VendorProfile};
 use simra_exec::{MrcSource, TrialSpec};
 
 use crate::fleet::executor_threads;
@@ -49,11 +49,11 @@ fn per_die_row(session: &Session, profile: &VendorProfile) -> Vec<f64> {
         .collect();
     let mut row = vec![pct(mean(&act))];
     for x in [3usize, 5, 7, 9] {
-        if x >= 9 && profile.manufacturer == Manufacturer::M {
+        let spec = TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
+        if spec.unsupported_on(profile) {
             row.push(f64::NAN);
             continue;
         }
-        let spec = TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
         let vals: Vec<f64> = groups
             .iter()
             .filter_map(|g| backend.run_trial(&spec, &mut setup, g, &mut rng))

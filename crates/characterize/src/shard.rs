@@ -7,12 +7,14 @@
 //! process — but each sweep schedules and journals only the slots
 //! [`slot_shard`] assigns to shard `i`,
 //! into the worker's own checkpoint directory (`<root>/shard-i`). After
-//! the last sweep it writes its telemetry snapshot there and exits; the
-//! stages after the sweeps journal nothing, so only the coordinator runs
-//! them. The
-//! [`ShardCoordinator`] spawns the workers, respawns crashed ones with
-//! the fleet's charged-backoff policy (a killed worker resumes from its
-//! own journal, exactly like a single-process kill), then merges the
+//! the last sweep has compacted it writes its telemetry snapshot there
+//! ([`write_worker_telemetry`]) and exits; the stages after the sweeps
+//! journal nothing, so only the coordinator runs them. The
+//! [`ShardCoordinator`] spawns a worker for every shard directory that
+//! lacks that snapshot (so rerunning a completed root spawns none),
+//! respawns crashed ones with the fleet's charged-backoff policy (a
+//! killed worker resumes from its own journal, exactly like a
+//! single-process kill), then merges the
 //! per-shard journals with [`merge_sweep_journals`]
 //! into `<root>/merged` — journals byte-identical to an unsharded run's
 //! — and merges the workers' telemetry snapshots into
@@ -45,10 +47,28 @@ use std::time::Duration;
 
 use simra_telemetry::Snapshot;
 
-use crate::checkpoint::{merge_sweep_journals, CheckpointError};
+use crate::checkpoint::{atomic_rewrite, merge_sweep_journals, CheckpointError};
 use crate::fleet::{backoff_charge_ms, FleetPolicy};
 
 pub use crate::checkpoint::slot_shard;
+
+/// The telemetry snapshot a finished worker leaves in its shard
+/// directory. The coordinator takes its presence to mean the shard is
+/// done.
+const WORKER_TELEMETRY: &str = "telemetry.json";
+
+/// Writes a worker's telemetry `snapshot` into its shard directory
+/// `dir`, once its last figure sweep has compacted. It goes through the
+/// journals' atomic rewrite, so the file exists only whole, and only
+/// for a worker that is done.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] if the tmp file cannot be written, synced
+/// or renamed into place.
+pub fn write_worker_telemetry(dir: &Path, snapshot: &Snapshot) -> Result<(), CheckpointError> {
+    atomic_rewrite(&dir.join(WORKER_TELEMETRY), &[snapshot.to_json()])
+}
 
 /// Why a sharded campaign could not complete.
 #[derive(Debug)]
@@ -259,9 +279,13 @@ impl ShardCoordinator {
         })
     }
 
-    /// Supervises one shard's worker process through its attempts.
+    /// Supervises one shard's worker process through its attempts; a
+    /// shard whose worker already finished spawns nothing.
     fn run_worker(&self, shard: u32) -> Result<(), ShardError> {
         let dir = self.shard_dir(shard);
+        if dir.join(WORKER_TELEMETRY).exists() {
+            return Ok(());
+        }
         fs::create_dir_all(&dir).map_err(|e| io_err("creating shard dir", &dir, e))?;
         let log_path = dir.join("worker.log");
         let max_attempts = self.policy.max_attempts.max(1);
@@ -348,7 +372,7 @@ impl ShardCoordinator {
         }
         let mut snapshots = Vec::new();
         for shard in 0..self.shards {
-            let path = self.shard_dir(shard).join("telemetry.json");
+            let path = self.shard_dir(shard).join(WORKER_TELEMETRY);
             if !path.exists() {
                 continue;
             }
@@ -566,6 +590,26 @@ mod tests {
                     "no session yet, so no --resume: {line}"
                 );
             }
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn a_shard_that_left_its_telemetry_spawns_no_worker() {
+            let dir = scratch("done");
+            let exe = fake_worker(&dir, 0);
+            let coord = ShardCoordinator::new(exe, vec![], dir.clone(), 2);
+            let snapshot = simra_telemetry::Recorder::new().snapshot();
+            fs::create_dir_all(coord.shard_dir(0)).unwrap();
+            write_worker_telemetry(&coord.shard_dir(0), &snapshot).unwrap();
+            // A tmp file a killed worker left behind does not count.
+            fs::create_dir_all(coord.shard_dir(1)).unwrap();
+            fs::write(coord.shard_dir(1).join("telemetry.json.tmp"), "{").unwrap();
+            coord.run_workers().expect("exit 0 workers succeed");
+            let calls = fs::read_to_string(dir.join("calls")).unwrap();
+            let lines: Vec<&str> = calls.lines().collect();
+            assert_eq!(lines.len(), 1, "{calls}");
+            assert!(lines[0].contains("--shard-worker 1/2"), "{}", lines[0]);
+            assert!(!coord.shard_dir(0).join("worker.log").exists());
             let _ = fs::remove_dir_all(&dir);
         }
 

@@ -33,8 +33,8 @@ pub fn neutral_plan(setup: &TestSetup) -> NeutralPlan {
 }
 
 /// Executes a Frac operation on one row: every cell is parked at VDD/2
-/// plus a per-cell residual, clamped to the rails. Stuck cells of an
-/// installed fault overlay keep their rail.
+/// plus a per-cell residual, clamped to the rails. Stuck cells of the
+/// subarray's fault overlay keep their rail.
 ///
 /// # Errors
 ///
@@ -102,7 +102,7 @@ pub fn init_neutral_rows(
 mod tests {
     use super::*;
     use simra_analog::CircuitParams;
-    use simra_dram::{CellFaultSpec, VendorProfile};
+    use simra_dram::{CellFaultSpec, DramModule, VendorProfile};
 
     #[test]
     fn frac_parks_cells_near_half_rail() {
@@ -153,12 +153,12 @@ mod tests {
         for sigma in [None, Some(2.0)] {
             for faults in [None, Some(stuck)] {
                 let setups: [TestSetup; 2] = std::array::from_fn(|_| {
-                    let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 1);
+                    let module = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 1, faults);
+                    let mut setup = TestSetup::with_module(module);
                     setup.set_circuit_params(sigma.map(|frac_residual_sigma| CircuitParams {
                         frac_residual_sigma,
                         ..CircuitParams::calibrated()
                     }));
-                    setup.module_mut().set_fault_spec(faults);
                     setup
                 });
                 let [mut batched, mut oracle] = setups;
@@ -185,10 +185,16 @@ mod tests {
     fn frac_keeps_stuck_cells_on_their_rail_and_clamps_the_rest() {
         let bank = BankId::new(0);
         let row = RowAddr::new(10);
+        let spec = CellFaultSpec {
+            seed: 9,
+            stuck_per_million: 200_000.0,
+            ..Default::default()
+        };
         // The calibrated residual, then one wide enough that many cells
         // land outside [0, 1] before the clamp.
         for sigma in [None, Some(2.0)] {
-            let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 1);
+            let module = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 1, Some(spec));
+            let mut setup = TestSetup::with_module(module);
             setup.set_circuit_params(sigma.map(|frac_residual_sigma| CircuitParams {
                 frac_residual_sigma,
                 ..CircuitParams::calibrated()
@@ -196,15 +202,8 @@ mod tests {
             let geometry = *setup.module().geometry();
             let (sa_id, local) = geometry.split_row(row).unwrap();
             let sa = setup.module_mut().bank_mut(bank).unwrap().subarray(sa_id);
-            let overlay = CellFaultSpec {
-                seed: 9,
-                stuck_per_million: 200_000.0,
-                ..Default::default()
-            }
-            .derive(sa.rows(), sa.cols(), 7);
-            let stuck = overlay.stuck_in_row(local).to_vec();
+            let stuck = sa.faults().unwrap().stuck_in_row(local).to_vec();
             assert!(stuck.len() > 10, "the overlay must be dense");
-            sa.set_faults(overlay);
 
             frac_row(&mut setup, bank, row, &mut Rng::seed_from_u64(4)).unwrap();
             let sa = setup.module_mut().bank_mut(bank).unwrap().subarray(sa_id);
@@ -229,7 +228,6 @@ mod tests {
 
     #[test]
     fn a_reset_module_after_frac_matches_a_fresh_one() {
-        use simra_dram::DramModule;
         let bank = BankId::new(3);
         let spec = CellFaultSpec {
             seed: 5,
@@ -237,16 +235,15 @@ mod tests {
             ..Default::default()
         };
         for faults in [None, Some(spec)] {
-            let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 1);
-            setup.module_mut().set_fault_spec(faults);
+            let module = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 1, faults);
+            let mut setup = TestSetup::with_module(module);
             let mut rng = Rng::seed_from_u64(6);
             for round in 0..2 {
                 for row in [10, 11, 700, 1500] {
                     frac_row(&mut setup, bank, RowAddr::new(row), &mut rng).unwrap();
                 }
                 setup.module_mut().reset_for_reuse();
-                let mut fresh = DramModule::new(VendorProfile::mfr_h_m_die(), 1);
-                fresh.set_fault_spec(faults);
+                let mut fresh = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 1, faults);
                 let geometry = *fresh.geometry();
                 let used = setup.module().bank(bank).unwrap();
                 let fresh = fresh.bank_mut(bank).unwrap();

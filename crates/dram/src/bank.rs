@@ -2,7 +2,9 @@
 //!
 //! Banks instantiate subarrays on first touch — a 16-bank module has up to
 //! 128 subarrays but a characterization run only ever opens a handful, and
-//! lazy materialisation keeps memory proportional to what is tested.
+//! lazy materialisation keeps memory proportional to what is tested. A
+//! bank is built with its cell-fault spec, and each subarray gets the
+//! overlay derived for its seed when it materialises.
 
 use std::collections::BTreeMap;
 
@@ -19,19 +21,25 @@ pub struct Bank {
     variation: VariationParams,
     seed: u64,
     subarrays: BTreeMap<SubarrayId, Subarray>,
-    /// Cell-fault spec applied to every subarray (present and future).
+    /// Cell-fault spec every subarray derives its overlay from.
     fault_spec: Option<CellFaultSpec>,
 }
 
 impl Bank {
-    /// Creates a bank whose subarrays will be stamped from `seed`.
-    pub fn new(geometry: Geometry, variation: VariationParams, seed: u64) -> Self {
+    /// Creates a bank whose subarrays will be stamped from `seed` and
+    /// carry the overlay `fault_spec` derives for each of them.
+    pub fn new(
+        geometry: Geometry,
+        variation: VariationParams,
+        seed: u64,
+        fault_spec: Option<CellFaultSpec>,
+    ) -> Self {
         Bank {
             geometry,
             variation,
             seed,
             subarrays: BTreeMap::new(),
-            fault_spec: None,
+            fault_spec,
         }
     }
 
@@ -44,35 +52,14 @@ impl Bank {
             .wrapping_add(id.raw() as u64 + 1)
     }
 
-    /// Installs (or, with `None`, clears) the cell-fault spec: every
-    /// already-materialised subarray gets its overlay re-derived, and
-    /// every future materialisation applies it automatically.
-    pub fn set_fault_spec(&mut self, spec: Option<CellFaultSpec>) {
-        self.fault_spec = spec;
-        let seed = self.seed;
-        for (id, sa) in self.subarrays.iter_mut() {
-            match spec {
-                Some(s) if !s.is_empty() => {
-                    sa.set_faults(s.derive(sa.rows(), sa.cols(), Self::subarray_seed(seed, *id)));
-                }
-                _ => sa.clear_faults(),
-            }
-        }
-    }
-
-    /// The installed cell-fault spec, if any.
-    pub fn fault_spec(&self) -> Option<&CellFaultSpec> {
-        self.fault_spec.as_ref()
-    }
-
     /// Returns the bank to its exact just-constructed state without
     /// dropping any materialised silicon: every materialised subarray
     /// zeroes the rows written since the last reset and re-pins their
     /// faulted cells ([`Subarray::reset_voltages`]); a subarray nothing
     /// wrote resets in O(1). A reused bank is indistinguishable from a
     /// fresh [`Bank::new`] because fresh subarrays also start with an
-    /// all-zero plane and materialisation is a pure function of
-    /// `(geometry, variation, seed, fault_spec)`.
+    /// all-zero plane, stuck cells pinned, and materialisation is a pure
+    /// function of `(geometry, variation, seed, fault_spec)`.
     pub fn reset_for_reuse(&mut self) {
         for sa in self.subarrays.values_mut() {
             sa.reset_voltages();
@@ -84,27 +71,18 @@ impl Bank {
         &self.geometry
     }
 
-    /// Returns the subarray, materialising it on first touch (applying
-    /// the bank's fault spec, if one is installed).
+    /// Returns the subarray, materialising it on first touch with the
+    /// overlay the bank's fault spec derives for its seed (none for an
+    /// empty spec).
     pub fn subarray(&mut self, id: SubarrayId) -> &mut Subarray {
-        let geometry = self.geometry;
-        let variation = self.variation;
-        let seed = self.seed;
-        let fault_spec = self.fault_spec;
+        let (variation, seed, fault_spec) = (self.variation, self.seed, self.fault_spec);
+        let (rows, cols) = (self.geometry.rows_per_subarray, self.geometry.cols_per_row);
         self.subarrays.entry(id).or_insert_with(|| {
             let sa_seed = Self::subarray_seed(seed, id);
-            let mut sa = Subarray::new(
-                geometry.rows_per_subarray,
-                geometry.cols_per_row,
-                variation,
-                sa_seed,
-            );
-            if let Some(spec) = fault_spec {
-                if !spec.is_empty() {
-                    sa.set_faults(spec.derive(sa.rows(), sa.cols(), sa_seed));
-                }
-            }
-            sa
+            let faults = fault_spec
+                .filter(|spec| !spec.is_empty())
+                .map(|spec| spec.derive(rows, cols, sa_seed));
+            Subarray::with_faults(rows, cols, variation, sa_seed, faults)
         })
     }
 
@@ -149,7 +127,16 @@ mod tests {
     use crate::Rng;
 
     fn bank() -> Bank {
-        Bank::new(Geometry::default(), VariationParams::default(), 11)
+        bank_with(None)
+    }
+
+    fn bank_with(fault_spec: Option<CellFaultSpec>) -> Bank {
+        Bank::new(
+            Geometry::default(),
+            VariationParams::default(),
+            11,
+            fault_spec,
+        )
     }
 
     #[test]
@@ -201,20 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_applies_to_existing_and_future_subarrays() {
-        let mut b = bank();
-        let _ = b.subarray(SubarrayId::new(0));
-        b.set_fault_spec(Some(dense_spec()));
-        let existing_faults = b.subarray(SubarrayId::new(0)).faults().cloned();
-        let future_faults = b.subarray(SubarrayId::new(1)).faults().cloned();
-        assert!(existing_faults.is_some_and(|f| f.stuck_count() > 0));
-        assert!(future_faults.is_some_and(|f| f.stuck_count() > 0));
-        b.set_fault_spec(None);
-        assert!(b.subarray(SubarrayId::new(0)).faults().is_none());
-        assert!(b.subarray(SubarrayId::new(2)).faults().is_none());
-    }
-
-    #[test]
     fn reset_for_reuse_restores_the_fresh_state() {
         let mut used = bank();
         let cols = used.geometry().cols_per_row as usize;
@@ -255,8 +228,7 @@ mod tests {
 
     #[test]
     fn reset_for_reuse_keeps_fault_overlays_pinned() {
-        let mut b = bank();
-        b.set_fault_spec(Some(dense_spec()));
+        let mut b = bank_with(Some(dense_spec()));
         let before = b.subarray(SubarrayId::new(0)).clone();
         let cols = b.geometry().cols_per_row as usize;
         b.write_row_nominal(RowAddr::new(3), &BitRow::ones(cols))
@@ -266,10 +238,9 @@ mod tests {
     }
 
     /// Asserts that every subarray `used` materialised matches, bit for
-    /// bit, the same subarray of a fresh bank with `used`'s fault spec.
-    fn assert_fresh(used: &Bank, context: &str) {
-        let mut fresh = bank();
-        fresh.set_fault_spec(used.fault_spec().copied());
+    /// bit, the same subarray of a fresh bank built with `fault_spec`.
+    fn assert_fresh(used: &Bank, fault_spec: Option<CellFaultSpec>, context: &str) {
+        let mut fresh = bank_with(fault_spec);
         let mut compared = 0;
         for id in (0..used.geometry().subarrays_per_bank).map(SubarrayId::new) {
             let Some(sa) = used.subarray_if_materialized(id) else {
@@ -300,25 +271,26 @@ mod tests {
             None,
         ];
         for sequence in 0..12 {
-            let mut b = bank();
+            let spec = specs[sequence % specs.len()];
+            let mut b = bank_with(spec);
             let cols = b.geometry().cols_per_row as usize;
             let rows = b.geometry().rows_per_subarray;
             for step in 0..32 {
                 let id = SubarrayId::new(rng.gen_range(0u16..3));
                 let row = rng.gen_range(0..rows);
-                match rng.gen_range(0u32..12) {
-                    0 => b.set_fault_spec(specs[rng.gen_range(0..specs.len())]),
-                    1 | 2 => {
+                match rng.gen_range(0u32..11) {
+                    0 | 1 => {
                         b.reset_for_reuse();
-                        assert_fresh(&b, &format!("sequence {sequence}, step {step}"));
+                        let context = format!("sequence {sequence}, step {step}");
+                        assert_fresh(&b, spec, &context);
                     }
-                    3 | 4 => {
+                    2 | 3 => {
                         let img = BitRow::random(&mut rng, cols);
                         let addr = RowAddr::new(u32::from(id.raw()) * rows + row);
                         b.write_row_nominal(addr, &img).unwrap();
                     }
-                    5 | 6 => b.subarray(id).set_row_voltage(row, 0.6).unwrap(),
-                    7 | 8 => {
+                    4 | 5 => b.subarray(id).set_row_voltage(row, 0.6).unwrap(),
+                    6 | 7 => {
                         let sa = b.subarray(id);
                         let (volts, _, strengths) = sa.row_split_mut(row);
                         for (v, &s) in volts.iter_mut().zip(strengths) {
@@ -326,7 +298,7 @@ mod tests {
                         }
                         sa.pin_row_faults(row);
                     }
-                    9 | 10 => {
+                    8 | 9 => {
                         let sa = b.subarray(id);
                         sa.row_voltages_mut(row).fill(0.3);
                         sa.pin_row_faults(row);
@@ -338,34 +310,7 @@ mod tests {
                 }
             }
             b.reset_for_reuse();
-            assert_fresh(&b, &format!("sequence {sequence}, end"));
+            assert_fresh(&b, spec, &format!("sequence {sequence}, end"));
         }
-    }
-
-    #[test]
-    fn reset_after_a_cleared_spec_drops_its_pins() {
-        let mut b = bank();
-        let _ = b.subarray(SubarrayId::new(2));
-        b.set_fault_spec(Some(dense_spec()));
-        b.reset_for_reuse();
-        assert_fresh(&b, "installed");
-        b.set_fault_spec(None);
-        b.reset_for_reuse();
-        assert_fresh(&b, "cleared");
-    }
-
-    #[test]
-    fn fault_overlay_is_the_same_either_side_of_materialisation() {
-        // Installing the spec before or after a subarray materialises
-        // must derive the identical overlay (both go through the same
-        // per-subarray seed).
-        let mut before = bank();
-        before.set_fault_spec(Some(dense_spec()));
-        let f_before = before.subarray(SubarrayId::new(3)).faults().cloned();
-        let mut after = bank();
-        let _ = after.subarray(SubarrayId::new(3));
-        after.set_fault_spec(Some(dense_spec()));
-        let f_after = after.subarray(SubarrayId::new(3)).faults().cloned();
-        assert_eq!(f_before, f_after);
     }
 }

@@ -8,11 +8,17 @@
 //! expands them into the concrete per-subarray defect map
 //! ([`SubarrayFaults`]) from a **dedicated RNG stream**.
 //!
+//! Like a chip's real defects, an overlay is part of what a module is: a
+//! module takes its spec when it is built
+//! ([`DramModule::with_faults`](crate::DramModule::with_faults)), each
+//! subarray derives its overlay when it materialises, and nothing
+//! installs, replaces or clears one afterwards.
+//!
 //! The stream isolation is the load-bearing guarantee: fault derivation
 //! never touches the silicon-stamping stream
 //! ([`crate::silicon::SiliconPlanes::stamp`]) or any experiment stream, so
-//! installing an *empty* spec (or none) leaves every fault-free
-//! experiment byte-identical — the golden tests of the fleet rely on it.
+//! a module built with an *empty* spec (or none) runs every fault-free
+//! experiment byte-identically — the golden tests of the fleet rely on it.
 
 use std::collections::BTreeMap;
 

@@ -156,20 +156,6 @@ impl Geometry {
         self.rows_per_subarray * self.subarrays_per_bank as u32
     }
 
-    /// Number of row-address bits used *within* a subarray.
-    ///
-    /// For power-of-two subarrays this is `log2(rows_per_subarray)`; the
-    /// 640-row Hynix M-die subarrays still decode 10 in-subarray bits with
-    /// part of the space unused, mirroring how real non-power-of-two
-    /// subarrays are driven.
-    pub fn in_subarray_bits(&self) -> u32 {
-        let mut bits = 0;
-        while (1u32 << bits) < self.rows_per_subarray {
-            bits += 1;
-        }
-        bits
-    }
-
     /// Splits a bank-level row address into (subarray, in-subarray row).
     ///
     /// # Errors
@@ -225,20 +211,6 @@ mod tests {
         let g = Geometry::default();
         let too_big = RowAddr::new(g.rows_per_bank());
         assert!(g.split_row(too_big).is_err());
-    }
-
-    #[test]
-    fn in_subarray_bits_for_paper_sizes() {
-        let bits = |rows: u32| {
-            Geometry {
-                rows_per_subarray: rows,
-                ..Geometry::default()
-            }
-            .in_subarray_bits()
-        };
-        assert_eq!(bits(512), 9);
-        assert_eq!(bits(640), 10);
-        assert_eq!(bits(1024), 10);
     }
 
     #[test]

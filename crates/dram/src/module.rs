@@ -4,6 +4,10 @@
 //! per-bank/per-subarray statistics, and lockstep chips behave identically
 //! at the abstraction level of this model. A "module" here is the unit the
 //! tester plugs in and sweeps.
+//!
+//! A module's cell defects are part of what it is, like its seed: they are
+//! fixed when it is built ([`DramModule::with_faults`]) and no call
+//! installs, replaces or clears them afterwards.
 
 use crate::bank::Bank;
 use crate::error::DramError;
@@ -21,9 +25,18 @@ pub struct DramModule {
 }
 
 impl DramModule {
-    /// Creates a module with the given vendor `profile`; `seed` stamps the
-    /// process variation of every subarray in the module.
+    /// Creates a healthy module with the given vendor `profile`; `seed`
+    /// stamps the process variation of every subarray in the module.
     pub fn new(profile: VendorProfile, seed: u64) -> Self {
+        Self::with_faults(profile, seed, None)
+    }
+
+    /// Creates a module whose every subarray carries the overlay `faults`
+    /// derives for it. Defect positions are keyed by each subarray's
+    /// silicon seed, so the same `(seed, faults)` pair always grows the
+    /// same defects, and the derivation draws from a dedicated stream,
+    /// leaving every fault-free RNG stream untouched.
+    pub fn with_faults(profile: VendorProfile, seed: u64, faults: Option<CellFaultSpec>) -> Self {
         let variation = VariationParams {
             cell_cap_sigma: VariationParams::default().cell_cap_sigma
                 * profile.cell_variation_scale,
@@ -37,7 +50,7 @@ impl DramModule {
                 let bank_seed = seed
                     .wrapping_mul(0xD1B5_4A32_D192_ED03)
                     .wrapping_add(b as u64 + 1);
-                Bank::new(profile.geometry, variation, bank_seed)
+                Bank::new(profile.geometry, variation, bank_seed, faults)
             })
             .collect();
         DramModule {
@@ -93,31 +106,15 @@ impl DramModule {
             .ok_or(DramError::BankOutOfRange { bank: id, banks })
     }
 
-    /// Iterates over bank ids.
-    pub fn bank_ids(&self) -> impl Iterator<Item = BankId> {
-        (0..self.bank_count()).map(BankId::new)
-    }
-
     /// Returns every bank to its exact just-constructed state while
     /// keeping the materialised subarrays (and their fault overlays)
     /// alive, so a pooled module rig can be reused across sweep points
     /// without re-allocating voltage planes or re-deriving overlays.
     /// After this call the module is observationally identical to a fresh
-    /// [`DramModule::new`] with the same `(profile, seed)` and fault spec.
+    /// [`DramModule::with_faults`] with the same `(profile, seed, faults)`.
     pub fn reset_for_reuse(&mut self) {
         for bank in &mut self.banks {
             bank.reset_for_reuse();
-        }
-    }
-
-    /// Installs (or, with `None`, clears) a cell-fault spec on every bank
-    /// of the module. Defect positions are keyed by each subarray's
-    /// silicon seed, so the same `(module seed, spec)` pair always grows
-    /// the same defects — and the derivation draws from a dedicated
-    /// stream, leaving all fault-free RNG streams untouched.
-    pub fn set_fault_spec(&mut self, spec: Option<CellFaultSpec>) {
-        for bank in &mut self.banks {
-            bank.set_fault_spec(spec);
         }
     }
 }
@@ -131,7 +128,6 @@ mod tests {
     fn module_has_profile_bank_count() {
         let m = DramModule::new(VendorProfile::mfr_h_m_die(), 1);
         assert_eq!(m.bank_count(), 16);
-        assert_eq!(m.bank_ids().count(), 16);
     }
 
     #[test]
@@ -207,59 +203,78 @@ mod tests {
             sense_offset_shift: 0.005,
         };
         let mut rng = Rng::seed_from_u64(41);
-        let mut used = DramModule::new(VendorProfile::mfr_h_m_die(), 77);
-        let cols = used.geometry().cols_per_row as usize;
-        let rows = used.geometry().rows_per_bank();
-        for (round, faults) in [None, Some(spec), Some(spec), None].into_iter().enumerate() {
-            used.set_fault_spec(faults);
-            for bank in [0u16, 5, 15] {
-                let bank = used.bank_mut(BankId::new(bank)).unwrap();
-                for _ in 0..4 {
-                    let row = RowAddr::new(rng.gen_range(0..rows));
-                    let img = BitRow::random(&mut rng, cols);
-                    bank.write_row_nominal(row, &img).unwrap();
+        for faults in [None, Some(spec)] {
+            let mut used = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 77, faults);
+            let cols = used.geometry().cols_per_row as usize;
+            let rows = used.geometry().rows_per_bank();
+            for round in 0..2 {
+                for bank in [0u16, 5, 15] {
+                    let bank = used.bank_mut(BankId::new(bank)).unwrap();
+                    for _ in 0..4 {
+                        let row = RowAddr::new(rng.gen_range(0..rows));
+                        let img = BitRow::random(&mut rng, cols);
+                        bank.write_row_nominal(row, &img).unwrap();
+                    }
+                    bank.subarray(SubarrayId::new(1))
+                        .set_row_voltage(9, 0.5)
+                        .unwrap();
                 }
-                bank.subarray(SubarrayId::new(1))
-                    .set_row_voltage(9, 0.5)
-                    .unwrap();
-            }
-            used.reset_for_reuse();
-            let mut fresh = DramModule::new(VendorProfile::mfr_h_m_die(), 77);
-            fresh.set_fault_spec(faults);
-            for bank in used.bank_ids() {
-                let used_bank = used.bank(bank).unwrap();
-                let fresh_bank = fresh.bank_mut(bank).unwrap();
-                for id in (0..used_bank.geometry().subarrays_per_bank).map(SubarrayId::new) {
-                    let Some(sa) = used_bank.subarray_if_materialized(id) else {
-                        continue;
-                    };
-                    assert!(
-                        sa.voltage_bits() == fresh_bank.subarray(id).voltage_bits(),
-                        "round {round}, bank {bank:?}, subarray {id:?}"
-                    );
+                used.reset_for_reuse();
+                let mut fresh = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 77, faults);
+                for bank in (0..used.bank_count()).map(BankId::new) {
+                    let used_bank = used.bank(bank).unwrap();
+                    let fresh_bank = fresh.bank_mut(bank).unwrap();
+                    for id in (0..used_bank.geometry().subarrays_per_bank).map(SubarrayId::new) {
+                        let Some(sa) = used_bank.subarray_if_materialized(id) else {
+                            continue;
+                        };
+                        assert!(
+                            sa.voltage_bits() == fresh_bank.subarray(id).voltage_bits(),
+                            "faults {faults:?}, round {round}, bank {bank:?}, subarray {id:?}"
+                        );
+                    }
                 }
+                assert!(used == fresh, "faults {faults:?}, round {round}");
             }
-            assert!(used == fresh, "round {round}");
         }
     }
 
     #[test]
-    fn fault_spec_reaches_every_bank() {
-        let mut m = DramModule::new(VendorProfile::mfr_h_m_die(), 9);
-        m.set_fault_spec(Some(CellFaultSpec {
+    fn every_materialised_subarray_carries_its_derived_overlay() {
+        use crate::geometry::SubarrayId;
+        let dense = CellFaultSpec {
             seed: 0xFA,
             stuck_per_million: 10_000.0,
-            sense_offset_shift: 0.0,
-        }));
-        for b in [0u16, 7, 15] {
-            let sa = m
-                .bank_mut(BankId::new(b))
-                .unwrap()
-                .subarray(crate::geometry::SubarrayId::new(0));
-            assert!(
-                sa.faults().is_some_and(|f| f.stuck_count() > 0),
-                "bank {b} missing its overlay"
-            );
+            sense_offset_shift: 0.005,
+        };
+        for spec in [dense, CellFaultSpec::default()] {
+            let mut m = DramModule::with_faults(VendorProfile::mfr_h_m_die(), 9, Some(spec));
+            let geometry = *m.geometry();
+            let (rows, cols) = (geometry.rows_per_subarray, geometry.cols_per_row);
+            let last = geometry.subarrays_per_bank - 1;
+            for b in [0u16, 7, 15] {
+                let bank = m.bank_mut(BankId::new(b)).unwrap();
+                // Materialise in descending order on odd banks: the
+                // overlay must not depend on it.
+                let ids = if b % 2 == 0 { [0, last] } else { [last, 0] };
+                for id in ids.map(SubarrayId::new) {
+                    let sa = bank.subarray(id);
+                    let expected =
+                        (!spec.is_empty()).then(|| spec.derive(rows, cols, sa.silicon().seed()));
+                    assert_eq!(sa.faults(), expected.as_ref(), "bank {b}, {id:?}");
+                    let stuck = sa.faults().map_or(0, |f| f.stuck_count());
+                    assert_eq!(stuck > 0, !spec.is_empty(), "bank {b}, {id:?}");
+                }
+                assert_eq!(bank.materialized_subarrays(), 2);
+            }
+            let shift = |m: &mut DramModule| {
+                m.bank_mut(BankId::new(7))
+                    .unwrap()
+                    .subarray(SubarrayId::new(last))
+                    .sense_offset(3)
+            };
+            let healthy = shift(&mut DramModule::new(VendorProfile::mfr_h_m_die(), 9));
+            assert_eq!(shift(&mut m), healthy + spec.sense_offset_shift);
         }
     }
 

@@ -148,6 +148,13 @@ impl SiliconPlanes {
         SiliconKey::new(self.rows, self.cols, self.variation, self.seed)
     }
 
+    /// The seed the planes were stamped from; it also keys the owning
+    /// subarray's fault overlay.
+    #[cfg(test)]
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// How many rows have been stamped so far.
     #[cfg(test)]
     fn stamped_rows(&self) -> usize {

@@ -17,6 +17,11 @@
 //! ones also mark their row written, which is what lets
 //! [`Subarray::reset_voltages`] zero only those rows.
 //!
+//! A subarray's fault overlay, if any, is fixed when it is built
+//! ([`Subarray::with_faults`]): its stuck cells start pinned and stay
+//! pinned through every write, restore and reset, so the rows written
+//! are the only rows that can leave the fresh state.
+//!
 //! A cell's state is a *normalized* capacitor voltage in `[0, 1]`
 //! (1.0 = VDD, 0.5 = the precharge level VDD/2), which keeps the
 //! charge-sharing arithmetic in `simra-analog` independent of the rail
@@ -56,21 +61,20 @@ impl Default for VariationParams {
     }
 }
 
-/// Installed fault overlay plus caches derived from it. Boxed so the
+/// A subarray's fault overlay plus caches derived from it. Boxed so the
 /// overwhelmingly common fault-free subarray pays one pointer.
 #[derive(Debug, Clone, PartialEq)]
 struct FaultState {
     overlay: SubarrayFaults,
     /// Sense offsets with the overlay's shift applied, replacing the
-    /// silicon plane reads while the overlay is installed. `None` when
-    /// the overlay does not shift offsets.
+    /// silicon plane reads. `None` when the overlay does not shift
+    /// offsets.
     shifted_offsets: Option<Vec<f32>>,
 }
 
 /// Rows whose voltages may differ from the fresh state (all zero, the
-/// installed overlay's stuck cells pinned): every row a mutating
-/// accessor handed out, or a replaced overlay pinned, since the last
-/// [`Subarray::reset_voltages`].
+/// overlay's stuck cells pinned): every row a mutating accessor handed
+/// out since the last [`Subarray::reset_voltages`].
 #[derive(Debug, Clone)]
 struct WrittenRows {
     /// The marked rows.
@@ -102,7 +106,8 @@ pub struct Subarray {
     voltage: Vec<f32>,
     /// Shared immutable variation planes (the "silicon").
     silicon: Arc<SiliconPlanes>,
-    /// Optional defect overlay (stuck cells, shifted sense offsets).
+    /// Optional defect overlay (stuck cells, shifted sense offsets),
+    /// fixed at construction.
     faults: Option<Box<FaultState>>,
     /// What [`Subarray::reset_voltages`] has to zero.
     written: WrittenRows,
@@ -119,17 +124,53 @@ impl PartialEq for Subarray {
 }
 
 impl Subarray {
-    /// Builds a subarray with process variation drawn from `seed`. The
-    /// variation planes come from the silicon cache: repeated construction
-    /// with the same inputs shares one stamp.
+    /// Builds a healthy subarray with process variation drawn from `seed`.
+    /// The variation planes come from the silicon cache: repeated
+    /// construction with the same inputs shares one stamp.
     pub fn new(rows: u32, cols: u32, variation: VariationParams, seed: u64) -> Self {
+        Self::with_faults(rows, cols, variation, seed, None)
+    }
+
+    /// Builds a subarray that carries `faults` for its whole life: stuck
+    /// cells and a sense-offset shift, typically derived from a
+    /// [`CellFaultSpec`](crate::faults::CellFaultSpec). Stuck cells start
+    /// pinned and are re-asserted after every write, restore and reset;
+    /// the shared silicon planes are untouched.
+    pub fn with_faults(
+        rows: u32,
+        cols: u32,
+        variation: VariationParams,
+        seed: u64,
+        faults: Option<SubarrayFaults>,
+    ) -> Self {
         let silicon = stamped_planes(rows, cols, variation, seed);
+        let mut voltage = vec![0.0; rows as usize * cols as usize];
+        let faults = faults.map(|overlay| {
+            // Pinned cells are part of the fresh state: no row is marked.
+            for (&row, cells) in overlay.stuck_rows() {
+                let start = row as usize * cols as usize;
+                for &(col, bit) in cells {
+                    voltage[start + col as usize] = if bit { 1.0 } else { 0.0 };
+                }
+            }
+            let shifted_offsets = (overlay.sense_offset_shift != 0.0).then(|| {
+                silicon
+                    .sense_offsets()
+                    .iter()
+                    .map(|&o| o + overlay.sense_offset_shift)
+                    .collect()
+            });
+            Box::new(FaultState {
+                overlay,
+                shifted_offsets,
+            })
+        });
         Subarray {
             rows,
             cols,
-            voltage: vec![0.0; rows as usize * cols as usize],
+            voltage,
             silicon,
-            faults: None,
+            faults,
             written: WrittenRows {
                 rows: Vec::new(),
                 marked: vec![false; rows as usize],
@@ -226,8 +267,8 @@ impl Subarray {
         (&mut self.voltage[range], caps, strengths)
     }
 
-    /// Per-column sense-amplifier offset (shifted while a fault overlay
-    /// with an offset shift is installed).
+    /// Per-column sense-amplifier offset (shifted when the fault overlay
+    /// shifts offsets).
     pub fn sense_offset(&self, col: u32) -> f32 {
         self.sense_offsets()[col as usize]
     }
@@ -237,8 +278,8 @@ impl Subarray {
         self.silicon.bias_directions()[col as usize]
     }
 
-    /// All per-column sense-amplifier offsets (shifted while a fault
-    /// overlay with an offset shift is installed).
+    /// All per-column sense-amplifier offsets (shifted when the fault
+    /// overlay shifts offsets).
     pub fn sense_offsets(&self) -> &[f32] {
         match self.faults.as_deref() {
             Some(state) => state
@@ -259,46 +300,7 @@ impl Subarray {
         &self.silicon
     }
 
-    /// Installs a defect overlay: stuck cells and a sense-offset shift,
-    /// typically derived from a
-    /// [`CellFaultSpec`](crate::faults::CellFaultSpec). Stuck cells are
-    /// pinned immediately and re-asserted after every write and restore;
-    /// the healthy silicon planes are untouched. Cells a replaced overlay
-    /// pinned keep their value until the next reset.
-    pub fn set_faults(&mut self, overlay: SubarrayFaults) {
-        self.mark_pinned_rows();
-        let shifted_offsets = (overlay.sense_offset_shift != 0.0).then(|| {
-            self.silicon
-                .sense_offsets()
-                .iter()
-                .map(|&o| o + overlay.sense_offset_shift)
-                .collect()
-        });
-        self.faults = Some(Box::new(FaultState {
-            overlay,
-            shifted_offsets,
-        }));
-        self.pin_faulted_cells();
-    }
-
-    /// Removes the defect overlay. Cell voltages keep whatever the faults
-    /// last left behind; only *future* operations behave healthily.
-    pub fn clear_faults(&mut self) {
-        self.mark_pinned_rows();
-        self.faults = None;
-    }
-
-    /// Marks every row the installed overlay pinned, so the next reset
-    /// zeroes those cells once the overlay is gone.
-    fn mark_pinned_rows(&mut self) {
-        if let Some(state) = self.faults.as_deref() {
-            for (&row, _) in state.overlay.stuck_rows() {
-                self.written.mark(row);
-            }
-        }
-    }
-
-    /// The installed defect overlay, if any.
+    /// The defect overlay, if the subarray was built with one.
     pub fn faults(&self) -> Option<&SubarrayFaults> {
         self.faults.as_deref().map(|state| &state.overlay)
     }
@@ -321,21 +323,6 @@ impl Subarray {
         }
     }
 
-    /// Re-asserts every stuck cell of the overlay (all rows).
-    pub fn pin_faulted_cells(&mut self) {
-        let cols = self.cols as usize;
-        let Some(state) = self.faults.as_deref() else {
-            return;
-        };
-        let voltage = &mut self.voltage;
-        for (&row, cells) in state.overlay.stuck_rows() {
-            let start = row as usize * cols;
-            for &(col, bit) in cells {
-                voltage[start + col as usize] = if bit { 1.0 } else { 0.0 };
-            }
-        }
-    }
-
     /// Discharges every cell to 0 V, keeping the silicon: the cheap way to
     /// reuse a subarray for a fresh sweep point. Stuck cells re-assert
     /// their pinned value.
@@ -343,11 +330,10 @@ impl Subarray {
     /// Zeroes, in place, only the rows written since the last reset
     /// (those [`Subarray::row_voltages_mut`], [`Subarray::row_split_mut`],
     /// [`Subarray::write_row`] and [`Subarray::set_row_voltage`] handed
-    /// out, plus the rows a replaced or cleared overlay pinned), then
-    /// re-pins their stuck cells; every other row is already in the
-    /// fresh state. A sweep point writes a few groups of at most 32 rows,
-    /// so this costs O(rows written), and a subarray nothing wrote resets
-    /// in O(1). On a 2-core x86-64 host, zeroing 128 written rows of a
+    /// out), then re-pins their stuck cells; every other row is already
+    /// in the fresh state. A sweep point writes a few groups of at most
+    /// 32 rows, so this costs O(rows written), and a subarray nothing
+    /// wrote resets in O(1). On a 2-core x86-64 host, zeroing 128 written rows of a
     /// 1 MB plane takes 9–10 µs; swapping in a freshly zeroed plane, as
     /// this did before, took 37–40 µs, because the allocator clears the
     /// whole plane once a freed plane has raised its mmap threshold.
@@ -441,10 +427,16 @@ impl Subarray {
 mod tests {
     use super::*;
     use crate::data::DataPattern;
+    use crate::faults::CellFaultSpec;
     use crate::Rng;
 
     fn small() -> Subarray {
         Subarray::new(16, 64, VariationParams::default(), 42)
+    }
+
+    /// [`small`], built with `faults`.
+    fn small_with(faults: Option<SubarrayFaults>) -> Subarray {
+        Subarray::with_faults(16, 64, VariationParams::default(), 42, faults)
     }
 
     #[test]
@@ -548,21 +540,28 @@ mod tests {
         let _ = small().row_voltages(16).len();
     }
 
-    fn dense_faults(sa: &Subarray) -> crate::faults::SubarrayFaults {
-        crate::faults::CellFaultSpec {
+    fn dense_faults() -> SubarrayFaults {
+        CellFaultSpec {
             seed: 0xF00D,
             stuck_per_million: 20_000.0,
             sense_offset_shift: 0.01,
         }
-        .derive(sa.rows(), sa.cols(), 42)
+        .derive(16, 64, 42)
     }
 
     #[test]
     fn stuck_cells_ignore_writes() {
-        let mut sa = small();
-        let overlay = dense_faults(&sa);
+        let overlay = dense_faults();
         assert!(overlay.stuck_count() > 0, "spec dense enough to test");
-        sa.set_faults(overlay.clone());
+        let mut sa = small_with(Some(overlay.clone()));
+        let pinned = sa.read_row(0).unwrap();
+        for &(col, bit) in overlay.stuck_in_row(0) {
+            assert_eq!(
+                pinned.get(col as usize),
+                bit,
+                "stuck cell ({col}) starts pinned"
+            );
+        }
         sa.write_row(0, &BitRow::ones(64)).unwrap();
         let written = sa.read_row(0).unwrap();
         for &(col, bit) in overlay.stuck_in_row(0) {
@@ -582,17 +581,16 @@ mod tests {
     #[test]
     fn write_row_matches_a_per_bit_write_then_pin() {
         let mut rng = Rng::seed_from_u64(11);
-        let stuck = crate::faults::CellFaultSpec {
+        let stuck = CellFaultSpec {
             seed: 3,
             stuck_per_million: 200_000.0,
             ..Default::default()
         };
         for cols in [1u32, 63, 64, 65, 129, 256] {
             for faulted in [false, true] {
-                let mut sa = Subarray::new(8, cols, VariationParams::default(), 42);
-                if faulted {
-                    sa.set_faults(stuck.derive(8, cols, 42));
-                }
+                let overlay = faulted.then(|| stuck.derive(8, cols, 42));
+                let mut sa =
+                    Subarray::with_faults(8, cols, VariationParams::default(), 42, overlay);
                 for row in 0..8 {
                     // Off-rail start, so every cell must be overwritten.
                     sa.set_row_voltage(row, 0.37).unwrap();
@@ -627,12 +625,9 @@ mod tests {
     }
 
     /// Asserts that `sa` matches, bit for bit, a fresh [`small`] subarray
-    /// carrying its overlay.
+    /// built with its overlay.
     fn assert_fresh(sa: &Subarray, context: &str) {
-        let mut fresh = small();
-        if let Some(overlay) = sa.faults() {
-            fresh.set_faults(overlay.clone());
-        }
+        let fresh = small_with(sa.faults().cloned());
         assert!(
             sa.voltage_bits() == fresh.voltage_bits(),
             "voltages differ from fresh: {context}"
@@ -670,24 +665,12 @@ mod tests {
         }
     }
 
-    fn sparse_faults(sa: &Subarray) -> crate::faults::SubarrayFaults {
-        crate::faults::CellFaultSpec {
-            seed: 0xBEEF,
-            stuck_per_million: 8_000.0,
-            sense_offset_shift: -0.02,
-        }
-        .derive(sa.rows(), sa.cols(), 42)
-    }
-
     #[test]
     fn reset_after_each_mutating_accessor_matches_fresh() {
         let mut rng = Rng::seed_from_u64(21);
         for path in 0..4 {
             for faulted in [false, true] {
-                let mut sa = small();
-                if faulted {
-                    sa.set_faults(dense_faults(&sa));
-                }
+                let mut sa = small_with(faulted.then(dense_faults));
                 for round in 0..3 {
                     for row in [0, 7, 7, 15] {
                         write_through(&mut sa, path, row, &mut rng);
@@ -704,57 +687,25 @@ mod tests {
     }
 
     #[test]
-    fn reset_after_overlay_changes_matches_fresh() {
-        let mut rng = Rng::seed_from_u64(22);
-        let mut sa = small();
-        let dense = dense_faults(&sa);
-        let sparse = sparse_faults(&sa);
-        assert!(dense
-            .stuck_rows()
-            .any(|(_, cells)| cells.iter().any(|&(_, bit)| bit)));
-        // Installed on a clean plane, with nothing written.
-        sa.set_faults(dense.clone());
-        sa.reset_voltages();
-        assert_fresh(&sa, "installed");
-        // Cleared: the pins it left behind must go, though no accessor
-        // wrote their rows.
-        sa.clear_faults();
-        sa.reset_voltages();
-        assert_fresh(&sa, "cleared");
-        // Re-installed, written, then replaced by another overlay without
-        // a clear in between.
-        sa.set_faults(dense.clone());
-        write_through(&mut sa, 2, 3, &mut rng);
-        sa.reset_voltages();
-        assert_fresh(&sa, "re-installed");
-        sa.set_faults(sparse.clone());
-        sa.reset_voltages();
-        assert_fresh(&sa, "replaced");
-        // Several changes between two resets.
-        sa.clear_faults();
-        write_through(&mut sa, 0, 9, &mut rng);
-        sa.set_faults(dense);
-        sa.set_faults(sparse);
-        sa.clear_faults();
-        sa.reset_voltages();
-        assert_fresh(&sa, "churned");
-    }
-
-    #[test]
     fn reuse_matches_fresh_over_random_interleavings() {
         let mut rng = Rng::seed_from_u64(23);
+        let sparse = CellFaultSpec {
+            seed: 0xBEEF,
+            stuck_per_million: 8_000.0,
+            sense_offset_shift: -0.02,
+        }
+        .derive(16, 64, 42);
         let overlays = [
-            dense_faults(&small()),
-            sparse_faults(&small()),
-            crate::faults::SubarrayFaults::default(),
+            Some(dense_faults()),
+            Some(sparse),
+            Some(SubarrayFaults::default()),
+            None,
         ];
         for sequence in 0..64 {
-            let mut sa = small();
+            let mut sa = small_with(overlays[sequence % overlays.len()].clone());
             for step in 0..48 {
-                match rng.gen_range(0u32..10) {
-                    0 => sa.set_faults(overlays[rng.gen_range(0..overlays.len())].clone()),
-                    1 => sa.clear_faults(),
-                    2 => {
+                match rng.gen_range(0u32..8) {
+                    0 => {
                         sa.reset_voltages();
                         assert_fresh(&sa, &format!("sequence {sequence}, step {step}"));
                     }
@@ -791,30 +742,20 @@ mod tests {
 
     #[test]
     fn sense_offsets_are_shifted_under_faults() {
-        let mut sa = small();
-        let healthy = sa.sense_offsets().to_vec();
-        sa.set_faults(dense_faults(&sa));
-        for (col, &h) in healthy.iter().enumerate() {
+        let healthy = small();
+        let sa = small_with(Some(dense_faults()));
+        for (col, &h) in healthy.sense_offsets().iter().enumerate() {
             assert!((sa.sense_offset(col as u32) - (h + 0.01)).abs() < 1e-7);
         }
-        sa.clear_faults();
-        assert_eq!(sa.sense_offsets(), &healthy[..]);
-    }
-
-    #[test]
-    fn clear_faults_restores_healthy_writes() {
-        let mut sa = small();
-        sa.set_faults(dense_faults(&sa));
-        sa.clear_faults();
-        assert!(sa.faults().is_none());
-        sa.write_row(1, &BitRow::ones(64)).unwrap();
-        assert_eq!(sa.read_row(1).unwrap().count_ones(), 64);
+        assert!(
+            Arc::ptr_eq(sa.silicon(), healthy.silicon()),
+            "the shared planes stay healthy"
+        );
     }
 
     #[test]
     fn empty_overlay_changes_nothing() {
-        let mut faulted = small();
-        faulted.set_faults(crate::faults::SubarrayFaults::default());
+        let mut faulted = small_with(Some(SubarrayFaults::default()));
         let healthy = small();
         faulted.write_row(2, &BitRow::ones(64)).unwrap();
         let mut h = healthy;

@@ -87,11 +87,6 @@ pub struct IssueGrid {
 }
 
 impl IssueGrid {
-    /// A delay of `steps` grid ticks (each [`ISSUE_GRID_NS`] long).
-    pub const fn from_steps(steps: u32) -> Self {
-        IssueGrid { steps }
-    }
-
     /// Snaps a nanosecond delay onto the grid (rounding to nearest step).
     ///
     /// Mirrors what the real infrastructure does with a requested delay:

@@ -74,7 +74,7 @@ use std::thread::{self, ThreadId};
 use simra_analog::montecarlo::{SequentialEstimate, Z_95};
 use simra_bender::TestSetup;
 use simra_core::rowgroup::GroupSpec;
-use simra_dram::{Manufacturer, Rng};
+use simra_dram::Rng;
 use simra_telemetry::{Counter, Histogram, Recorder};
 
 use crate::surrogate::{noisy_success_sample, CalKey};
@@ -314,14 +314,10 @@ impl PudBackend for HybridBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
-        // Feasibility guards mirror AnalogBackend (same None points,
-        // no stream consumption).
-        if let TrialOp::Majx { x, .. } = spec.op {
-            if x >= 9 && setup.module().profile().manufacturer == Manufacturer::M {
-                return None;
-            }
-        }
         let profile = setup.module().profile();
+        if spec.unsupported_on(profile) {
+            return None;
+        }
         let key = CalKey::new(profile, spec, group.n_rows() as u32);
         let p_cal = self.surrogate.probability(key, profile, spec);
         if p_cal.is_nan() {

@@ -49,7 +49,7 @@ use simra_core::act::activation_success;
 use simra_core::maj::{majx_success, MajConfig};
 use simra_core::multirowcopy::multirowcopy_success;
 use simra_core::rowgroup::GroupSpec;
-use simra_dram::{ApaTiming, BitRow, DataPattern, Manufacturer, Rng};
+use simra_dram::{ApaTiming, BitRow, DataPattern, Manufacturer, Rng, VendorProfile};
 
 pub use hybrid::HybridBackend;
 pub use manifest::{
@@ -213,6 +213,16 @@ impl TrialSpec {
         self.vpp_v = Some(v);
         self
     }
+
+    /// Whether a `profile` part cannot perform this trial at all.
+    /// Footnote 11: MAJ9 and wider never work on Mfr. M parts, and the
+    /// paper omits those points. Every backend asks this first, before
+    /// the operating point is set, the stream is drawn or a calibration
+    /// probe runs.
+    pub fn unsupported_on(&self, profile: &VendorProfile) -> bool {
+        matches!(self.op, TrialOp::Majx { x, .. } if x >= 9)
+            && profile.manufacturer == Manufacturer::M
+    }
 }
 
 /// The single contract for executing a PUD trial against a mounted
@@ -261,18 +271,15 @@ impl PudBackend for AnalogBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
+        if spec.unsupported_on(setup.module().profile()) {
+            return None;
+        }
         match spec.op {
             TrialOp::Activation { timing, pattern } => {
                 apply_operating_point(spec, setup);
                 activation_success(setup, group, timing, pattern, rng).ok()
             }
             TrialOp::Majx { x, timing, pattern } => {
-                // Footnote 11: MAJ9+ never works on Mfr. M parts; the
-                // paper omits those points, and so do we — before the
-                // operating point is touched or the stream consumed.
-                if x >= 9 && setup.module().profile().manufacturer == Manufacturer::M {
-                    return None;
-                }
                 apply_operating_point(spec, setup);
                 let maj_config = MajConfig::default();
                 majx_success(setup, group, x, timing, pattern, &maj_config, rng).ok()

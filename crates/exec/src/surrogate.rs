@@ -436,14 +436,10 @@ impl PudBackend for SurrogateBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
-        // Feasibility guards mirror AnalogBackend (same None points,
-        // no stream consumption).
-        if let TrialOp::Majx { x, .. } = spec.op {
-            if x >= 9 && setup.module().profile().manufacturer == Manufacturer::M {
-                return None;
-            }
-        }
         let profile = setup.module().profile();
+        if spec.unsupported_on(profile) {
+            return None;
+        }
         let key = CalKey::new(profile, spec, group.n_rows() as u32);
         let p = self.probability(key, profile, spec);
         if p.is_nan() {

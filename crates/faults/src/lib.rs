@@ -116,8 +116,8 @@ impl FaultPlan {
             && self.deadline_ms.is_none()
     }
 
-    /// The cell-defect spec, `None` when absent *or* empty (so callers
-    /// can skip installing a no-op overlay).
+    /// The cell-defect spec, `None` when absent *or* empty (so a rig
+    /// built from the plan carries no no-op overlay).
     pub fn cell_spec(&self) -> Option<CellFaultSpec> {
         self.cells.filter(|c| !c.is_empty())
     }
