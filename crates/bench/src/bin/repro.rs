@@ -165,7 +165,7 @@ fn main() {
         let coordinator =
             simra_characterize::ShardCoordinator::new(exe, base_args, root.clone(), shards);
         eprintln!("# shards: {shards} workers under {}", root.display());
-        let report = match coordinator.execute() {
+        let report = match coordinator.execute(&config) {
             Ok(report) => report,
             Err(err) => {
                 eprintln!("error: {err}");

@@ -13,9 +13,13 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use common::{assert_untouched, backdate};
 
 /// Scratch directory under the system temp dir, fresh per call.
 fn scratch(tag: &str) -> PathBuf {
@@ -164,6 +168,20 @@ fn killed_faulted_run_resumes_byte_identical_with_scoreboard() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
+fn resuming_a_complete_directory_writes_nothing() {
+    let dir = scratch("complete");
+    let dir_s = dir.to_str().expect("scratch path is UTF-8");
+    let first = stdout_of(&["quick", "--checkpoint-dir", dir_s]);
+    // Every journal is complete and compacted: the resume replays it and
+    // its compaction finds the canonical bytes already on disk.
+    let before = backdate(&dir);
+    let resumed = stdout_of(&["quick", "--checkpoint-dir", dir_s, "--resume"]);
+    assert_eq!(resumed, first);
+    assert_untouched(&dir, &before);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -10,9 +10,13 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use common::{assert_untouched, backdate};
 
 /// Scratch directory under the system temp dir, fresh per call.
 fn scratch(tag: &str) -> PathBuf {
@@ -174,22 +178,58 @@ fn rerunning_a_completed_coordinator_replays_byte_identical() {
     let root = scratch("rerun");
     let root_s = root.to_str().expect("scratch path is UTF-8");
     let first = stdout_of(&["quick", "--shards", "2", "--checkpoint-dir", root_s]);
-    let read = |name: &str| std::fs::read(root.join(name)).expect("read a coordinator file");
-    let files = [
-        "shard-0/worker.log",
-        "shard-1/worker.log",
-        "telemetry-merged.json",
-    ];
-    let before: Vec<Vec<u8>> = files.iter().map(|name| read(name)).collect();
     // Everything — workers and the merged session — is already on
-    // disk: the rerun spawns no worker, so no log grows and the merged
-    // telemetry keeps the first run's counters, and it replays.
+    // disk: the rerun spawns no worker, so no log grows, and the merge
+    // and the replay find every journal and the merged telemetry
+    // already holding their bytes, so they write nothing.
+    let before = backdate(&root);
     let second = stdout_of(&["quick", "--shards", "2", "--checkpoint-dir", root_s]);
     assert_eq!(second, first);
-    for (name, bytes) in files.iter().zip(&before) {
-        assert!(read(name) == *bytes, "the rerun changed {name}");
-    }
+    assert_untouched(&root, &before);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_root_from_another_run_is_refused_before_any_worker_spawns() {
+    let completed = |tag: &str, shards: &str| {
+        let root = scratch(tag);
+        let root_s = root.to_str().expect("scratch path is UTF-8").to_string();
+        stdout_of(&["quick", "--shards", shards, "--checkpoint-dir", &root_s]);
+        (root, root_s)
+    };
+    let (two, two_s) = completed("refuse-2", "2");
+    let (four, four_s) = completed("refuse-4", "4");
+    for (root, args) in [
+        (
+            &two,
+            ["--shards", "4", "--checkpoint-dir", &two_s].as_slice(),
+        ),
+        (&four, &["--shards", "2", "--checkpoint-dir", &four_s]),
+        (
+            &two,
+            &[
+                "--shards",
+                "2",
+                "--checkpoint-dir",
+                &two_s,
+                "--backend",
+                "surrogate",
+            ],
+        ),
+    ] {
+        let before = backdate(root);
+        let out = repro(&[&["quick"], args].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "repro quick {args:?} must be refused: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // No shard directory, worker log or merged file is new or touched.
+        assert_untouched(root, &before);
+    }
+    let _ = std::fs::remove_dir_all(&two);
+    let _ = std::fs::remove_dir_all(&four);
 }
 
 #[test]

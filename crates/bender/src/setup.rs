@@ -1,7 +1,12 @@
 //! The experimental rig: module under test + temperature controller +
 //! programmable V_PP supply (Fig. 2 components 3–6).
+//!
+//! One [`TestSetup`] is one mount: one module clamped in the rig for one
+//! measurement (§3.1 of the paper). A stateful backend keeps what it
+//! learns during the measurement in the mount's
+//! [`backend_state`](TestSetup::backend_state), which drops with it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
 
 use simra_analog::{ApaEngine, CircuitParams, EngineCounters, OperatingConditions};
 use simra_dram::{DramModule, VendorProfile};
@@ -38,14 +43,10 @@ impl std::fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
-/// Source of [`TestSetup::slot`] ids. Ids are never reused; `Relaxed`
-/// suffices because the id publishes no other data.
-static NEXT_SLOT: AtomicU64 = AtomicU64::new(0);
-
 /// One DRAM module clamped in the rig, at a controlled operating point.
 ///
-/// Not `Clone`: every mount is its own measurement with its own
-/// [`slot`](Self::slot) id, and a copy would share it.
+/// Not `Clone`: every mount is its own measurement, and its
+/// [`backend_state`](Self::backend_state) belongs to that one alone.
 #[derive(Debug)]
 pub struct TestSetup {
     module: DramModule,
@@ -58,14 +59,14 @@ pub struct TestSetup {
     /// rig counts into a fresh, disabled recorder until a session
     /// re-binds it with [`set_engine_counters`](Self::set_engine_counters).
     engine_counters: EngineCounters,
-    /// Process-unique id of this mount (see [`slot`](Self::slot)).
-    /// Observational like the counters: never compared.
-    slot: u64,
+    /// What a stateful backend keeps for this mount (see
+    /// [`backend_state`](Self::backend_state)). Never compared.
+    backend_state: Option<Box<dyn Any + Send + Sync>>,
 }
 
 /// Rigs compare by experimental state (module, operating point, param
-/// override); the telemetry destination and the mount id are
-/// observational.
+/// override); the telemetry destination and the backend state are
+/// not part of it.
 impl PartialEq for TestSetup {
     fn eq(&self, other: &Self) -> bool {
         self.module == other.module
@@ -81,23 +82,29 @@ impl TestSetup {
         TestSetup::with_module(DramModule::new(profile, seed))
     }
 
-    /// Mounts an existing module under a fresh [`slot`](Self::slot) id.
+    /// Mounts an existing module, with no backend state yet.
     pub fn with_module(module: DramModule) -> Self {
         TestSetup {
             module,
             conditions: OperatingConditions::nominal(),
             params_override: None,
             engine_counters: EngineCounters::default(),
-            slot: NEXT_SLOT.fetch_add(1, Ordering::Relaxed),
+            backend_state: None,
         }
     }
 
-    /// The process-unique id of this mount. Stateful backends (the
-    /// hybrid) scope their per-point history to it: a new mount starts
-    /// from a clean slate. Id *values* are allocation-order artifacts
-    /// and never influence results; only the boundaries matter.
-    pub fn slot(&self) -> u64 {
-        self.slot
+    /// The state a stateful backend keeps for this mount, created as
+    /// `T::default()` on first use. A mount serves one backend, so a
+    /// request for another type replaces the state with a fresh default.
+    /// It drops with the mount: a new mount of the module starts clean.
+    pub fn backend_state<T: Any + Default + Send + Sync>(&mut self) -> &mut T {
+        let state = self
+            .backend_state
+            .get_or_insert_with(|| Box::<T>::default());
+        if !state.is::<T>() {
+            *state = Box::<T>::default();
+        }
+        state.downcast_mut().expect("the slot holds a T")
     }
 
     /// Redirects the op counters of every engine this rig builds (e.g.
@@ -123,9 +130,10 @@ impl TestSetup {
         &mut self.module
     }
 
-    /// Unmounts the module from the rig, consuming the setup. The fleet's
-    /// rig pool uses this to carry one `DramModule` across sweep points
-    /// instead of rebuilding it per point.
+    /// Unmounts the module from the rig, consuming the setup and
+    /// dropping its backend state. The fleet's rig pool uses this to
+    /// carry one `DramModule` across sweep points instead of rebuilding
+    /// it per point.
     pub fn into_module(self) -> DramModule {
         self.module
     }
@@ -181,6 +189,8 @@ impl TestSetup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
 
     #[test]
     fn conditions_round_trip() {
@@ -191,12 +201,34 @@ mod tests {
         assert!((s.conditions().vpp_v - 2.3).abs() < 1e-9);
     }
 
+    /// Backend state that counts its live copies through the `Arc`.
+    type Held = Option<Arc<()>>;
+
     #[test]
-    fn every_mount_gets_its_own_slot() {
-        let a = TestSetup::new(VendorProfile::mfr_h_m_die(), 3);
+    fn backend_state_lives_and_dies_with_the_mount() {
+        let held = Arc::new(());
+        let mut a = TestSetup::new(VendorProfile::mfr_h_m_die(), 3);
+        *a.backend_state::<Held>() = Some(held.clone());
+        *a.backend_state::<Held>() = Some(held.clone());
+        assert_eq!(Arc::strong_count(&held), 2, "one state per mount");
         let b = TestSetup::with_module(a.module().clone());
-        assert_ne!(a.slot(), b.slot());
-        assert_eq!(a, b, "the slot id is not experimental state");
+        assert_eq!(a, b, "backend state is not experimental state");
+        // Unmounting drops the state; a remount of the module starts clean.
+        let mut remount = TestSetup::with_module(a.into_module());
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert!(remount.backend_state::<Held>().is_none());
+        // Asking for another type replaces the state.
+        *remount.backend_state::<Held>() = Some(held.clone());
+        assert_eq!(*remount.backend_state::<u32>(), 0);
+        assert_eq!(Arc::strong_count(&held), 1);
+        // A panic mid-measurement drops it with the rig.
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut rig = TestSetup::with_module(b.into_module());
+            *rig.backend_state::<Held>() = Some(held.clone());
+            panic!("measurement failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(Arc::strong_count(&held), 1);
     }
 
     #[test]

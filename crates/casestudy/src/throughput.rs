@@ -129,9 +129,9 @@ pub fn measure_majx_throughput_on(
     };
     let op_latency_ns = staging + lat.majx_apa_ns;
 
-    // Each measurement mounts its own rig, so it is its own slot:
-    // stateful backends (hybrid) reset here, and the result does not
-    // depend on what ran earlier on this thread.
+    // Each measurement mounts its own rig, with its own backend state:
+    // stateful backends (hybrid) start clean here, and the result does
+    // not depend on what ran earlier on this thread.
     let mut setup = TestSetup::with_module(DramModule::new(profile.clone(), seed));
     setup.set_engine_counters(engine_counters.clone());
     let mut rng = Rng::seed_from_u64(seed ^ 0xC0FFEE);

@@ -519,20 +519,21 @@ impl JournalWriter {
 /// tmp file (`path` plus `.tmp`), fsync it, rename it over the original.
 /// Used for snapshot compaction — the journal is replaced by its
 /// canonical form (records sorted by (module, point)) in one step that
-/// either fully happens or leaves the old journal intact — and for the
-/// session manifest and a shard worker's telemetry, which must exist
-/// only whole.
+/// either fully happens or leaves the old journal intact — for the shard
+/// merge, and for the session manifest and the telemetry files, which
+/// must exist only whole. Bytes already on disk are not rewritten; the
+/// check compares contents, since a journal just appended to can have
+/// the canonical length with its records in another order.
 pub(crate) fn atomic_rewrite(path: &Path, lines: &[String]) -> Result<(), CheckpointError> {
+    let buf: String = lines.iter().flat_map(|line| [line, "\n"]).collect();
+    if fs::read(path).is_ok_and(|on_disk| on_disk == buf.as_bytes()) {
+        return Ok(());
+    }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
         let mut file = File::create(&tmp).map_err(|e| io_err("creating tmp file", &tmp, e))?;
-        let mut buf = String::new();
-        for line in lines {
-            buf.push_str(line);
-            buf.push('\n');
-        }
         file.write_all(buf.as_bytes())
             .and_then(|()| file.sync_all())
             .map_err(|e| io_err("writing tmp file", &tmp, e))?;
@@ -800,6 +801,25 @@ pub fn merge_sweep_journals(inputs: &[PathBuf], output: &Path) -> Result<usize, 
     Ok(lines.len() - 1)
 }
 
+/// Checks the session manifest in `dir`, if any, against a run of
+/// `config` pinned to `shard`, writing nothing. Returns whether `dir`
+/// holds a session.
+pub(crate) fn check_session(
+    dir: &Path,
+    config: &ExperimentConfig,
+    shard: Option<ShardSpec>,
+) -> Result<bool, CheckpointError> {
+    let path = dir.join(SESSION_FILE);
+    if !path.exists() {
+        return Ok(false);
+    }
+    let text =
+        fs::read_to_string(&path).map_err(|e| io_err("reading session manifest", &path, e))?;
+    let current = manifest_for::<()>(config, "session", &[], shard);
+    check_manifest(&SweepManifest::from_json(text.trim())?, &current)?;
+    Ok(true)
+}
+
 /// One armed checkpoint session, owned by a
 /// [`crate::session::Session`]. Sweeps are numbered in issue order,
 /// which is deterministic because campaigns run their figures serially.
@@ -839,18 +859,15 @@ impl CheckpointSession {
     ) -> Result<CheckpointSession, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| io_err("creating checkpoint dir", dir, e))?;
         let session_path = dir.join(SESSION_FILE);
-        let manifest = manifest_for::<()>(config, "session", &[], shard);
         if resume {
-            if !session_path.exists() {
+            if !check_session(dir, config, shard)? {
                 return Err(CheckpointError::SessionMissing { path: session_path });
             }
-            let text = fs::read_to_string(&session_path)
-                .map_err(|e| io_err("reading session manifest", &session_path, e))?;
-            check_manifest(&SweepManifest::from_json(text.trim())?, &manifest)?;
         } else {
             if session_path.exists() {
                 return Err(CheckpointError::DirInUse { path: session_path });
             }
+            let manifest = manifest_for::<()>(config, "session", &[], shard);
             atomic_rewrite(&session_path, &[manifest.to_json()])?;
         }
         Ok(CheckpointSession {
@@ -1529,6 +1546,25 @@ mod tests {
         assert_eq!(fs::read(&merged).unwrap(), golden);
         let _ = fs::remove_dir_all(&root);
         let _ = fs::remove_dir_all(&unsharded);
+    }
+
+    #[test]
+    fn a_rewrite_whose_bytes_are_on_disk_writes_nothing() {
+        let dir = scratch("rewrite");
+        let path = dir.join("sweep-0000.journal");
+        let lines = |order: [&str; 2]| order.map(String::from).to_vec();
+        atomic_rewrite(&path, &lines(["a", "b"])).unwrap();
+        let backdated = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+        let mtime = || fs::metadata(&path).unwrap().modified().unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_modified(backdated).unwrap();
+        atomic_rewrite(&path, &lines(["a", "b"])).unwrap();
+        assert_eq!(mtime(), backdated, "the same bytes are not rewritten");
+        // Same length, other order, as a journal appended out of order.
+        atomic_rewrite(&path, &lines(["b", "a"])).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"b\na\n");
+        assert_ne!(mtime(), backdated);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -478,9 +478,9 @@ where
 {
     let config = ctx.config;
     let module = &config.modules[index];
-    // Every attempt mounts a fresh rig, so it is a fresh slot: stateful
-    // backends (hybrid) reset their per-point history here, a retry
-    // replays the exact same escalation decisions, and worker
+    // Every attempt mounts a fresh rig with empty backend state: the
+    // hybrid's per-point history starts here and drops with the rig, so
+    // a retry replays the exact same escalation decisions and worker
     // scheduling cannot leak state between tasks.
     let mut setup = TestSetup::with_module(dram);
     setup.set_engine_counters(ctx.session.engine_counters().clone());

@@ -26,8 +26,8 @@ use crate::session::Session;
 /// measure every headline operation on the shared per-profile stream.
 fn per_die_row(session: &Session, profile: &VendorProfile) -> Vec<f64> {
     let config = session.config();
-    // The fresh mount is a fresh slot, so stateful backends (hybrid)
-    // start clean whatever this thread ran before: the row is
+    // The fresh mount carries no backend state, so stateful backends
+    // (hybrid) start clean whatever this thread ran before: the row is
     // scheduling-independent.
     let mut setup = TestSetup::with_module(DramModule::new(profile.clone(), 4242));
     setup.set_engine_counters(session.engine_counters().clone());

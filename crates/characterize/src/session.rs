@@ -13,9 +13,9 @@
 //! sweep on its own scoped threads — with different seeds,
 //! backends, and fault plans, and each produces output byte-identical
 //! to running alone: telemetry and counters never touch an RNG stream,
-//! each session's calibration table and hybrid slot state are
-//! instance-owned, and every (module, point) task seeds its own stream
-//! from a pure function of the session's config
+//! each session's calibration table is instance-owned, the hybrid's
+//! history lives on each rig mount, and every (module, point) task
+//! seeds its own stream from a pure function of the session's config
 //! (`module_stream_seed`). `crates/characterize/tests/sessions.rs`
 //! asserts exactly that.
 //!

@@ -45,9 +45,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::Duration;
 
+use simra_exec::ShardSpec;
 use simra_telemetry::Snapshot;
 
-use crate::checkpoint::{atomic_rewrite, merge_sweep_journals, CheckpointError};
+use crate::checkpoint::{atomic_rewrite, check_session, merge_sweep_journals, CheckpointError};
+use crate::config::ExperimentConfig;
 use crate::fleet::{backoff_charge_ms, FleetPolicy};
 
 pub use crate::checkpoint::slot_shard;
@@ -263,6 +265,33 @@ impl ShardCoordinator {
         self.root.join("telemetry-merged.json")
     }
 
+    /// Checks the root against a run of `config`, reading only: a
+    /// `shard-k` with `k` at or above the shard count, or a shard's or
+    /// the merged session manifest that differs from this run's, is
+    /// refused before any worker spawns instead of at the merge.
+    fn check_root(&self, config: &ExperimentConfig) -> Result<(), ShardError> {
+        let count = self.shards;
+        for entry in fs::read_dir(&self.root).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            let index = name
+                .to_str()
+                .and_then(|n| n.strip_prefix("shard-")?.parse().ok());
+            if index.is_some_and(|index: u32| index >= count) {
+                return Err(ShardError::Checkpoint(CheckpointError::Mismatch {
+                    field: "shard",
+                    on_disk: name.to_string_lossy().into_owned(),
+                    current: format!("{count} shards"),
+                }));
+            }
+        }
+        for index in 0..count {
+            let spec = ShardSpec { index, count };
+            check_session(&self.shard_dir(index), config, Some(spec))?;
+        }
+        check_session(&self.merged_dir(), config, None)?;
+        Ok(())
+    }
+
     /// Runs all workers to completion (one supervisor thread each),
     /// respawning transient failures per the policy. Returns the first
     /// shard's error if any shard ultimately fails.
@@ -361,8 +390,6 @@ impl ShardCoordinator {
             }
         }
         let merged_dir = self.merged_dir();
-        fs::create_dir_all(&merged_dir)
-            .map_err(|e| io_err("creating merged dir", &merged_dir, e))?;
         let mut records = 0usize;
         for name in &reference {
             let inputs: Vec<PathBuf> = (0..self.shards)
@@ -388,10 +415,8 @@ impl ShardCoordinator {
         let telemetry = if snapshots.is_empty() {
             None
         } else {
-            let merged = Snapshot::merge_all(&snapshots);
             let path = self.telemetry_path();
-            fs::write(&path, merged.to_json() + "\n")
-                .map_err(|e| io_err("writing merged telemetry", &path, e))?;
+            atomic_rewrite(&path, &[Snapshot::merge_all(&snapshots).to_json()])?;
             Some(path)
         };
         Ok(MergeReport {
@@ -401,10 +426,12 @@ impl ShardCoordinator {
         })
     }
 
-    /// Runs the workers, then merges: the whole coordinator lifecycle
-    /// short of the final in-process replay (which needs the campaign
-    /// closure and so lives with the caller).
-    pub fn execute(&self) -> Result<MergeReport, ShardError> {
+    /// Checks the root, runs the workers, then merges: the whole
+    /// coordinator lifecycle short of the final in-process replay (which
+    /// needs the campaign closure and so lives with the caller). A root
+    /// that another run wrote fails before anything is created or spawned.
+    pub fn execute(&self, config: &ExperimentConfig) -> Result<MergeReport, ShardError> {
+        self.check_root(config)?;
         self.run_workers()?;
         self.merge()
     }
@@ -427,6 +454,7 @@ fn sweep_journal_names(dir: &Path) -> Result<Vec<String>, ShardError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointSession;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
@@ -485,6 +513,51 @@ mod tests {
             other => panic!("expected MissingJournal, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_root_from_another_run_is_refused_before_anything_is_written() {
+        let root = scratch("foreign");
+        let config = ExperimentConfig::quick();
+        // A worker that cannot spawn: reaching it fails with `Spawn`.
+        let coordinator = |shards| {
+            ShardCoordinator::new(PathBuf::from("/nonexistent"), vec![], root.clone(), shards)
+        };
+        let two = coordinator(2);
+        two.check_root(&config)
+            .expect("a missing root belongs to any run");
+        for index in 0..2 {
+            let spec = ShardSpec { index, count: 2 };
+            CheckpointSession::arm(&two.shard_dir(index), &config, false, Some(spec)).unwrap();
+        }
+        two.check_root(&config).expect("the root's own run passes");
+        let listing = || {
+            let mut names: Vec<_> = fs::read_dir(&root)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let refusal = |shards, config: &ExperimentConfig| match coordinator(shards).execute(config)
+        {
+            Err(ShardError::Checkpoint(CheckpointError::Mismatch { field, .. })) => field,
+            other => panic!("expected a manifest mismatch, got {other:?}"),
+        };
+        assert_eq!(refusal(4, &config), "shard");
+        let mut other = config.clone();
+        other.seed ^= 1;
+        assert_eq!(refusal(2, &other), "seed");
+        assert_eq!(listing(), before, "a refused run creates nothing");
+        // A shard beyond the count is refused even without a session.
+        fs::create_dir_all(two.shard_dir(2)).unwrap();
+        assert_eq!(refusal(2, &config), "shard");
+        fs::remove_dir(two.shard_dir(2)).unwrap();
+        // The merged session is checked like a shard's.
+        CheckpointSession::arm(&two.merged_dir(), &other, false, None).unwrap();
+        assert_eq!(refusal(2, &config), "seed");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[cfg(unix)]

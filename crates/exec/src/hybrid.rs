@@ -11,8 +11,8 @@
 //! 19.9 %, flipping Obs. 8). The hybrid spends analog trials *only
 //! where they buy certainty*:
 //!
-//! For each operating point (the surrogate's calibration key) inside a
-//! slot it maintains a [`SequentialEstimate`] — a Wilson-score interval
+//! For each operating point (the surrogate's calibration key) on a rig
+//! mount it maintains a [`SequentialEstimate`] — a Wilson-score interval
 //! over the analog success fractions observed so far, each weighted by
 //! `SAMPLE_WEIGHT` pseudo-trials. Per trial it either **answers from
 //! the table** (two RNG draws, no analog work — byte-identical in form
@@ -45,31 +45,27 @@
 //!
 //! # Determinism
 //!
-//! Escalation decisions are a pure function of (spec,
-//! observation history in slot order): the decision for trial *k* of a
-//! point depends only on the outcomes of that point's earlier analog
-//! trials *within the same slot*, which are themselves pure functions
-//! of the slot's seeded RNG stream. A slot is one rig mount, identified
-//! by [`TestSetup::slot`]: the executor mounts a fresh rig for every
-//! (module, point, attempt) task, so a slot runs start to finish on one
-//! thread. State lives in a per-instance map keyed by worker thread,
-//! tagged with the slot it belongs to, and dropped as soon as that
-//! thread's trials arrive on another mount, so worker count,
-//! scheduling, retries, checkpoint resume, and sharding cannot leak
-//! history between slots — two same-seed runs are byte-identical, and
-//! two backend instances (e.g. two concurrent sessions) never see each
-//! other's state. Answer samples consume exactly two uniforms (the
-//! surrogate's noise shape) and escalated trials consume exactly the
-//! analog backend's draws, so a decided point's stream position matches
-//! what a pure table (resp. pure analog) run would produce — and
-//! paired same-N sweep points that decide after the same trial count
-//! replay identical noise, preserving the paired-observation
-//! cancellation the scoreboard relies on.
+//! Escalation decisions are a pure function of (spec, observation
+//! history on the mount): the decision for trial *k* of a point depends
+//! only on the outcomes of that point's earlier analog trials *on the
+//! same rig mount*, which are themselves pure functions of the mount's
+//! seeded RNG stream. The history lives in the mount's
+//! [`TestSetup::backend_state`], and the executor mounts a fresh rig
+//! for every (module, point, attempt) task, so the history starts empty
+//! with the task and drops with its rig. Worker count, scheduling,
+//! interleaving, retries, checkpoint resume and sharding therefore
+//! cannot leak history between tasks — two same-seed runs are
+//! byte-identical — and the backend instance itself keeps no per-mount
+//! state. Answer samples consume exactly two uniforms (the surrogate's
+//! noise shape) and escalated trials consume exactly the analog
+//! backend's draws, so a decided point's stream position matches what a
+//! pure table (resp. pure analog) run would produce — and paired same-N
+//! sweep points that decide after the same trial count replay identical
+//! noise, preserving the paired-observation cancellation the scoreboard
+//! relies on.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
-use std::thread::{self, ThreadId};
 
 use simra_analog::montecarlo::{SequentialEstimate, Z_95};
 use simra_bender::TestSetup;
@@ -134,22 +130,21 @@ fn decision_thresholds(op: &TrialOp) -> &'static [f64] {
     }
 }
 
-/// Per-point escalation state within one slot.
+/// Per-point escalation state on one rig mount.
 #[derive(Default)]
 struct PointState {
+    /// The calibrated table probability; `NaN` marks an infeasible
+    /// configuration.
+    p_cal: f64,
     estimate: SequentialEstimate,
     analog_trials: u32,
     /// Once decided: the probability every remaining trial answers with.
     answer: Option<f64>,
 }
 
-/// One worker thread's hybrid state within this backend instance,
-/// valid for exactly one rig mount ([`TestSetup::slot`]); reset when
-/// the thread's trials move to another mount.
-struct SlotCache {
-    slot: u64,
-    points: HashMap<CalKey, PointState>,
-}
+/// A mount's escalation state, one entry per point, kept in the
+/// mount's [`TestSetup::backend_state`].
+type Points = HashMap<CalKey, PointState>;
 
 /// What [`HybridBackend::run_trial`] should do for the current trial,
 /// computed *before* any RNG consumption.
@@ -183,19 +178,11 @@ impl HybridCounters {
 ///
 /// One instance lives for a whole session, and its surrogate is the
 /// session's only calibration table, warm for every figure; the
-/// escalation state, by contrast, is slot-scoped and never survives a
-/// change of rig mount. All mutable state is owned by the instance —
-/// per-worker slot caches live in a map keyed by [`ThreadId`], not in
-/// process-wide thread-locals — so independent instances (one per
-/// session) are fully isolated.
+/// escalation state, by contrast, belongs to the rig mount it was
+/// measured on and drops with it.
 pub struct HybridBackend {
     surrogate: SurrogateBackend,
     counters: HybridCounters,
-    /// Per-worker slot-scoped escalation state. A slot runs start to
-    /// finish on one thread, so keying by thread keeps each slot's
-    /// history private without any cross-thread coordination beyond the
-    /// map lock (held only for the duration of one decision).
-    slots: Mutex<HashMap<ThreadId, SlotCache>>,
 }
 
 impl fmt::Debug for HybridBackend {
@@ -214,7 +201,6 @@ impl HybridBackend {
         HybridBackend {
             surrogate: SurrogateBackend::recorded_by(recorder),
             counters: HybridCounters::recorded_by(recorder),
-            slots: Mutex::new(HashMap::new()),
         }
     }
 
@@ -223,23 +209,10 @@ impl HybridBackend {
         &self.surrogate
     }
 
-    /// Decides the current trial of `key` on mount `slot` from the
-    /// slot-local history. Pure in (p_cal, op, history);
-    /// consumes no RNG.
-    fn decide(&self, key: CalKey, slot: u64, p_cal: f64, op: &TrialOp) -> Action {
-        let mut slots = self.slots.lock().expect("hybrid slot state poisoned");
-        let cache = slots
-            .entry(thread::current().id())
-            .or_insert_with(|| SlotCache {
-                slot,
-                points: HashMap::new(),
-            });
-        if cache.slot != slot {
-            cache.slot = slot;
-            cache.points.clear();
-        }
+    /// Decides the current trial of a point from its history on the
+    /// mount. Pure in (p_cal, op, history); consumes no RNG.
+    fn decide(&self, state: &mut PointState, op: &TrialOp) -> Action {
         let counters = &self.counters;
-        let state = cache.points.entry(key).or_default();
         if let Some(p) = state.answer {
             counters.table_hits.incr();
             return Action::Answer(p);
@@ -249,7 +222,7 @@ impl HybridBackend {
             return Action::Escalate;
         }
         let est = state.estimate;
-        let trusted = est.consistent_with(p_cal, TABLE_ERROR_BAND, Z_95);
+        let trusted = est.consistent_with(state.p_cal, TABLE_ERROR_BAND, Z_95);
         let decided = (est.converged(EPSILON, Z_95)
             && trusted
             && est.clear_of(decision_thresholds(op), Z_95))
@@ -269,36 +242,10 @@ impl HybridBackend {
         // Anchor the answer to the evidence; pull toward the table
         // only when the table agrees with what was measured.
         let prior_weight = if trusted { PRIOR_WEIGHT } else { 0.0 };
-        let p = est.posterior_mean(p_cal, prior_weight);
+        let p = est.posterior_mean(state.p_cal, prior_weight);
         state.answer = Some(p);
         counters.table_hits.incr();
         Action::Answer(p)
-    }
-
-    /// Folds an escalated trial's observed success fraction into the
-    /// point's slot-local estimate.
-    fn observe(&self, key: &CalKey, fraction: f64) {
-        let mut slots = self.slots.lock().expect("hybrid slot state poisoned");
-        if let Some(state) = slots
-            .get_mut(&thread::current().id())
-            .and_then(|cache| cache.points.get_mut(key))
-        {
-            state.estimate.observe(fraction, SAMPLE_WEIGHT);
-            state.analog_trials += 1;
-        }
-    }
-
-    /// The analog trials this thread's current slot has spent on `key`
-    /// (0 when the point has no state). Test-support introspection.
-    #[cfg(test)]
-    fn analog_trials_spent(&self, key: &CalKey) -> u32 {
-        self.slots
-            .lock()
-            .expect("hybrid slot state poisoned")
-            .get(&thread::current().id())
-            .and_then(|cache| cache.points.get(key))
-            .map(|state| state.analog_trials)
-            .unwrap_or(0)
     }
 }
 
@@ -319,15 +266,28 @@ impl PudBackend for HybridBackend {
             return None;
         }
         let key = CalKey::new(profile, spec, group.n_rows() as u32);
-        let p_cal = self.surrogate.probability(key, profile, spec);
+        // The mount's first trial of a point resolves its table entry.
+        let p_cal = match setup.backend_state::<Points>().get(&key) {
+            Some(state) => state.p_cal,
+            None => self
+                .surrogate
+                .probability(key, setup.module().profile(), spec),
+        };
+        let points = setup.backend_state::<Points>();
+        let state = points.entry(key).or_insert_with(|| PointState {
+            p_cal,
+            ..PointState::default()
+        });
         if p_cal.is_nan() {
             return None;
         }
-        match self.decide(key, setup.slot(), p_cal, &spec.op) {
+        match self.decide(state, &spec.op) {
             Action::Answer(p) => Some(noisy_success_sample(p, rng)),
             Action::Escalate => {
                 let s = AnalogBackend.run_trial(spec, setup, group, rng)?;
-                self.observe(&key, s);
+                let state = setup.backend_state::<Points>().entry(key).or_default();
+                state.estimate.observe(s, SAMPLE_WEIGHT);
+                state.analog_trials += 1;
                 Some(s)
             }
         }
@@ -362,10 +322,19 @@ mod tests {
         .expect("subarray hosts the group")
     }
 
+    /// The analog trials `setup`'s mount has spent on `spec`'s point
+    /// (0 when the point has no state).
+    fn analog_trials_spent(setup: &mut TestSetup, spec: &TrialSpec, n: u32) -> u32 {
+        let key = CalKey::new(setup.module().profile(), spec, n);
+        setup
+            .backend_state::<Points>()
+            .get(&key)
+            .map_or(0, |state| state.analog_trials)
+    }
+
     /// Runs `trials` hybrid trials of one spec on a freshly mounted rig
-    /// (a fresh slot) and returns (samples, analog trials spent on the
-    /// point).
-    fn run_slot(
+    /// and returns (samples, analog trials spent on the point).
+    fn run_mount(
         backend: &HybridBackend,
         spec: &TrialSpec,
         n: u32,
@@ -376,8 +345,7 @@ mod tests {
         let samples: Vec<_> = (0..trials)
             .map(|_| backend.run_trial(spec, &mut setup, &group, &mut rng))
             .collect();
-        let key = CalKey::new(setup.module().profile(), spec, n);
-        let spent = backend.analog_trials_spent(&key);
+        let spent = analog_trials_spent(&mut setup, spec, n);
         (samples, spent)
     }
 
@@ -388,7 +356,7 @@ mod tests {
         // analog trial, the rest answered from the table.
         let backend = hybrid();
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
-        let (samples, spent) = run_slot(&backend, &spec, 32, 6);
+        let (samples, spent) = run_mount(&backend, &spec, 32, 6);
         assert_eq!(spent, 1, "floor trial only");
         for s in &samples {
             assert!(s.expect("feasible") > 0.9);
@@ -404,7 +372,7 @@ mod tests {
         let backend = hybrid();
         let spec = TrialSpec::majx(7, ApaTiming::best_for_majx(), DataPattern::Random);
         let trials = CEILING as usize + 4;
-        let (samples, spent) = run_slot(&backend, &spec, 32, trials);
+        let (samples, spent) = run_mount(&backend, &spec, 32, trials);
         // The ceiling is pinned by value: 8 analog trials per point.
         assert_eq!(spent, 8, "inconsistent table → analog until the cap");
         // Once capped, the answer is the empirical mean (untrusted
@@ -416,21 +384,51 @@ mod tests {
     #[test]
     fn decisions_are_byte_identical_across_instances_and_replays() {
         let spec = TrialSpec::majx(5, ApaTiming::best_for_majx(), DataPattern::Random);
-        let (a, _) = run_slot(&hybrid(), &spec, 32, 10);
-        let (b, _) = run_slot(&hybrid(), &spec, 32, 10);
-        assert_eq!(a, b, "same seed, fresh slot → identical samples");
+        let (a, _) = run_mount(&hybrid(), &spec, 32, 10);
+        let (b, _) = run_mount(&hybrid(), &spec, 32, 10);
+        assert_eq!(a, b, "same seed, fresh mount → identical samples");
     }
 
     #[test]
-    fn slot_boundaries_reset_the_escalation_state() {
+    fn a_new_mount_starts_a_clean_history() {
         let backend = hybrid();
         let spec = TrialSpec::activation(ApaTiming::best_for_activation());
-        let (first, spent_first) = run_slot(&backend, &spec, 32, 4);
+        let (first, spent_first) = run_mount(&backend, &spec, 32, 4);
         // A later mount on the same thread must not inherit the decided
         // state: it re-spends the floor trial and replays identically.
-        let (second, spent_second) = run_slot(&backend, &spec, 32, 4);
-        assert_eq!(spent_first, spent_second, "state reset at slot boundary");
-        assert_eq!(first, second, "replay is exact despite warm caches");
+        let (second, spent_second) = run_mount(&backend, &spec, 32, 4);
+        assert_eq!(spent_first, spent_second, "state reset with the mount");
+        assert_eq!(first, second, "replay is exact despite a warm table");
+    }
+
+    #[test]
+    fn interleaved_mounts_decide_as_when_run_alone() {
+        // One backend, two mounts whose trials alternate on one thread:
+        // each mount keeps its own history, so each takes exactly the
+        // decisions (and draws exactly the samples) it takes alone.
+        let act = TrialSpec::activation(ApaTiming::best_for_activation());
+        let maj = TrialSpec::majx(5, ApaTiming::best_for_majx(), DataPattern::Random);
+        let trials = 6;
+        let (act_alone, act_spent) = run_mount(&hybrid(), &act, 32, trials);
+        let (maj_alone, maj_spent) = run_mount(&hybrid(), &maj, 32, trials);
+        let backend = hybrid();
+        let (mut rig_a, mut rng_a) = rig(VendorProfile::mfr_h_m_die(), 7);
+        let group_a = group_of(&rig_a, 32, &mut rng_a);
+        let (mut rig_b, mut rng_b) = rig(VendorProfile::mfr_h_m_die(), 7);
+        let group_b = group_of(&rig_b, 32, &mut rng_b);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..trials {
+            a.push(backend.run_trial(&act, &mut rig_a, &group_a, &mut rng_a));
+            b.push(backend.run_trial(&maj, &mut rig_b, &group_b, &mut rng_b));
+        }
+        assert_eq!(a, act_alone);
+        assert_eq!(b, maj_alone);
+        assert_eq!(analog_trials_spent(&mut rig_a, &act, 32), act_spent);
+        assert_eq!(analog_trials_spent(&mut rig_b, &maj, 32), maj_spent);
+        assert!(
+            act_spent < trials as u32,
+            "the activation point decides early"
+        );
     }
 
     #[test]

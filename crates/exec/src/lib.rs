@@ -23,9 +23,9 @@
 //!   consistent with the table, and is decisively clear of every
 //!   observation threshold — escalating ambiguous points to the analog
 //!   core with sequential early stopping. It owns the surrogate it
-//!   answers from, and scopes its escalation state to one rig mount
-//!   ([`TestSetup::slot`]). Module docs of [`hybrid`] give the decision
-//!   rule and the determinism argument.
+//!   answers from, and keeps its escalation state on the rig mount it
+//!   measures ([`TestSetup::backend_state`]). Module docs of [`hybrid`]
+//!   give the decision rule and the determinism argument.
 //!
 //! A characterization session holds one [`HybridBackend`]: its
 //! surrogate is the session's only calibration table, and the analog

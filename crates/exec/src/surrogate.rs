@@ -21,10 +21,11 @@
 //!
 //! The key (`CalKey`) is a `Copy` value built from the trial spec and
 //! the profile fields a probe reads, so building it allocates nothing.
-//! Every trial of a sweep slot asks for the same key, so each thread
-//! remembers the last `(instance, key) → p` it resolved; only the first
-//! trial of a slot reaches the shared, locked table, and only a table
-//! miss runs a probe. Per trial, the lookup costs one key comparison.
+//! Every trial of a sweep slot asks for the same key, so each rig mount
+//! remembers the last `key → p` it resolved, in its
+//! [`TestSetup::backend_state`]; only the first trial of a mount
+//! reaches the shared, locked table, and only a table miss runs a
+//! probe. Per trial, the lookup costs one key comparison.
 //!
 //! # Why paired observations survive
 //!
@@ -58,10 +59,8 @@
 //! paired observations see only cancelled noise. CI enforces exactly
 //! this band (`.github/workflows/ci.yml`, `repro-surrogate`).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use simra_analog::EngineCounters;
@@ -266,9 +265,6 @@ impl CalKey {
 /// probabilities — sessions never need to share a table to agree.
 #[derive(Debug)]
 pub struct SurrogateBackend {
-    /// Process-unique instance id (from [`NEXT_INSTANCE`]): tags this
-    /// instance's entries in the per-thread memo.
-    id: u64,
     calibration: Mutex<HashMap<CalKey, f64>>,
     counters: CalCounters,
     /// Counter handles the calibration rig reports engine ops to, so a
@@ -276,21 +272,13 @@ pub struct SurrogateBackend {
     engine_counters: EngineCounters,
 }
 
-/// Source of [`SurrogateBackend`] ids. Ids are never reused, so a memo
-/// entry left behind by a dropped instance can never answer for a new
-/// one, even one constructed at the same address. `Relaxed` suffices:
-/// the id publishes no other data, and `fetch_add` alone makes it
-/// unique.
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's last resolved `(instance id, key, p)`. It only
-    /// ever holds a copy of an entry the instance's table already
-    /// holds, and table entries are never replaced, so a hit returns
-    /// exactly what the table would: the memo changes no result, no
-    /// probe count and no RNG draw.
-    static LAST_RESOLVED: Cell<Option<(u64, CalKey, f64)>> = const { Cell::new(None) };
-}
+/// A mount's last resolved `key → p`, kept in its
+/// [`TestSetup::backend_state`]. It only ever holds a copy of an entry
+/// the table already holds, and table entries are never replaced, so a
+/// hit returns exactly what the table would: the memo changes no
+/// result, no probe count and no RNG draw.
+#[derive(Default)]
+struct LastResolved(Option<(CalKey, f64)>);
 
 impl Default for SurrogateBackend {
     fn default() -> Self {
@@ -309,7 +297,6 @@ impl SurrogateBackend {
     /// rig's engine ops) to `recorder`.
     pub fn recorded_by(recorder: &Recorder) -> Self {
         SurrogateBackend {
-            id: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             calibration: Mutex::new(HashMap::new()),
             counters: CalCounters::recorded_by(recorder),
             engine_counters: EngineCounters::recorded_by(recorder),
@@ -325,8 +312,7 @@ impl SurrogateBackend {
     }
 
     /// The calibrated success probability of `key`, the key of `spec`
-    /// on `profile`: this thread's memo if it holds `key` for this
-    /// instance, else the table, probing the analog core on a table
+    /// on `profile`, from the table, probing the analog core on a table
     /// miss. `NaN` marks an infeasible configuration (every probe
     /// returned `None`).
     pub(crate) fn probability(
@@ -335,16 +321,11 @@ impl SurrogateBackend {
         profile: &VendorProfile,
         spec: &TrialSpec,
     ) -> f64 {
-        if let Some((id, last, p)) = LAST_RESOLVED.get() {
-            if id == self.id && last == key {
-                return p;
-            }
-        }
         let mut cache = self
             .calibration
             .lock()
             .expect("surrogate calibration cache poisoned");
-        let p = *cache.entry(key).or_insert_with(|| {
+        *cache.entry(key).or_insert_with(|| {
             self.counters.probes.incr();
             self.counters.probe_groups.add(CAL_GROUPS as u64);
             calibrate(
@@ -354,9 +335,7 @@ impl SurrogateBackend {
                 key.physics_seed(&profile.label()),
                 &self.engine_counters,
             )
-        });
-        LAST_RESOLVED.set(Some((self.id, key, p)));
-        p
+        })
     }
 }
 
@@ -441,7 +420,14 @@ impl PudBackend for SurrogateBackend {
             return None;
         }
         let key = CalKey::new(profile, spec, group.n_rows() as u32);
-        let p = self.probability(key, profile, spec);
+        let p = match setup.backend_state::<LastResolved>().0 {
+            Some((last, p)) if last == key => p,
+            _ => {
+                let p = self.probability(key, setup.module().profile(), spec);
+                setup.backend_state::<LastResolved>().0 = Some((key, p));
+                p
+            }
+        };
         if p.is_nan() {
             return None;
         }
@@ -642,31 +628,28 @@ mod tests {
     }
 
     #[test]
-    fn the_memo_never_answers_for_another_instance() {
-        // Alternating instances on one thread, then a new instance built
-        // right after one is dropped: each still probes every key once,
-        // so no memo entry crossed from one instance to another.
-        let profile = VendorProfile::mfr_h_m_die();
+    fn alternating_instances_on_their_own_mounts_probe_each_key_once() {
+        // Two instances take turns on one thread, each on its own mount:
+        // a memo lives on its mount, so neither instance's memo answers
+        // for the other, and each probes every key once.
         let keys = race_keys();
         let (a, a_probes) = recorded();
         let (b, b_probes) = recorded();
+        let (mut rig_a, mut rng_a) = rig(VendorProfile::mfr_h_m_die(), 7);
+        let (mut rig_b, mut rng_b) = rig(VendorProfile::mfr_h_m_die(), 7);
+        let mut draws = Rng::seed_from_u64(5);
+        let groups: Vec<GroupSpec> = keys
+            .iter()
+            .map(|(_, n)| group_of(&rig_a, *n, &mut draws))
+            .collect();
         for _ in 0..2 {
-            for (spec, n) in &keys {
-                let pa = probability_of(&a, &profile, spec, *n);
-                let pb = probability_of(&b, &profile, spec, *n);
-                assert_eq!(pa.to_bits(), pb.to_bits());
+            for ((spec, _), group) in keys.iter().zip(&groups) {
+                let sa = a.run_trial(spec, &mut rig_a, group, &mut rng_a);
+                let sb = b.run_trial(spec, &mut rig_b, group, &mut rng_b);
+                assert_eq!(sa, sb, "both instances read the same physics");
             }
         }
         assert_eq!(a_probes.get(), keys.len() as u64);
         assert_eq!(b_probes.get(), keys.len() as u64);
-        // The memo now holds `b`'s answer for the last key.
-        drop(b);
-        let (c, c_probes) = recorded();
-        for (spec, n) in keys.iter().rev() {
-            probability_of(&c, &profile, spec, *n);
-            probability_of(&a, &profile, spec, *n);
-        }
-        assert_eq!(c_probes.get(), keys.len() as u64);
-        assert_eq!(a_probes.get(), keys.len() as u64, "a's table stays warm");
     }
 }
