@@ -164,8 +164,10 @@ fn main() {
         }
         let coordinator =
             simra_characterize::ShardCoordinator::new(exe, base_args, root.clone(), shards);
-        eprintln!("# shards: {shards} workers under {}", root.display());
-        let report = match coordinator.execute(&config) {
+        // Announced only once the root passes its check, and before the
+        // first worker spawns: a refused run starts no worker.
+        let announce = || eprintln!("# shards: {shards} workers under {}", root.display());
+        let report = match coordinator.execute(&config, announce) {
             Ok(report) => report,
             Err(err) => {
                 eprintln!("error: {err}");

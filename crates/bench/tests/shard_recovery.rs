@@ -219,11 +219,15 @@ fn a_root_from_another_run_is_refused_before_any_worker_spawns() {
     ] {
         let before = backdate(root);
         let out = repro(&[&["quick"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
             Some(2),
-            "repro quick {args:?} must be refused: {}",
-            String::from_utf8_lossy(&out.stderr)
+            "repro quick {args:?} must be refused: {stderr}"
+        );
+        assert!(
+            !stderr.contains(" workers under "),
+            "repro quick {args:?} announced workers it never starts: {stderr}"
         );
         // No shard directory, worker log or merged file is new or touched.
         assert_untouched(root, &before);

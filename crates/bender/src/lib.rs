@@ -37,4 +37,4 @@ pub use interpreter::ProgramRun;
 pub use power::PowerModel;
 pub use program::{BenderInstr, BenderProgram};
 pub use sequencer::SequencerError;
-pub use setup::TestSetup;
+pub use setup::{StateSlot, TestSetup};

@@ -4,7 +4,11 @@
 //! One [`TestSetup`] is one mount: one module clamped in the rig for one
 //! measurement (§3.1 of the paper). A stateful backend keeps what it
 //! learns during the measurement in the mount's
-//! [`backend_state`](TestSetup::backend_state), which drops with it.
+//! [`backend_state`](TestSetup::backend_state), which drops with it, and
+//! what it knows of the RNG stream the measurement replays in its
+//! [`stream_state`](TestSetup::stream_state). A fleet chain replays one
+//! stream at every sweep point of one (module, N), so it lends that
+//! stream's slot to each of those mounts and takes it back with the rig.
 
 use std::any::Any;
 
@@ -43,6 +47,23 @@ impl std::fmt::Display for SetupError {
 
 impl std::error::Error for SetupError {}
 
+/// What a backend keeps between trials: empty until first use, then one
+/// value of the type last asked for.
+#[derive(Debug, Default)]
+pub struct StateSlot(Option<Box<dyn Any + Send + Sync>>);
+
+impl StateSlot {
+    /// The slot's `T`, created as `T::default()` on first use; a request
+    /// for another type replaces the value with a fresh default.
+    fn get<T: Any + Default + Send + Sync>(&mut self) -> &mut T {
+        let state = self.0.get_or_insert_with(|| Box::<T>::default());
+        if !state.is::<T>() {
+            *state = Box::<T>::default();
+        }
+        state.downcast_mut().expect("the slot holds a T")
+    }
+}
+
 /// One DRAM module clamped in the rig, at a controlled operating point.
 ///
 /// Not `Clone`: every mount is its own measurement, and its
@@ -61,12 +82,16 @@ pub struct TestSetup {
     engine_counters: EngineCounters,
     /// What a stateful backend keeps for this mount (see
     /// [`backend_state`](Self::backend_state)). Never compared.
-    backend_state: Option<Box<dyn Any + Send + Sync>>,
+    backend_state: StateSlot,
+    /// What a backend keeps for the RNG stream this mount replays,
+    /// lent by the caller or the mount's own (see
+    /// [`stream_state`](Self::stream_state)). Never compared.
+    stream_state: StateSlot,
 }
 
 /// Rigs compare by experimental state (module, operating point, param
-/// override); the telemetry destination and the backend state are
-/// not part of it.
+/// override); the telemetry destination and the backend and stream
+/// state are not part of it.
 impl PartialEq for TestSetup {
     fn eq(&self, other: &Self) -> bool {
         self.module == other.module
@@ -82,14 +107,15 @@ impl TestSetup {
         TestSetup::with_module(DramModule::new(profile, seed))
     }
 
-    /// Mounts an existing module, with no backend state yet.
+    /// Mounts an existing module, with no backend or stream state yet.
     pub fn with_module(module: DramModule) -> Self {
         TestSetup {
             module,
             conditions: OperatingConditions::nominal(),
             params_override: None,
             engine_counters: EngineCounters::default(),
-            backend_state: None,
+            backend_state: StateSlot::default(),
+            stream_state: StateSlot::default(),
         }
     }
 
@@ -98,13 +124,30 @@ impl TestSetup {
     /// request for another type replaces the state with a fresh default.
     /// It drops with the mount: a new mount of the module starts clean.
     pub fn backend_state<T: Any + Default + Send + Sync>(&mut self) -> &mut T {
-        let state = self
-            .backend_state
-            .get_or_insert_with(|| Box::<T>::default());
-        if !state.is::<T>() {
-            *state = Box::<T>::default();
-        }
-        state.downcast_mut().expect("the slot holds a T")
+        self.backend_state.get()
+    }
+
+    /// What a backend keeps about the RNG stream this mount's trials
+    /// replay, created as `T::default()` on first use like
+    /// [`backend_state`](Self::backend_state). It must be a pure cache of
+    /// stream positions: the slot may have served other mounts that
+    /// replayed the same stream, and a lender may drop it at any time.
+    /// Without a [`lend_stream_state`](Self::lend_stream_state) it is the
+    /// mount's own and drops with it.
+    pub fn stream_state<T: Any + Default + Send + Sync>(&mut self) -> &mut T {
+        self.stream_state.get()
+    }
+
+    /// Lends this mount the stream slot of the stream its trials replay,
+    /// in place of its own.
+    pub fn lend_stream_state(&mut self, slot: StateSlot) {
+        self.stream_state = slot;
+    }
+
+    /// Takes the stream slot back, leaving the mount an empty one of its
+    /// own. A panic before this drops the lent slot with the rig.
+    pub fn take_stream_state(&mut self) -> StateSlot {
+        std::mem::take(&mut self.stream_state)
     }
 
     /// Redirects the op counters of every engine this rig builds (e.g.
@@ -131,9 +174,9 @@ impl TestSetup {
     }
 
     /// Unmounts the module from the rig, consuming the setup and
-    /// dropping its backend state. The fleet's rig pool uses this to
-    /// carry one `DramModule` across sweep points instead of rebuilding
-    /// it per point.
+    /// dropping its backend and stream state. The fleet's rig pool uses
+    /// this to carry one `DramModule` across sweep points instead of
+    /// rebuilding it per point.
     pub fn into_module(self) -> DramModule {
         self.module
     }
@@ -225,6 +268,31 @@ mod tests {
         let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut rig = TestSetup::with_module(b.into_module());
             *rig.backend_state::<Held>() = Some(held.clone());
+            panic!("measurement failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn a_lent_stream_slot_serves_each_borrower_and_drops_on_a_panic() {
+        let held = Arc::new(());
+        let mut a = TestSetup::new(VendorProfile::mfr_h_m_die(), 3);
+        *a.stream_state::<Held>() = Some(held.clone());
+        assert!(a.backend_state::<Held>().is_none(), "two separate slots");
+        // Taken back, the slot carries its state to the next mount.
+        let slot = a.take_stream_state();
+        assert!(
+            a.stream_state::<Held>().is_none(),
+            "the lender left it empty"
+        );
+        let mut b = TestSetup::with_module(a.into_module());
+        b.lend_stream_state(slot);
+        assert!(b.stream_state::<Held>().is_some());
+        assert_eq!(Arc::strong_count(&held), 2);
+        // A panic mid-measurement drops the lent slot with the rig.
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(move || {
+            let _rig = b;
             panic!("measurement failed");
         }));
         assert!(unwound.is_err());

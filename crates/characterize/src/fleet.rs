@@ -19,7 +19,10 @@
 //!   per module per figure;
 //! * **no per-point group draw** — a chain draws its module's row groups
 //!   once per distinct N and keeps them for every later point (and
-//!   retry) at that N.
+//!   retry) at that N, with the stream's backend-state slot, which it
+//!   lends to each of those tasks' rigs (the surrogate keeps the
+//!   stream's trial noise there, so each position's noise is computed
+//!   once per chain instead of once per point).
 //!
 //! # Entry points
 //!
@@ -47,7 +50,9 @@
 //! after the draw; every (module, point) task at that N then runs `op`
 //! group by group on a clone of that post-draw stream: the exact
 //! sequential semantics of seeding and drawing per task, since faults
-//! never consume the stream and `op` never mutates a group. Results
+//! never consume the stream and `op` never mutates a group. The
+//! draw's lent state slot holds only a cache of stream positions, which
+//! the serial reference never lends, so it changes no result. Results
 //! land in slots indexed by (point, module), so [`run_sweep`] output is
 //! **byte-identical** to running each point as its own one-point sweep,
 //! which in turn is bit-identical to the serial reference
@@ -105,7 +110,7 @@ use std::time::Instant;
 
 use simra_analog::params::NOMINAL_VPP;
 use simra_bender::setup::VPP_RANGE_V;
-use simra_bender::TestSetup;
+use simra_bender::{StateSlot, TestSetup};
 use simra_core::rowgroup::{assert_group_size, sample_groups, GroupSpec};
 use simra_dram::{DramModule, Rng};
 use simra_faults::{FaultPlan, ModuleFaultKind};
@@ -279,27 +284,22 @@ pub struct FleetOutcome {
 impl FleetOutcome {
     /// All samples from completed modules, ordered by module then group.
     pub fn samples(&self) -> Vec<f64> {
-        self.slots
-            .iter()
-            .filter_map(|slot| match slot {
+        let completed = || {
+            self.slots.iter().filter_map(|slot| match slot {
                 ModuleResult::Completed { samples, .. } => Some(samples.as_slice()),
                 ModuleResult::Failed { .. } => None,
             })
-            .flatten()
-            .copied()
-            .collect()
+        };
+        let mut out = Vec::with_capacity(completed().map(<[f64]>::len).sum());
+        for samples in completed() {
+            out.extend_from_slice(samples);
+        }
+        out
     }
 
     /// Consuming variant of [`FleetOutcome::samples`].
     pub fn into_samples(self) -> Vec<f64> {
-        self.slots
-            .into_iter()
-            .filter_map(|slot| match slot {
-                ModuleResult::Completed { samples, .. } => Some(samples),
-                ModuleResult::Failed { .. } => None,
-            })
-            .flatten()
-            .collect()
+        self.samples()
     }
 
     /// Number of modules that completed.
@@ -410,13 +410,21 @@ struct SweepCtx<'a, P, F> {
 }
 
 /// One chain's group draw at `n`: the groups [`sample_groups`] drew from
-/// the module's [`module_stream_seed`] stream, and that stream right
-/// after the draw. Pushed only once complete and never mutated, so a
-/// panicked attempt leaves its chain's draws consistent for the retry.
+/// the module's [`module_stream_seed`] stream, that stream right after
+/// the draw, and the stream's backend-state slot. Pushed only once
+/// complete, and its groups and stream are never mutated, so a panicked
+/// attempt leaves its chain's draws consistent for the retry.
+///
+/// Every task at `n` replays the same stream, so the chain lends `state`
+/// to each task's rig ([`TestSetup::lend_stream_state`]) and takes it
+/// back with the rig. A backend may keep only a cache of stream
+/// positions there (the surrogate's trial noise): a panicked attempt
+/// drops the slot with its rig, and the retry starts an empty one.
 struct GroupDraw {
     n: u32,
     groups: Vec<GroupSpec>,
     rng: Rng,
+    state: StateSlot,
 }
 
 /// Runs one module's task at one point on the serial reference path:
@@ -481,11 +489,13 @@ where
     // Every attempt mounts a fresh rig with empty backend state: the
     // hybrid's per-point history starts here and drops with the rig, so
     // a retry replays the exact same escalation decisions and worker
-    // scheduling cannot leak state between tasks.
+    // scheduling cannot leak state between tasks. The rig borrows the
+    // chain's stream slot at `point.n` and hands it back below; a panic
+    // drops it with the rig.
     let mut setup = TestSetup::with_module(dram);
     setup.set_engine_counters(ctx.session.engine_counters().clone());
-    let draw = match draws.iter().position(|draw| draw.n == point.n) {
-        Some(at) => &draws[at],
+    let at = match draws.iter().position(|draw| draw.n == point.n) {
+        Some(at) => at,
         None => {
             let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, point.n));
             let groups = sample_groups(
@@ -501,12 +511,16 @@ where
                 n: point.n,
                 groups,
                 rng,
+                state: StateSlot::default(),
             });
-            &draws[draws.len() - 1]
+            draws.len() - 1
         }
     };
-    let groups = &draw.groups;
-    let mut rng = draw.rng.clone();
+    let GroupDraw {
+        groups, rng, state, ..
+    } = &mut draws[at];
+    let mut rng = rng.clone();
+    setup.lend_stream_state(std::mem::take(state));
     let faults = ctx.plan.module_faults(index);
     let mut samples = Vec::with_capacity(groups.len());
     let mut stalled_ms = 0.0;
@@ -568,6 +582,7 @@ where
             samples.push(sample);
         }
     }
+    *state = setup.take_stream_state();
     let dram = setup.into_module();
     match failure {
         Some(cause) => (Err(cause), dram),
@@ -1355,13 +1370,6 @@ mod tests {
             .enumerate()
             .map(|(k, &n)| SweepPoint::new(n, 1.0 + k as f64))
             .collect();
-        let panic_on_module_0 = FaultPlan {
-            modules: vec![ModuleFault {
-                module_index: 0,
-                kind: ModuleFaultKind::PanicAt { at_group: 1 },
-            }],
-            ..FaultPlan::default()
-        };
         let sweep = |session: &Session| {
             run_sweep_on(
                 FleetPool::global(),
@@ -1373,7 +1381,10 @@ mod tests {
                 sweep_probe_op,
             )
         };
-        for (tag, faults) in [("draws", None), ("draws-retried", Some(panic_on_module_0))] {
+        for (tag, faults) in [
+            ("draws", None),
+            ("draws-retried", Some(panic_on_module_0())),
+        ] {
             let mut config = two_module_config();
             config.faults = faults;
             let retried = config.faults.is_some();
@@ -1418,6 +1429,103 @@ mod tests {
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Module 0 panics at group 1 on the first attempt of every task.
+    fn panic_on_module_0() -> FaultPlan {
+        FaultPlan {
+            modules: vec![ModuleFault {
+                module_index: 0,
+                kind: ModuleFaultKind::PanicAt { at_group: 1 },
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
+    #[test]
+    fn a_chain_lends_each_draws_stream_slot_to_every_task_at_its_n() {
+        // The op counts the trials its stream slot has seen. Every task
+        // at one (module, N) borrows the chain's slot for that N, so the
+        // second N = 4 point counts on from the first; a panicked attempt
+        // drops the slot with its rig, so its retry counts from 1 again.
+        let points = [4u32, 8, 4].map(|n| SweepPoint::new(n, ()));
+        let count = |_: &(), s: &mut TestSetup, _: &GroupSpec, _: &mut Rng| {
+            *s.stream_state::<u32>() += 1;
+            Some(f64::from(*s.stream_state::<u32>()))
+        };
+        for faults in [None, Some(panic_on_module_0())] {
+            let mut config = two_module_config();
+            config.faults = faults;
+            let per_module = config.groups_per_module() as u32;
+            let outcomes = run_sweep_on(
+                FleetPool::global(),
+                &session_for(&config),
+                &points,
+                FleetPolicy::default(),
+                &MockClock::new(),
+                2,
+                count,
+            );
+            for (k, outcome) in outcomes.iter().enumerate() {
+                for (module, slot) in outcome.slots.iter().enumerate() {
+                    let panicked = config.faults.is_some() && module == 0;
+                    let first = if k == 2 && !panicked { per_module } else { 0 };
+                    let want: Vec<f64> = (first + 1..=first + per_module).map(f64::from).collect();
+                    let attempts = if panicked { 2 } else { 1 };
+                    assert_eq!(
+                        slot,
+                        &ModuleResult::Completed {
+                            samples: want,
+                            attempts
+                        },
+                        "module {module} point {k} (panicked: {panicked})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn surrogate_sweeps_on_lent_noise_memos_match_the_serial_reference() {
+        // Three points at N = 4 share each chain's noise memo; the serial
+        // reference lends none. A panicked first attempt drops the memo,
+        // and the retry still matches.
+        use simra_exec::{BackendChoice, TrialSpec};
+        let spec = TrialSpec::majx(
+            3,
+            simra_dram::ApaTiming::best_for_majx(),
+            simra_dram::DataPattern::Random,
+        );
+        let points = [
+            SweepPoint::new(4, spec.at_temperature(50.0)),
+            SweepPoint::new(8, spec),
+            SweepPoint::new(4, spec.at_temperature(70.0)),
+            SweepPoint::new(4, spec.at_vpp(2.3)),
+        ];
+        for faults in [None, Some(panic_on_module_0())] {
+            let mut config = two_module_config();
+            config.faults = faults;
+            let session = session_for(&config);
+            let surrogate = session.dispatch(BackendChoice::Surrogate);
+            let outcomes = run_sweep_on(
+                FleetPool::global(),
+                &session,
+                &points,
+                FleetPolicy::default(),
+                &MockClock::new(),
+                2,
+                |spec: &TrialSpec, s: &mut TestSetup, g: &GroupSpec, r: &mut Rng| {
+                    surrogate.run_trial(spec, s, g, r)
+                },
+            );
+            for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
+                let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                    surrogate.run_trial(&point.params, s, g, r)
+                });
+                assert_eq!(outcome.ok_modules(), 2, "point {k}");
+                assert_eq!(outcome.samples(), serial, "point {k}");
+            }
         }
     }
 

@@ -426,12 +426,18 @@ impl ShardCoordinator {
         })
     }
 
-    /// Checks the root, runs the workers, then merges: the whole
-    /// coordinator lifecycle short of the final in-process replay (which
-    /// needs the campaign closure and so lives with the caller). A root
-    /// that another run wrote fails before anything is created or spawned.
-    pub fn execute(&self, config: &ExperimentConfig) -> Result<MergeReport, ShardError> {
+    /// Checks the root, calls `announce`, runs the workers, then merges:
+    /// the whole coordinator lifecycle short of the final in-process
+    /// replay (which needs the campaign closure and so lives with the
+    /// caller). A root that another run wrote fails before anything is
+    /// created, announced or spawned.
+    pub fn execute(
+        &self,
+        config: &ExperimentConfig,
+        announce: impl FnOnce(),
+    ) -> Result<MergeReport, ShardError> {
         self.check_root(config)?;
+        announce();
         self.run_workers()?;
         self.merge()
     }
@@ -540,10 +546,14 @@ mod tests {
             names
         };
         let before = listing();
-        let refusal = |shards, config: &ExperimentConfig| match coordinator(shards).execute(config)
-        {
-            Err(ShardError::Checkpoint(CheckpointError::Mismatch { field, .. })) => field,
-            other => panic!("expected a manifest mismatch, got {other:?}"),
+        let refusal = |shards, config: &ExperimentConfig| {
+            let mut announced = false;
+            let outcome = coordinator(shards).execute(config, || announced = true);
+            assert!(!announced, "a refused run announces no workers");
+            match outcome {
+                Err(ShardError::Checkpoint(CheckpointError::Mismatch { field, .. })) => field,
+                other => panic!("expected a manifest mismatch, got {other:?}"),
+            }
         };
         assert_eq!(refusal(4, &config), "shard");
         let mut other = config.clone();

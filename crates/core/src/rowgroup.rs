@@ -154,7 +154,9 @@ pub fn sample_groups(
     let decoder = RowDecoder::for_subarray_rows(geometry.rows_per_subarray);
     let banks = banks.min(geometry.banks);
     let subarrays_per_bank = subarrays_per_bank.min(geometry.subarrays_per_bank);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(
+        usize::from(banks) * usize::from(subarrays_per_bank) * groups_per_subarray,
+    );
     for b in 0..banks {
         // Randomly select distinct subarrays in this bank.
         let mut sa_ids: Vec<u16> = (0..geometry.subarrays_per_bank).collect();
@@ -345,6 +347,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a digests of [`sample_groups`]' paper population (16 banks ×
+    /// 3 subarrays × 100 groups) and the stream's next draw, per subarray
+    /// height (512, 640, 1 024 rows) and N ∈ {2, 4, 8, 16, 32}.
+    const PAPER_POPULATION: [[u64; 5]; 3] = [
+        [
+            0x636e_cc00_94c8_9b4b,
+            0xbaff_7d30_7e1d_223e,
+            0x1652_65dd_20d3_1a1b,
+            0xa7b4_ed90_7541_5ec0,
+            0xf54b_603a_da44_9345,
+        ],
+        [
+            0xf742_d766_7caa_22f5,
+            0x3558_0447_c319_c1c2,
+            0x1f49_c0f8_a499_0131,
+            0xe3ec_9a77_330b_2fdc,
+            0x1759_1bc3_aac4_9b99,
+        ],
+        [
+            0x2859_f54f_95c2_095b,
+            0xc909_bd74_5908_1e98,
+            0xdc71_f242_ea71_0aff,
+            0x9014_0ca6_ef19_6918,
+            0x9ec5_6f07_7968_dd1d,
+        ],
+    ];
+
+    #[test]
+    fn the_paper_population_draw_is_pinned() {
+        use simra_dram::VendorProfile;
+        let profiles = [
+            VendorProfile::mfr_h_m_die(),
+            VendorProfile::mfr_h_m_die_640(),
+            VendorProfile::mfr_m_e_die(),
+        ];
+        let mut got = [[0u64; 5]; 3];
+        for (profile, got) in profiles.iter().zip(&mut got) {
+            let geometry = profile.geometry;
+            for (n, got) in [2u32, 4, 8, 16, 32].into_iter().zip(got) {
+                let mut rng = Rng::seed_from_u64(u64::from(geometry.rows_per_subarray) << 8 | 0x5A);
+                let groups = sample_groups(&geometry, n, 16, 3, 100, &mut rng);
+                assert_eq!(
+                    groups.len(),
+                    4_800,
+                    "{} rows, N = {n}",
+                    geometry.rows_per_subarray
+                );
+                let mut digest = 0xcbf2_9ce4_8422_2325u64;
+                let mut fold = |word: u64| {
+                    for byte in word.to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+                    }
+                };
+                for g in &groups {
+                    fold(u64::from(g.bank.raw()) << 16 | u64::from(g.subarray.raw()));
+                    fold(u64::from(g.r_f.raw()) << 32 | u64::from(g.r_s.raw()));
+                    g.local_rows.iter().for_each(|&r| fold(u64::from(r)));
+                }
+                fold(rng.next_u64());
+                *got = digest;
+            }
+        }
+        assert_eq!(got, PAPER_POPULATION, "{got:#018x?}");
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod predecoder;
 pub mod rowdec;
 
 pub use apa::ApaOutcome;
-pub use predecoder::{Predecoder, PredecoderGroup, MAX_PREDECODERS};
+pub use predecoder::{PredecoderGroup, MAX_PREDECODERS};
 pub use rowdec::RowDecoder;

@@ -1,4 +1,8 @@
-//! The latching predecoders of LWLD Stage 1 (the paper's `P` signals).
+//! The predecoders of LWLD Stage 1 (the paper's `P` signals): which
+//! row-address bits each one decodes. A predecoder latches the output its
+//! address asserts until a properly timed precharge clears it, so after
+//! an APA it holds `R_F`'s output and `R_S`'s; [`crate::RowDecoder`]
+//! computes the rows those outputs open from the two addresses directly.
 
 /// A contiguous group of row-address bits handled by one predecoder.
 ///
@@ -27,47 +31,6 @@ impl PredecoderGroup {
     }
 }
 
-/// One latching predecoder: decodes its bit group and *latches* the
-/// asserted output until a (properly timed) precharge clears it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Predecoder {
-    group: PredecoderGroup,
-    /// Bitmask of latched outputs (bit i set ⇔ output i latched).
-    latched: u32,
-}
-
-impl Predecoder {
-    /// A predecoder for the given bit group, with no outputs latched.
-    pub fn new(group: PredecoderGroup) -> Self {
-        Predecoder { group, latched: 0 }
-    }
-
-    /// The bit group this predecoder decodes.
-    pub fn group(&self) -> PredecoderGroup {
-        self.group
-    }
-
-    /// Decodes `addr` and latches the corresponding output (an `ACT`).
-    pub fn latch(&mut self, addr: u32) {
-        self.latched |= 1 << self.group.output_for(addr);
-    }
-
-    /// Clears all latched outputs (a `PRE` honouring `tRP`).
-    pub fn clear(&mut self) {
-        self.latched = 0;
-    }
-
-    /// Whether output `i` is latched.
-    pub fn is_latched(&self, i: u32) -> bool {
-        self.latched & (1 << i) != 0
-    }
-
-    /// Number of latched outputs.
-    pub fn latched_count(&self) -> u32 {
-        self.latched.count_ones()
-    }
-}
-
 /// Most predecoders a subarray's decoder has ([`paper_groups`] never
 /// returns more), so APA opens at most `2^MAX_PREDECODERS` = 32 rows.
 pub const MAX_PREDECODERS: usize = 5;
@@ -77,7 +40,10 @@ pub const MAX_PREDECODERS: usize = 5;
 /// group absorbing any remainder (e.g. 10-bit Micron subarrays get a 3-bit
 /// group E). Five predecoders bound simultaneous activation at 2^5 = 32
 /// rows, matching the paper's hypothesis.
-pub fn paper_groups(bits: u32) -> Vec<PredecoderGroup> {
+///
+/// Returns the groups in a fixed array and how many of its leading
+/// entries are used; the rest are zero-width.
+pub fn paper_groups(bits: u32) -> ([PredecoderGroup; MAX_PREDECODERS], usize) {
     assert!(
         (5..=13).contains(&bits),
         "in-subarray address must be 5..=13 bits, got {bits}"
@@ -85,18 +51,20 @@ pub fn paper_groups(bits: u32) -> Vec<PredecoderGroup> {
     // One 1-bit group, then 2-bit groups, with the fifth (last) group
     // absorbing whatever remains. Subarrays smaller than 2^8 rows simply
     // get fewer predecoders (and a lower simultaneous-activation bound).
-    let mut groups = vec![PredecoderGroup { shift: 0, width: 1 }];
-    let mut shift = 1;
-    while shift < bits && groups.len() < MAX_PREDECODERS {
-        let width = if groups.len() == MAX_PREDECODERS - 1 {
+    let mut groups = [PredecoderGroup { shift: 0, width: 0 }; MAX_PREDECODERS];
+    groups[0].width = 1;
+    let (mut len, mut shift) = (1, 1);
+    while shift < bits && len < MAX_PREDECODERS {
+        let width = if len == MAX_PREDECODERS - 1 {
             bits - shift
         } else {
             2.min(bits - shift)
         };
-        groups.push(PredecoderGroup { shift, width });
+        groups[len] = PredecoderGroup { shift, width };
+        len += 1;
         shift += width;
     }
-    groups
+    (groups, len)
 }
 
 #[cfg(test)]
@@ -113,23 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn latch_accumulates_until_cleared() {
-        let mut p = Predecoder::new(PredecoderGroup { shift: 0, width: 2 });
-        p.latch(0);
-        p.latch(3);
-        p.latch(3);
-        assert_eq!(p.latched_count(), 2);
-        assert!(p.is_latched(0) && p.is_latched(3));
-        assert!(!p.is_latched(1) && !p.is_latched(2));
-        p.clear();
-        assert_eq!(p.latched_count(), 0);
-    }
-
-    #[test]
     fn paper_groups_cover_all_bits_disjointly() {
         for bits in [9u32, 10, 11] {
-            let groups = paper_groups(bits);
-            assert_eq!(groups.len(), 5, "five predecoders for real subarray sizes");
+            let (groups, len) = paper_groups(bits);
+            assert_eq!(len, 5, "five predecoders for real subarray sizes");
             let covered: u32 = groups.iter().map(|g| g.width).sum();
             assert_eq!(covered, bits);
             // Disjoint and contiguous.
@@ -144,7 +99,7 @@ mod tests {
     #[test]
     fn fig14_signal_assignment() {
         // Row 0 → {P_A0, P_B0}; Row 7 → {P_A1, P_B3} per the paper.
-        let groups = paper_groups(9);
+        let (groups, _) = paper_groups(9);
         assert_eq!(groups[0].output_for(0), 0);
         assert_eq!(groups[1].output_for(0), 0);
         assert_eq!(groups[0].output_for(7), 1);
@@ -154,11 +109,12 @@ mod tests {
     #[test]
     fn small_subarrays_get_fewer_predecoders() {
         // 64-row (6-bit) synthetic subarrays: 1 + 2 + 2 + 1 bits.
-        let groups = paper_groups(6);
-        assert_eq!(groups.len(), 4);
+        let (groups, len) = paper_groups(6);
+        assert_eq!(len, 4);
         assert_eq!(groups.iter().map(|g| g.width).sum::<u32>(), 6);
+        assert_eq!(groups[len].width, 0, "unused entries are zero-width");
         // 5-bit: 1 + 2 + 2.
-        assert_eq!(paper_groups(5).len(), 3);
+        assert_eq!(paper_groups(5).1, 3);
     }
 
     #[test]

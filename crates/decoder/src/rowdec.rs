@@ -4,7 +4,7 @@
 use simra_dram::ApaTiming;
 
 use crate::apa::ApaOutcome;
-use crate::predecoder::{paper_groups, Predecoder, PredecoderGroup};
+use crate::predecoder::{paper_groups, PredecoderGroup, MAX_PREDECODERS};
 
 /// `t2` at or below this keeps the predecoder latches set, producing
 /// simultaneous activation; above it the wordline of `R_F` de-asserts and
@@ -15,11 +15,14 @@ pub const SIMULTANEOUS_T2_MAX_NS: f64 = 3.0;
 /// The row decoder of one subarray's LWLD.
 ///
 /// Stateless with respect to experiments: [`RowDecoder::resolve_apa`]
-/// simulates the latch dance of one APA sequence from a clean (precharged)
-/// state, which is how every experiment in the paper begins.
+/// resolves one APA sequence from a clean (precharged) state, which is
+/// how every experiment in the paper begins. Building one allocates
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowDecoder {
-    groups: Vec<PredecoderGroup>,
+    /// The predecoder bit groups; the first `group_count` are used.
+    groups: [PredecoderGroup; MAX_PREDECODERS],
+    group_count: usize,
     subarray_rows: u32,
 }
 
@@ -40,15 +43,17 @@ impl RowDecoder {
         while (1u32 << bits) < rows {
             bits += 1;
         }
+        let (groups, group_count) = paper_groups(bits);
         RowDecoder {
-            groups: paper_groups(bits),
+            groups,
+            group_count,
             subarray_rows: rows,
         }
     }
 
-    /// The predecoder bit groups.
+    /// The predecoder bit groups, from the low address bits up.
     pub fn groups(&self) -> &[PredecoderGroup] {
-        &self.groups
+        &self.groups[..self.group_count]
     }
 
     /// Rows in the subarray this decoder drives.
@@ -58,7 +63,7 @@ impl RowDecoder {
 
     /// In how many predecoder groups two local row addresses differ.
     pub fn differing_groups(&self, a: u32, b: u32) -> u32 {
-        self.groups
+        self.groups()
             .iter()
             .filter(|g| g.output_for(a) != g.output_for(b))
             .count() as u32
@@ -73,35 +78,36 @@ impl RowDecoder {
     /// The full set of local rows asserted when both addresses' predecode
     /// signals are latched: the Cartesian product of the latched outputs,
     /// clipped to rows that physically exist (640-row subarrays decode 10
-    /// bits but only populate 640 wordlines). Ascending.
+    /// bits but only populate 640 wordlines). Ascending, with exactly the
+    /// capacity it needs.
     pub fn simultaneous_rows(&self, r_f: u32, r_s: u32) -> Vec<u32> {
-        // At most one row per combination of latched outputs: ≤ 32.
-        let mut rows = Vec::with_capacity(1 << self.groups.len());
-        rows.push(0u32);
-        for g in &self.groups {
-            // Drive the actual latch model: ACT R_F latches, violated PRE
-            // does not clear, ACT R_S latches.
-            let mut p = Predecoder::new(*g);
-            p.latch(r_f);
-            p.latch(r_s);
-            // Expand the product in place. Groups run from the low address
-            // bits up, so each later latched output appends a copy of the
-            // rows so far that lies wholly above them: the product stays
-            // ascending without a sort.
-            let base = rows.len();
-            let mut latched = (0..g.outputs()).filter(|&out| p.is_latched(out));
-            let lowest = latched.next().expect("an ACT latches one output");
-            for out in latched {
-                for i in 0..base {
-                    rows.push(rows[i] | (out << g.shift));
-                }
-            }
-            for row in &mut rows[..base] {
-                *row |= lowest << g.shift;
+        // Each predecoder holds R_F's output and R_S's: one output where
+        // they agree, two where they differ. Start from the row that takes
+        // the lower output everywhere; the j-th differing predecoder then
+        // doubles the set by flipping its field to the higher output.
+        let mut lowest = 0;
+        let mut flips = [0u32; MAX_PREDECODERS];
+        let mut differing = 0;
+        for g in self.groups() {
+            let (f, s) = (g.output_for(r_f) << g.shift, g.output_for(r_s) << g.shift);
+            lowest |= f.min(s);
+            if f != s {
+                flips[differing] = f ^ s;
+                differing += 1;
             }
         }
-        rows.retain(|r| *r < self.subarray_rows);
-        rows
+        // Bit j of a row's index says whether it takes the higher output
+        // of the j-th differing predecoder. Predecoders run from the low
+        // address bits up, so the rows ascend with their index.
+        let mut rows = [lowest; 1 << MAX_PREDECODERS];
+        for (j, flip) in flips[..differing].iter().enumerate() {
+            let (done, rest) = rows.split_at_mut(1 << j);
+            for (row, below) in rest.iter_mut().zip(done.iter()) {
+                *row = below ^ flip;
+            }
+        }
+        let rows = &rows[..1 << differing];
+        rows[..rows.partition_point(|&r| r < self.subarray_rows)].to_vec()
     }
 
     /// Resolves an APA sequence from a precharged bank.
@@ -162,12 +168,12 @@ impl RowDecoder {
     /// subarray (possible only for non-power-of-two subarrays) or if `n`
     /// exceeds the decoder's reach.
     pub fn partner_for_count(&self, r_f: u32, n: u32) -> Option<u32> {
-        if !n.is_power_of_two() || n > (1 << self.groups.len()) {
+        if !n.is_power_of_two() || n > (1 << self.group_count) {
             return None;
         }
         let d = n.trailing_zeros();
         let mut r_s = r_f;
-        for g in self.groups.iter().take(d as usize) {
+        for g in self.groups().iter().take(d as usize) {
             r_s ^= 1 << g.shift;
         }
         if r_s >= self.subarray_rows {
@@ -207,6 +213,47 @@ mod tests {
         let rows = d.simultaneous_rows(127, 128);
         assert_eq!(rows.len(), 32);
         assert!(rows.contains(&127) && rows.contains(&128));
+    }
+
+    /// [`RowDecoder::simultaneous_rows`] as it was when each predecoder
+    /// was simulated as a latch: `ACT R_F` and `ACT R_S` each latch one
+    /// output, and the product grows group by group from the low address
+    /// bits up. Frozen as the oracle for the bit arithmetic.
+    fn latch_loop(d: &RowDecoder, r_f: u32, r_s: u32) -> Vec<u32> {
+        let mut rows = vec![0u32];
+        for g in d.groups() {
+            let latched = 1u64 << g.output_for(r_f) | 1 << g.output_for(r_s);
+            let base = rows.len();
+            let mut outputs = (0..g.outputs()).filter(|&out| latched & 1 << out != 0);
+            let lowest = outputs.next().expect("an ACT latches one output");
+            for out in outputs {
+                for i in 0..base {
+                    rows.push(rows[i] | (out << g.shift));
+                }
+            }
+            for row in &mut rows[..base] {
+                *row |= lowest << g.shift;
+            }
+        }
+        rows.retain(|r| *r < d.subarray_rows());
+        rows
+    }
+
+    #[test]
+    fn simultaneous_rows_equals_the_latch_loop() {
+        // The tested parts' heights never reach past their last populated
+        // row; 600 rows populate only part of their top predecoder block,
+        // so the clip shows there.
+        for rows in [64u32, 128, 256, 512, 600, 640, 1024] {
+            let d = RowDecoder::for_subarray_rows(rows);
+            for r_f in 0..rows {
+                for r_s in 0..rows {
+                    let set = d.simultaneous_rows(r_f, r_s);
+                    assert_eq!(set, latch_loop(&d, r_f, r_s), "({r_f}, {r_s}) of {rows}");
+                    assert_eq!(set.capacity(), set.len(), "({r_f}, {r_s}) of {rows}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! `f64` is `(x >> 11)·2⁻⁵³`, `bool` is `x >> 63`, an integer range is
 //! `start + x mod span`, a float range is `start + (end − start)·f64`,
 //! and `gen_bool(p)` is `f64 < p`. `jump(k)` skips `k` draws in O(1),
-//! because the state is a counter stepped by one constant. They are
+//! because the state is a counter stepped by one constant, and
+//! `draws_since` counts them back. They are
 //! `#[inline]` because they are not generic over the generator, so they
 //! would not inline across crates on their own.
 //!
@@ -26,6 +27,8 @@ use std::ops::{Range, RangeInclusive};
 
 /// splitmix64's increment: the state after `k` draws is `seed + k·GAMMA`.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// `GAMMA`'s multiplicative inverse modulo 2⁶⁴ (`GAMMA` is odd).
+const GAMMA_INV: u64 = 0xF1DE_83E1_9937_733D;
 
 /// A splitmix64 stream: the whole state is one `u64`, and equal seeds
 /// replay equal streams.
@@ -56,6 +59,17 @@ impl Rng {
     #[inline]
     pub fn jump(&mut self, draws: u64) {
         self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
+
+    /// How many draws lead from `origin` to this stream's position, modulo
+    /// 2⁶⁴: the `k` for which `origin.jump(k)` lands here. Any two states
+    /// lie on the one splitmix64 cycle, so `k` always exists; a position
+    /// *before* `origin` reads as a huge `k`.
+    #[inline]
+    pub fn draws_since(&self, origin: &Rng) -> u64 {
+        self.state
+            .wrapping_sub(origin.state)
+            .wrapping_mul(GAMMA_INV)
     }
 
     /// One uniform value of `T`: any `u64`, an `f64` in `[0, 1)`, or a
@@ -364,6 +378,27 @@ mod tests {
             jumped.jump(u64::MAX);
             jumped.next_u64();
             assert_eq!(jumped.next_u64(), Rng::seed_from_u64(seed).next_u64());
+        }
+    }
+
+    #[test]
+    fn draws_since_inverts_jump() {
+        assert_eq!(GAMMA.wrapping_mul(GAMMA_INV), 1);
+        // The last two origins wrap the state within the first jumps.
+        for seed in [0, 1_234_567, u64::MAX - 2, u64::MAX - GAMMA] {
+            let origin = Rng::seed_from_u64(seed);
+            for k in [0u64, 1, 2, 7, 9_600, 1 << 40, u64::MAX - 1, u64::MAX] {
+                let mut jumped = origin.clone();
+                jumped.jump(k);
+                assert_eq!(jumped.draws_since(&origin), k, "seed {seed}, k {k}");
+            }
+            let mut walked = origin.clone();
+            for k in 1..=5 {
+                walked.next_u64();
+                assert_eq!(walked.draws_since(&origin), k, "seed {seed}");
+            }
+            // Five draws before a position is 2⁶⁴ − 5 draws after it.
+            assert_eq!(origin.draws_since(&walked), u64::MAX - 4, "seed {seed}");
         }
     }
 

@@ -87,10 +87,16 @@ pub struct IssueGrid {
 }
 
 impl IssueGrid {
-    /// Snaps a nanosecond delay onto the grid (rounding to nearest step).
+    /// Snaps a nanosecond delay onto the grid, rounding to the nearest
+    /// step (at least one).
     ///
     /// Mirrors what the real infrastructure does with a requested delay:
-    /// it can only issue on 1.5 ns boundaries.
+    /// it can only issue on 1.5 ns boundaries. The nearest step, not the
+    /// next one up: an APA's t1 and t2 are deliberate violations that
+    /// name the paper's own grid points, so a delay means the point
+    /// closest to it. SoftMC's `ceil(ns / 1.5015)` turns a delay into
+    /// controller cycles that must never undershoot it, and would move
+    /// 14.0 ns to 15.0 ns; here it stays at 13.5 ns (DESIGN.md §2).
     pub fn from_ns(ns: f64) -> Self {
         let steps = (ns / ISSUE_GRID_NS).round().max(1.0) as u32;
         IssueGrid { steps }
@@ -115,7 +121,11 @@ mod tests {
     fn grid_snaps_to_multiples_of_1_5() {
         assert_eq!(IssueGrid::from_ns(1.5).as_ns(), 1.5);
         assert_eq!(IssueGrid::from_ns(3.0).as_ns(), 3.0);
+        // The rounding rule's pins: nearest step, where SoftMC's
+        // `ceil(ns / 1.5015)` would round 2.0 ns up to 3.0 ns and, near
+        // tRCD, 14.0 ns up to 15.0 ns.
         assert_eq!(IssueGrid::from_ns(2.0).as_ns(), 1.5);
+        assert_eq!(IssueGrid::from_ns(14.0).as_ns(), 13.5);
         assert_eq!(IssueGrid::from_ns(2.3).as_ns(), 3.0);
         assert_eq!(IssueGrid::from_ns(36.0).as_ns(), 36.0);
     }

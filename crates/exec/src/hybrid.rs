@@ -57,8 +57,10 @@
 //! cannot leak history between tasks — two same-seed runs are
 //! byte-identical — and the backend instance itself keeps no per-mount
 //! state. Answer samples consume exactly two uniforms (the surrogate's
-//! noise shape) and escalated trials consume exactly the analog
-//! backend's draws, so a decided point's stream position matches what a
+//! noise shape, read from the stream's noise memo like a surrogate
+//! answer, which changes no value) and escalated trials consume exactly
+//! the analog backend's draws, so a decided point's stream position
+//! matches what a
 //! pure table (resp. pure analog) run would produce — and paired same-N
 //! sweep points that decide after the same trial count replay identical
 //! noise, preserving the paired-observation cancellation the scoreboard
@@ -282,7 +284,7 @@ impl PudBackend for HybridBackend {
             return None;
         }
         match self.decide(state, &spec.op) {
-            Action::Answer(p) => Some(noisy_success_sample(p, rng)),
+            Action::Answer(p) => Some(noisy_success_sample(p, setup.stream_state(), rng)),
             Action::Escalate => {
                 let s = AnalogBackend.run_trial(spec, setup, group, rng)?;
                 let state = setup.backend_state::<Points>().entry(key).or_default();

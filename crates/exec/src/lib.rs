@@ -14,9 +14,10 @@
 //!   success-probability table calibrated *once* from the analog core
 //!   per vendor profile — keyed by (operation, N, timing, pattern,
 //!   operating point) — and samples a cheap normal-approximated
-//!   Bernoulli average per trial. Orders of magnitude faster; see the
-//!   module docs of [`surrogate`] for the calibration procedure and the
-//!   documented error band.
+//!   Bernoulli average per trial, whose noise it keeps once per stream
+//!   position in the stream's [`TestSetup::stream_state`]. Orders of
+//!   magnitude faster; see the module docs of [`surrogate`] for the
+//!   calibration procedure and the documented error band.
 //! * [`HybridBackend`] keeps per-point Wilson-score confidence
 //!   intervals over observed analog trials and answers from the
 //!   surrogate's table only once a point's estimate has converged, is

@@ -27,6 +27,20 @@
 //! reaches the shared, locked table, and only a table miss runs a
 //! probe. Per trial, the lookup costs one key comparison.
 //!
+//! # Noise cost
+//!
+//! A trial's noise `z` is a function of the stream position it starts
+//! from, and every sweep point at one (module, N) replays one stream.
+//! So the surrogate keeps each position's `z` in a bounded `NoiseMemo`
+//! in the mount's [`TestSetup::stream_state`], which a fleet chain lends
+//! to every task at that N: a stream's positions are computed once per
+//! chain draw, not once per point. `repro paper --backend surrogate`
+//! asks for 24.0 M noise values over 5 076 tasks and computes 4.08 M of
+//! them (828 draws × 4 800 positions, plus the per-die and Fig. 16 rigs,
+//! which keep their own). A hit advances the stream by the same two
+//! draws, so no sample and no stream position changes. The hybrid's
+//! table answers read the same memo.
+//!
 //! # Why paired observations survive
 //!
 //! Two properties are load-bearing for the observation scoreboard:
@@ -431,7 +445,7 @@ impl PudBackend for SurrogateBackend {
         if p.is_nan() {
             return None;
         }
-        Some(noisy_success_sample(p, rng))
+        Some(noisy_success_sample(p, setup.stream_state(), rng))
     }
 }
 
@@ -441,18 +455,75 @@ impl PudBackend for SurrogateBackend {
 /// noise (module docs). Shared with the hybrid backend, whose table
 /// answers must be byte-identical to what the surrogate would emit for
 /// the same probability at the same stream position.
-pub(crate) fn noisy_success_sample(p: f64, rng: &mut Rng) -> f64 {
-    let u1: f64 = rng.gen();
-    let u2: f64 = rng.gen();
-    let z =
-        (-2.0 * (1.0 - u1).max(f64::MIN_POSITIVE).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+///
+/// `z` depends on the stream position alone, so `memo` (the
+/// [`TestSetup::stream_state`] of the mount's stream) supplies it when
+/// an earlier trial at that position computed it; the stream then
+/// advances by the same two draws.
+pub(crate) fn noisy_success_sample(p: f64, memo: &mut NoiseMemo, rng: &mut Rng) -> f64 {
+    let z = memo.z(rng);
     let sigma = (p * (1.0 - p) / TRIALS_PER_GROUP).max(0.0).sqrt();
     (p + sigma * z).clamp(0.0, 1.0)
+}
+
+/// The standard normal of [`noisy_success_sample`], from the next two
+/// draws.
+fn trial_noise(rng: &mut Rng) -> f64 {
+    let u1: f64 = rng.gen();
+    let u2: f64 = rng.gen();
+    (-2.0 * (1.0 - u1).max(f64::MIN_POSITIVE).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Trial positions a [`NoiseMemo`] holds: the paper's 16 × 3 × 100 =
+/// 4 800 groups per (module, N) fit, at 8 bytes each.
+const MEMO_POSITIONS: u64 = 8_192;
+
+/// The trial noise computed so far on one RNG stream, kept in the
+/// stream's [`TestSetup::stream_state`]. Every sweep point at one
+/// (module, N) replays the same stream, so each position's `z` is
+/// computed once per chain instead of once per point.
+///
+/// A position is the stream state a trial starts from; the memo names it
+/// by its distance in draws from `origin`, the state of its first trial.
+/// Positions at an even distance below `2 · MEMO_POSITIONS` are kept;
+/// any other (a hybrid answer after an escalation's odd draw count, a
+/// position before `origin`) is computed without being kept. The state
+/// fixes both draws, so a kept `z` is exactly the one the trial would
+/// compute.
+#[derive(Debug, Default)]
+pub(crate) struct NoiseMemo {
+    origin: Option<Rng>,
+    /// `z` of the position `2i` draws past `origin`; NaN where no trial
+    /// has run yet (a `z` is always finite).
+    z: Vec<f64>,
+}
+
+impl NoiseMemo {
+    /// The `z` of the trial starting at `rng`'s position, advancing `rng`
+    /// past its two draws.
+    fn z(&mut self, rng: &mut Rng) -> f64 {
+        let offset = rng.draws_since(self.origin.get_or_insert_with(|| rng.clone()));
+        if !offset.is_multiple_of(2) || offset / 2 >= MEMO_POSITIONS {
+            return trial_noise(rng);
+        }
+        let at = (offset / 2) as usize;
+        if at >= self.z.len() {
+            self.z.resize(at + 1, f64::NAN);
+        }
+        let z = &mut self.z[at];
+        if z.is_nan() {
+            *z = trial_noise(rng);
+        } else {
+            rng.jump(2);
+        }
+        *z
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simra_bender::StateSlot;
     use simra_core::rowgroup::random_group;
     use simra_dram::{ApaTiming, BankId, SubarrayId};
 
@@ -625,6 +696,107 @@ mod tests {
         assert_eq!(a, b, "both threads read the same table");
         assert_eq!(probes.get(), keys.len() as u64);
         assert_eq!(surrogate.calibrated_points(), keys.len());
+    }
+
+    #[test]
+    fn the_noise_memo_answers_as_the_stream_would() {
+        // Trials start at scattered positions around the memo's origin:
+        // even and odd distances, positions before it and past its
+        // bound. Each returns the stream's own z and advances two draws.
+        let base = Rng::seed_from_u64(77);
+        let mut walk = Rng::seed_from_u64(5);
+        let mut memo = NoiseMemo::default();
+        // The first trial puts the origin at `base`.
+        memo.z(&mut base.clone());
+        for k in 0..4_000u64 {
+            let mut at = base.clone();
+            at.jump(match k % 4 {
+                0 => walk.gen_range(0..64u64),
+                1 => walk.gen_range(0..4 * MEMO_POSITIONS).wrapping_sub(8),
+                _ => 2 * walk.gen_range(0..48u64),
+            });
+            let mut plain = at.clone();
+            let z = memo.z(&mut at);
+            assert_eq!(z.to_bits(), trial_noise(&mut plain).to_bits(), "trial {k}");
+            assert_eq!(at.next_u64(), plain.next_u64(), "trial {k}");
+        }
+        let kept = memo.z.iter().filter(|z| !z.is_nan()).count();
+        assert!(
+            kept >= 48,
+            "the first 48 even positions were hit repeatedly"
+        );
+        assert!(memo.z.len() as u64 <= MEMO_POSITIONS);
+    }
+
+    /// Runs `count` trials of `spec` from `rng` on a fresh mount lent
+    /// `slot`: the samples' bits, the stream's next draw, and the slot.
+    fn run_lent(
+        backend: &dyn PudBackend,
+        spec: &TrialSpec,
+        group: &GroupSpec,
+        slot: StateSlot,
+        mut rng: Rng,
+        count: usize,
+    ) -> (Vec<Option<u64>>, u64, StateSlot) {
+        let (mut setup, _) = rig(VendorProfile::mfr_h_m_die(), 7);
+        setup.lend_stream_state(slot);
+        let samples = (0..count)
+            .map(|_| {
+                backend
+                    .run_trial(spec, &mut setup, group, &mut rng)
+                    .map(f64::to_bits)
+            })
+            .collect();
+        (samples, rng.next_u64(), setup.take_stream_state())
+    }
+
+    /// How many positions the noise memo in `slot` keeps.
+    fn kept_positions(slot: &mut StateSlot) -> usize {
+        let (mut probe, _) = rig(VendorProfile::mfr_h_m_die(), 7);
+        probe.lend_stream_state(std::mem::take(slot));
+        let kept = probe
+            .stream_state::<NoiseMemo>()
+            .z
+            .iter()
+            .filter(|z| !z.is_nan())
+            .count();
+        *slot = probe.take_stream_state();
+        kept
+    }
+
+    #[test]
+    fn a_prefilled_stream_slot_changes_no_sample_or_stream_position() {
+        // Earlier mounts fill the slot from other offsets of the stream,
+        // and from MAJ5, which escalates longer on the hybrid, so the
+        // activation's table answers sit at off-canonical offsets from
+        // the memo's origin. The last fill replays the measured run.
+        let act = TrialSpec::activation(ApaTiming::best_for_activation());
+        let maj = TrialSpec::majx(5, ApaTiming::best_for_majx(), DataPattern::Random);
+        let surrogate = SurrogateBackend::new();
+        let hybrid = crate::HybridBackend::new(&Recorder::new());
+        let (setup, mut rng) = rig(VendorProfile::mfr_h_m_die(), 7);
+        let group = group_of(&setup, 32, &mut rng);
+        for backend in [&surrogate as &dyn PudBackend, &hybrid] {
+            let name = backend.name();
+            let (want, want_next, _) =
+                run_lent(backend, &act, &group, StateSlot::default(), rng.clone(), 12);
+            let mut slot = StateSlot::default();
+            for (spec, skip) in [(&maj, 0), (&act, 2), (&act, 1), (&act, 0)] {
+                let mut start = rng.clone();
+                start.jump(skip);
+                slot = run_lent(backend, spec, &group, slot, start, 12).2;
+            }
+            let filled = kept_positions(&mut slot);
+            let (got, got_next, mut slot) = run_lent(backend, &act, &group, slot, rng.clone(), 12);
+            assert_eq!(got, want, "{name}");
+            assert_eq!(got_next, want_next, "{name}");
+            assert!(filled > 0, "{name}: the fills kept no noise");
+            assert_eq!(
+                kept_positions(&mut slot),
+                filled,
+                "{name}: the replay found its positions kept"
+            );
+        }
     }
 
     #[test]
