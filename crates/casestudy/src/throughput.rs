@@ -144,17 +144,13 @@ pub fn measure_majx_throughput_on(
         &mut rng,
     );
     let spec = TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
-    let mut best = 0.0f64;
-    for g in &specs {
-        if let Some(s) = backend.run_trial(&spec, &mut setup, g, &mut rng) {
-            best = best.max(s);
-        }
-    }
+    let mut samples = Vec::with_capacity(specs.len());
+    backend.run_trials(&spec, &mut setup, &specs, &mut rng, &mut samples);
     MajThroughput {
         x,
         n_rows,
         op_latency_ns,
-        success: best,
+        success: samples.into_iter().fold(0.0, f64::max),
     }
 }
 

@@ -22,19 +22,26 @@ use std::sync::OnceLock;
 use simra_core::metrics::{mean, pct, BoxStats};
 use simra_exec::TrialSpec;
 
-use crate::fleet::{executor_threads, run_sweep, FleetOutcome, SweepPoint};
+use crate::fleet::{executor_threads, run_chunked_sweep, FleetOutcome, SweepPoint};
 use crate::pool::FleetPool;
 use crate::report::Table;
 use crate::session::Session;
 
-/// [`run_sweep`] over trial specs, each point's outcome reduced to its
+/// A sweep over trial specs, each point's outcome reduced to its
 /// surviving samples (module order, then group order) — the one entry
 /// point every figure sweeps through. Every trial runs through the
-/// session's backend for `config.backend`.
+/// session's backend for `config.backend`, which gets each task's
+/// groups through
+/// [`PudBackend::run_trials`](simra_exec::PudBackend::run_trials): in
+/// one call, or one group per call where the fleet has per-group hooks
+/// to run between them. The samples are those of
+/// [`run_sweep`](crate::fleet::run_sweep) with
+/// [`PudBackend::run_trial`](simra_exec::PudBackend::run_trial) as the
+/// op.
 pub fn sweep_trial_samples(session: &Session, points: &[SweepPoint<TrialSpec>]) -> Vec<Vec<f64>> {
     let backend = session.dispatch(session.config().backend);
-    run_sweep(session, points, |spec, setup, group, rng| {
-        backend.run_trial(spec, setup, group, rng)
+    run_chunked_sweep(session, points, |spec, setup, groups, rng, samples| {
+        backend.run_trials(spec, setup, groups, rng, samples)
     })
     .into_iter()
     .map(FleetOutcome::into_samples)

@@ -6,7 +6,7 @@
 //! same module fleet. [`run_sweep`] takes the whole point list at once
 //! and builds one task *chain* per module: the chain walks its module
 //! through every sweep point sequentially on a single reused rig, and
-//! the chains themselves run in parallel as one [`FleetPool`] job. Two
+//! the chains themselves run in parallel as one [`FleetPool`] job. The
 //! consequences:
 //!
 //! * **no per-point barrier** — a slow module still working point k does
@@ -22,23 +22,32 @@
 //!   retry) at that N, with the stream's backend-state slot, which it
 //!   lends to each of those tasks' rigs (the surrogate keeps the
 //!   stream's trial noise there, so each position's noise is computed
-//!   once per chain instead of once per point).
+//!   once per chain instead of once per point);
+//! * **no per-group dispatch** — a task without per-group hooks (a
+//!   module fault, a V_PP droop, a deadline) hands its whole draw to the
+//!   op in one call, so a figure sweep calls the backend's
+//!   [`run_trials`](simra_exec::PudBackend::run_trials) once per task.
 //!
 //! # Entry points
 //!
-//! [`run_sweep_on`] is the only code that schedules a sweep, on an
+//! `run_chunked_sweep_on` is the only code that schedules a sweep, on an
 //! explicit pool, retry policy, clock and worker count, for unarmed,
-//! fresh, resumed and shard-worker sessions alike. On a session with an
+//! fresh, resumed and shard-worker sessions alike. Its op runs a slice
+//! of one task's groups per call: the whole draw, or one group at a
+//! time where the fleet runs hooks between groups. [`run_sweep_on`] is
+//! it with a per-group op, applied to each group of the slice in turn;
+//! [`run_sweep`] and the crate's `run_chunked_sweep` are those two with
+//! the session's defaults. On a session with an
 //! armed checkpoint context (see [`crate::checkpoint`]) it first opens
 //! the sweep's journal, which hands back the slots already replayed
 //! from disk and says which slots this process owns; it then runs only
 //! the slots still owed, appends each fresh result to the journal as it
 //! lands, assembles the outcomes and records coverage once, and has
-//! the journal compact itself. [`run_sweep`] is `run_sweep_on` with the
-//! session's defaults, and figure runners reach it through
-//! [`sweep_trial_samples`](crate::backend::sweep_trial_samples). A fleet
-//! run at a single N is a one-point sweep. [`collect_group_samples_serial`]
-//! is the serial reference the identity tests compare against.
+//! the journal compact itself. Figure runners reach it through
+//! [`sweep_trial_samples`](crate::backend::sweep_trial_samples), which
+//! passes the session backend's `run_trials` as the op. A fleet run at
+//! a single N is a one-point sweep. [`collect_group_samples_serial`] is
+//! the serial reference the identity tests compare against.
 //!
 //! # Determinism
 //!
@@ -47,10 +56,12 @@
 //! function that does not involve other points — and its group sample
 //! is drawn from it. Each chain draws once per N, on the first task at
 //! that N it runs, and keeps the groups together with the stream right
-//! after the draw; every (module, point) task at that N then runs `op`
-//! group by group on a clone of that post-draw stream: the exact
-//! sequential semantics of seeding and drawing per task, since faults
-//! never consume the stream and `op` never mutates a group. The
+//! after the draw; every (module, point) task at that N then hands `op`
+//! its groups in order, in one slice or one by one, on a clone of that
+//! post-draw stream: the exact sequential semantics of seeding and
+//! drawing per task, since faults never consume the stream, `op` never
+//! mutates a group, and a backend's `run_trials` equals its per-group
+//! `run_trial` loop bit for bit. The
 //! draw's lent state slot holds only a cache of stream positions, which
 //! the serial reference never lends, so it changes no result. Results
 //! land in slots indexed by (point, module), so [`run_sweep`] output is
@@ -457,9 +468,14 @@ where
 }
 
 /// One attempt at one (module, point) task. This is the *single* setup
-/// path for faulted and fault-free runs alike — with an empty plan the
-/// fault vector is empty, the droop hook is `None`, and the body
-/// degenerates to exactly [`run_module`]'s loop. The group sample and
+/// path for faulted and fault-free runs alike. The chunk op runs a
+/// slice of the task's groups per call: one group at a time when the
+/// module has a per-group hook (a module fault, the plan's V_PP droop,
+/// the policy's deadline), else the whole draw at once. Either way it
+/// sees every group in order on one stream, so an op that is a per-group
+/// loop ([`run_sweep_on`]'s adapter, a backend's
+/// [`run_trials`](simra_exec::PudBackend::run_trials)) degenerates, with
+/// an empty plan, to exactly [`run_module`]'s loop. The group sample and
 /// RNG stream are identical to [`run_module`]: the chain's `draws` hold
 /// the sample at `point.n` and the stream right after it (drawn here on
 /// the chain's first task at that N), and the attempt runs on a clone
@@ -482,7 +498,7 @@ fn run_point_attempt<P, F>(
     started_ms: f64,
 ) -> (Result<Vec<f64>, FailureCause>, DramModule)
 where
-    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
+    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
 {
     let config = ctx.config;
     let module = &config.modules[index];
@@ -522,10 +538,18 @@ where
     let mut rng = rng.clone();
     setup.lend_stream_state(std::mem::take(state));
     let faults = ctx.plan.module_faults(index);
+    // Every module fault fires at a group, the droop window spans
+    // groups, and the deadline is checked between them: with any of
+    // these the op takes one group per call, and otherwise the whole
+    // draw in one.
+    let per_group =
+        !faults.is_empty() || ctx.plan.vpp_droop.is_some() || ctx.policy.deadline_ms.is_some();
+    let stride = if per_group { 1 } else { groups.len().max(1) };
     let mut samples = Vec::with_capacity(groups.len());
     let mut stalled_ms = 0.0;
     let mut failure = None;
-    'groups: for (group_index, group) in groups.iter().enumerate() {
+    'groups: for (chunk_index, chunk) in groups.chunks(stride).enumerate() {
+        let group_index = chunk_index * stride;
         for kind in &faults {
             match *kind {
                 ModuleFaultKind::Dropout {
@@ -578,9 +602,7 @@ where
                 .set_vpp(vpp)
                 .expect("droop voltage is clamped into the supply range");
         }
-        if let Some(sample) = (ctx.op)(&point.params, &mut setup, group, &mut rng) {
-            samples.push(sample);
-        }
+        (ctx.op)(&point.params, &mut setup, chunk, &mut rng, &mut samples);
     }
     *state = setup.take_stream_state();
     let dram = setup.into_module();
@@ -621,7 +643,7 @@ fn run_slot<P, F>(
     draws: &mut Vec<GroupDraw>,
 ) -> ModuleResult
 where
-    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
+    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
 {
     let mut carried_ms = 0.0;
     let mut attempt = 1u32;
@@ -726,7 +748,7 @@ fn run_chain<P, F>(
     owed: &[bool],
     slots: &Mutex<Vec<Option<ModuleResult>>>,
 ) where
-    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>,
+    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
 {
     let mut rig: Option<DramModule> = None;
     let mut draws: Vec<GroupDraw> = Vec::new();
@@ -816,9 +838,9 @@ fn checkpoint_failure(sweep_id: &str, e: CheckpointError) -> ! {
     std::process::exit(2);
 }
 
-/// The one sweep entry point: runs `op` over the whole (module × point)
-/// grid, submitted at once as one chain per module, on at most
-/// `workers` threads (calling thread included) within `pool`'s
+/// The one sweep entry point: runs `op` on every group of the whole
+/// (module × point) grid, submitted at once as one chain per module, on
+/// at most `workers` threads (calling thread included) within `pool`'s
 /// helper-thread budget.
 /// Returns one [`FleetOutcome`] per point, in point order.
 ///
@@ -860,6 +882,53 @@ pub fn run_sweep_on<P, F>(
 where
     P: Sync + std::fmt::Debug,
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
+{
+    run_chunked_sweep_on(
+        pool,
+        session,
+        points,
+        policy,
+        clock,
+        workers,
+        each_group(op),
+    )
+}
+
+/// A per-group op as a chunk op: `op` on each group of the chunk in
+/// turn, keeping its `Some` samples.
+fn each_group<P, F>(
+    op: F,
+) -> impl Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync
+where
+    F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
+{
+    move |params, setup, groups, rng, samples| {
+        samples.extend(
+            groups
+                .iter()
+                .filter_map(|group| op(params, setup, group, rng)),
+        );
+    }
+}
+
+/// The body of [`run_sweep_on`], which schedules every sweep: the same
+/// grid, with a chunk op that runs a slice of one task's groups per
+/// call and appends their samples (see `run_point_attempt` for the
+/// slices). Figure sweeps pass a backend's
+/// [`run_trials`](simra_exec::PudBackend::run_trials) here, so a task
+/// without per-group hooks is one backend call.
+pub(crate) fn run_chunked_sweep_on<P, F>(
+    pool: &FleetPool,
+    session: &Session,
+    points: &[SweepPoint<P>],
+    policy: FleetPolicy,
+    clock: &dyn FleetClock,
+    workers: usize,
+    op: F,
+) -> Vec<FleetOutcome>
+where
+    P: Sync + std::fmt::Debug,
+    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync,
 {
     for point in points {
         assert_group_size(point.n);
@@ -970,12 +1039,26 @@ where
     P: Sync + std::fmt::Debug,
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
 {
+    run_chunked_sweep(session, points, each_group(op))
+}
+
+/// [`run_chunked_sweep_on`] with the session's defaults, as
+/// [`run_sweep`] is [`run_sweep_on`] with them.
+pub(crate) fn run_chunked_sweep<P, F>(
+    session: &Session,
+    points: &[SweepPoint<P>],
+    op: F,
+) -> Vec<FleetOutcome>
+where
+    P: Sync + std::fmt::Debug,
+    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync,
+{
     let config = session.config();
     let policy = FleetPolicy {
         deadline_ms: config.faults.as_ref().and_then(|plan| plan.deadline_ms),
         ..FleetPolicy::default()
     };
-    run_sweep_on(
+    run_chunked_sweep_on(
         FleetPool::global(),
         session,
         points,
@@ -1002,7 +1085,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simra_faults::ModuleFault;
+    use crate::backend::sweep_trial_samples;
+    use simra_faults::{ModuleFault, VppDroop};
 
     /// A session over `config` with a fresh, disabled recorder — the
     /// shortest path from the historical config-taking call sites.
@@ -1487,46 +1571,103 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_sweeps_on_lent_noise_memos_match_the_serial_reference() {
-        // Three points at N = 4 share each chain's noise memo; the serial
-        // reference lends none. A panicked first attempt drops the memo,
-        // and the retry still matches.
+    fn trial_sweeps_match_the_serial_reference_at_every_stride() {
+        // Figure sweeps hand each task's groups to `run_trials`: the whole
+        // draw in one call on a clean module, one group per call on a
+        // faulted one or under a droop or a deadline. Three points at
+        // N = 4 share each chain's noise memo; the serial reference lends
+        // none and calls `run_trial` per group. A panicked first attempt
+        // drops the memo and the hybrid's history, and the retry still
+        // matches.
+        use simra_dram::{ApaTiming, DataPattern};
         use simra_exec::{BackendChoice, TrialSpec};
-        let spec = TrialSpec::majx(
-            3,
-            simra_dram::ApaTiming::best_for_majx(),
-            simra_dram::DataPattern::Random,
-        );
+        let maj3 = TrialSpec::majx(3, ApaTiming::best_for_majx(), DataPattern::Random);
+        let maj7 = TrialSpec::majx(7, ApaTiming::best_for_majx(), DataPattern::Random);
         let points = [
-            SweepPoint::new(4, spec.at_temperature(50.0)),
-            SweepPoint::new(8, spec),
-            SweepPoint::new(4, spec.at_temperature(70.0)),
-            SweepPoint::new(4, spec.at_vpp(2.3)),
+            SweepPoint::new(4, maj3.at_temperature(50.0)),
+            SweepPoint::new(8, TrialSpec::activation(ApaTiming::best_for_activation())),
+            SweepPoint::new(4, maj3.at_temperature(70.0)),
+            // The hybrid's table is wrong here: up to eight escalations.
+            SweepPoint::new(32, maj7),
+            SweepPoint::new(4, maj3.at_vpp(2.3)),
         ];
-        for faults in [None, Some(panic_on_module_0())] {
-            let mut config = two_module_config();
-            config.faults = faults;
-            let session = session_for(&config);
-            let surrogate = session.dispatch(BackendChoice::Surrogate);
-            let outcomes = run_sweep_on(
-                FleetPool::global(),
-                &session,
-                &points,
-                FleetPolicy::default(),
-                &MockClock::new(),
-                2,
-                |spec: &TrialSpec, s: &mut TestSetup, g: &GroupSpec, r: &mut Rng| {
-                    surrogate.run_trial(spec, s, g, r)
-                },
-            );
-            for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
-                let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
-                    surrogate.run_trial(&point.params, s, g, r)
-                });
-                assert_eq!(outcome.ok_modules(), 2, "point {k}");
-                assert_eq!(outcome.samples(), serial, "point {k}");
+        let droop = VppDroop {
+            delta_v: 0.2,
+            from_group: 1,
+            to_group: 4,
+        };
+        let plans = [
+            FaultPlan::default(),
+            panic_on_module_0(),
+            FaultPlan {
+                deadline_ms: Some(1e9),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                vpp_droop: Some(droop),
+                ..FaultPlan::default()
+            },
+        ];
+        for backend in [BackendChoice::Surrogate, BackendChoice::Hybrid] {
+            for plan in &plans {
+                let mut config = two_module_config();
+                config.groups_per_subarray = 6;
+                config.backend = backend;
+                config.faults = Some(plan.clone());
+                let session = session_for(&config);
+                let swept = sweep_trial_samples(&session, &points);
+                let trials = session.dispatch(backend);
+                let per_module = config.groups_per_module();
+                for (k, (point, samples)) in points.iter().zip(&swept).enumerate() {
+                    // The reference droops the rig where the fleet does.
+                    let group = std::cell::Cell::new(0);
+                    let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                        if let Some(d) = plan.vpp_droop {
+                            let at = group.replace(group.get() + 1) % per_module;
+                            let sag = (d.from_group..d.to_group).contains(&at);
+                            let vpp = if sag {
+                                NOMINAL_VPP - d.delta_v
+                            } else {
+                                NOMINAL_VPP
+                            };
+                            s.set_vpp(vpp).unwrap();
+                        }
+                        trials.run_trial(&point.params, s, g, r)
+                    });
+                    let label = format!("{backend} point {k} under {}", plan.describe());
+                    assert_eq!(samples.len(), 2 * per_module, "{label}");
+                    assert_eq!(samples, &serial, "{label}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_deadline_alone_is_checked_between_groups() {
+        // No module fault and no droop: the deadline alone makes the op
+        // take one group per call, so the budget trips at the first group
+        // boundary past it, not after the whole draw.
+        let mut config = ExperimentConfig::quick();
+        config.groups_per_subarray = 6;
+        let clock = MockClock::new();
+        let policy = FleetPolicy {
+            deadline_ms: Some(2.5),
+            ..FleetPolicy::default()
+        };
+        let outcome = one_point(&session_for(&config), 4, policy, &clock, 1, |s, g, r| {
+            clock.advance_ms(1.0);
+            probe_op(s, g, r)
+        });
+        assert_eq!(
+            outcome.slots[0],
+            ModuleResult::Failed {
+                attempts: 1,
+                cause: FailureCause::DeadlineExceeded {
+                    budget_ms: 2.5,
+                    spent_ms: 3.0,
+                },
+            }
+        );
     }
 
     #[test]

@@ -42,11 +42,13 @@ fn per_die_row(session: &Session, profile: &VendorProfile) -> Vec<f64> {
     );
     let backend = session.dispatch(config.backend);
 
-    let act_spec = TrialSpec::activation(ApaTiming::best_for_activation());
-    let act: Vec<f64> = groups
-        .iter()
-        .filter_map(|g| backend.run_trial(&act_spec, &mut setup, g, &mut rng))
-        .collect();
+    // Each operation's samples, all from one stream in column order.
+    let mut samples_of = |spec: &TrialSpec| {
+        let mut samples = Vec::with_capacity(groups.len());
+        backend.run_trials(spec, &mut setup, &groups, &mut rng, &mut samples);
+        samples
+    };
+    let act = samples_of(&TrialSpec::activation(ApaTiming::best_for_activation()));
     let mut row = vec![pct(mean(&act))];
     for x in [3usize, 5, 7, 9] {
         let spec = TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
@@ -54,22 +56,14 @@ fn per_die_row(session: &Session, profile: &VendorProfile) -> Vec<f64> {
             row.push(f64::NAN);
             continue;
         }
-        let vals: Vec<f64> = groups
-            .iter()
-            .filter_map(|g| backend.run_trial(&spec, &mut setup, g, &mut rng))
-            .collect();
-        row.push(pct(mean(&vals)));
+        row.push(pct(mean(&samples_of(&spec))));
     }
     // Historically the per-die MRC image was drawn word-at-a-time
     // (`BitRow::random`), unlike the figure runners' bit-at-a-time
     // convention — `RandomRow` keeps that stream.
     let mrc_spec =
         TrialSpec::multirowcopy(ApaTiming::best_for_multi_row_copy(), MrcSource::RandomRow);
-    let mrc: Vec<f64> = groups
-        .iter()
-        .filter_map(|g| backend.run_trial(&mrc_spec, &mut setup, g, &mut rng))
-        .collect();
-    row.push(pct(mean(&mrc)));
+    row.push(pct(mean(&samples_of(&mrc_spec))));
     row
 }
 

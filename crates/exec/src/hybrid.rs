@@ -65,6 +65,17 @@
 //! sweep points that decide after the same trial count replay identical
 //! noise, preserving the paired-observation cancellation the scoreboard
 //! relies on.
+//!
+//! # Dispatch
+//!
+//! The fleet hands each task's groups to [`PudBackend::run_trials`] in
+//! one call, or one group per call where it runs fault, droop or
+//! deadline hooks between groups. Either way the point's state leaves
+//! the mount's map once per call (per run of equal-N groups), every
+//! group is decided from it in turn exactly as a lone
+//! [`PudBackend::run_trial`] decides one, and it goes back after the
+//! run. So a task costs one map lookup, not two per trial, and the
+//! decisions, samples and counters are those of the per-trial loop.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -148,8 +159,8 @@ struct PointState {
 /// mount's [`TestSetup::backend_state`].
 type Points = HashMap<CalKey, PointState>;
 
-/// What [`HybridBackend::run_trial`] should do for the current trial,
-/// computed *before* any RNG consumption.
+/// What the next trial of a point should do, computed *before* any RNG
+/// consumption.
 enum Action {
     Answer(f64),
     Escalate,
@@ -263,37 +274,82 @@ impl PudBackend for HybridBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
-        let profile = setup.module().profile();
-        if spec.unsupported_on(profile) {
-            return None;
-        }
-        let key = CalKey::new(profile, spec, group.n_rows() as u32);
-        // The mount's first trial of a point resolves its table entry.
-        let p_cal = match setup.backend_state::<Points>().get(&key) {
-            Some(state) => state.p_cal,
-            None => self
-                .surrogate
-                .probability(key, setup.module().profile(), spec),
-        };
-        let points = setup.backend_state::<Points>();
-        let state = points.entry(key).or_insert_with(|| PointState {
-            p_cal,
-            ..PointState::default()
+        let mut sample = None;
+        self.run_point(spec, setup, std::slice::from_ref(group), rng, |s| {
+            sample = Some(s)
         });
-        if p_cal.is_nan() {
-            return None;
-        }
-        match self.decide(state, &spec.op) {
-            Action::Answer(p) => Some(noisy_success_sample(p, setup.stream_state(), rng)),
-            Action::Escalate => {
-                let s = AnalogBackend.run_trial(spec, setup, group, rng)?;
-                let state = setup.backend_state::<Points>().entry(key).or_default();
-                state.estimate.observe(s, SAMPLE_WEIGHT);
-                state.analog_trials += 1;
-                Some(s)
-            }
+        sample
+    }
+
+    fn run_trials(
+        &self,
+        spec: &TrialSpec,
+        setup: &mut TestSetup,
+        groups: &[GroupSpec],
+        rng: &mut Rng,
+        samples: &mut Vec<f64>,
+    ) {
+        for run in groups.chunk_by(|a, b| a.n_rows() == b.n_rows()) {
+            self.run_point(spec, setup, run, rng, |s| samples.push(s));
         }
     }
+}
+
+impl HybridBackend {
+    /// The trials of `groups`, a non-empty run at one N and so one point,
+    /// passing each sample to `emit`: the body of both entry points. The
+    /// point's state leaves the mount's [`Points`] for the run, each
+    /// trial is decided from it in turn, and it goes back afterwards;
+    /// the mount's first trial of a point resolves its table entry.
+    fn run_point(
+        &self,
+        spec: &TrialSpec,
+        setup: &mut TestSetup,
+        groups: &[GroupSpec],
+        rng: &mut Rng,
+        mut emit: impl FnMut(f64),
+    ) {
+        let profile = setup.module().profile();
+        if spec.unsupported_on(profile) {
+            return;
+        }
+        let key = CalKey::new(profile, spec, groups[0].n_rows() as u32);
+        let mut state = match setup.backend_state::<Points>().remove(&key) {
+            Some(state) => state,
+            None => PointState {
+                p_cal: self
+                    .surrogate
+                    .probability(key, setup.module().profile(), spec),
+                ..PointState::default()
+            },
+        };
+        if !state.p_cal.is_nan() {
+            for group in groups {
+                match self.decide(&mut state, &spec.op) {
+                    Action::Answer(p) => emit(noisy_success_sample(p, setup.stream_state(), rng)),
+                    Action::Escalate => {
+                        if let Some(s) = AnalogBackend.run_trial(spec, setup, group, rng) {
+                            state.estimate.observe(s, SAMPLE_WEIGHT);
+                            state.analog_trials += 1;
+                            emit(s);
+                        }
+                    }
+                }
+            }
+        }
+        setup.backend_state::<Points>().insert(key, state);
+    }
+}
+
+/// The analog trials `setup`'s mount has spent on `spec`'s point at `n`
+/// rows (0 when the point has no state).
+#[cfg(test)]
+pub(crate) fn analog_trials_spent(setup: &mut TestSetup, spec: &TrialSpec, n: u32) -> u32 {
+    let key = CalKey::new(setup.module().profile(), spec, n);
+    setup
+        .backend_state::<Points>()
+        .get(&key)
+        .map_or(0, |state| state.analog_trials)
 }
 
 #[cfg(test)]
@@ -322,16 +378,6 @@ mod tests {
             rng,
         )
         .expect("subarray hosts the group")
-    }
-
-    /// The analog trials `setup`'s mount has spent on `spec`'s point
-    /// (0 when the point has no state).
-    fn analog_trials_spent(setup: &mut TestSetup, spec: &TrialSpec, n: u32) -> u32 {
-        let key = CalKey::new(setup.module().profile(), spec, n);
-        setup
-            .backend_state::<Points>()
-            .get(&key)
-            .map_or(0, |state| state.analog_trials)
     }
 
     /// Runs `trials` hybrid trials of one spec on a freshly mounted rig

@@ -37,7 +37,10 @@
 //! (`Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64>`),
 //! so a backend drops into `run_sweep` as a closure capture; the row
 //! count N still lives on the sweep point and arrives here via the
-//! [`GroupSpec`].
+//! [`GroupSpec`]. [`PudBackend::run_trials`] takes a whole task's groups
+//! in one call, which is how the figure sweeps dispatch: the surrogate
+//! and the hybrid resolve their point once per call instead of once per
+//! trial, and the analog backend keeps the default per-group loop.
 
 #![forbid(unsafe_code)]
 
@@ -234,6 +237,13 @@ impl TrialSpec {
 /// part cannot perform the operation (MAJ9 on Mfr. M, N < X, a guarded
 /// Samsung APA) — exactly the convention of the fleet executor's op
 /// closures, whose samples skip `None`.
+///
+/// [`run_trials`](Self::run_trials) runs a whole list of groups in one
+/// call — what the fleet hands a backend per (module, point) task, and
+/// what a per-profile table or a throughput probe measures. Its result
+/// is, bit for bit, that of the [`run_trial`](Self::run_trial) loop over
+/// the list; an override only does once per call (or per run of
+/// equal-N groups) what the loop would redo per trial.
 pub trait PudBackend: Send + Sync {
     /// Short stable name (`"analog"` / `"surrogate"`), for reports.
     fn name(&self) -> &'static str;
@@ -246,6 +256,24 @@ pub trait PudBackend: Send + Sync {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64>;
+
+    /// Executes one trial on each of `groups` in order, on one stream,
+    /// and appends the `Some` results to `samples`: exactly the loop of
+    /// [`run_trial`](Self::run_trial) calls, which is the default.
+    fn run_trials(
+        &self,
+        spec: &TrialSpec,
+        setup: &mut TestSetup,
+        groups: &[GroupSpec],
+        rng: &mut Rng,
+        samples: &mut Vec<f64>,
+    ) {
+        samples.extend(
+            groups
+                .iter()
+                .filter_map(|group| self.run_trial(spec, setup, group, rng)),
+        );
+    }
 }
 
 /// The reference backend: the full analog pipeline, dispatched through
@@ -311,8 +339,11 @@ fn apply_operating_point(spec: &TrialSpec, setup: &mut TestSetup) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simra_core::rowgroup::random_group;
+    use simra_analog::EngineCounters;
+    use simra_bender::StateSlot;
+    use simra_core::rowgroup::{random_group, sample_groups};
     use simra_dram::{BankId, SubarrayId, VendorProfile};
+    use simra_telemetry::{CounterSnapshot, HistogramSnapshot, Recorder};
 
     fn rig(profile: VendorProfile, seed: u64) -> (TestSetup, Rng) {
         (
@@ -399,6 +430,165 @@ mod tests {
             None
         );
         assert_eq!(rng.gen::<u64>(), probe.gen::<u64>(), "stream untouched");
+    }
+
+    /// A fresh instance of the backend `name`s, reporting to `recorder`.
+    fn fresh_backend(name: &str, recorder: &Recorder) -> Box<dyn PudBackend> {
+        match name {
+            "analog" => Box::new(AnalogBackend),
+            "surrogate" => Box::new(SurrogateBackend::recorded_by(recorder)),
+            _ => Box::new(HybridBackend::new(recorder)),
+        }
+    }
+
+    /// Group lists run in turn on one mount, all from one stream.
+    struct Case {
+        label: &'static str,
+        profile: VendorProfile,
+        spec: TrialSpec,
+        calls: Vec<Vec<GroupSpec>>,
+        /// Whether any trial returns a sample; if none does, none may
+        /// draw from the stream either.
+        measured: bool,
+        /// A point whose trials another mount ran on the same stream
+        /// first, filling the slot this case's mount borrows.
+        prefill: Option<TrialSpec>,
+    }
+
+    /// What a case leaves behind on one backend.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        samples: Vec<u64>,
+        next_draw: u64,
+        /// Every counter and histogram of the backend and the mount's
+        /// engine: calibration probes, the hybrid's decisions, sense ops.
+        counters: Vec<CounterSnapshot>,
+        histograms: Vec<HistogramSnapshot>,
+        /// The hybrid's analog trials on each N of the case (0 elsewhere).
+        analog_trials_spent: Vec<u32>,
+    }
+
+    const STREAM_SEED: u64 = 11;
+
+    /// Runs the case's calls of `spec` on a fresh mount of its profile
+    /// lent `slot`, through a fresh `name` backend's `run_trials` when
+    /// `batched`, else through its `run_trial` loop. Returns what the
+    /// mount, the recorder and the stream hold afterwards, and the slot.
+    fn run_case(
+        name: &str,
+        case: &Case,
+        spec: &TrialSpec,
+        batched: bool,
+        slot: StateSlot,
+    ) -> (Trace, StateSlot) {
+        let recorder = Recorder::new();
+        recorder.enable();
+        let backend = fresh_backend(name, &recorder);
+        let module = simra_dram::DramModule::new(case.profile.clone(), 7);
+        let mut setup = TestSetup::with_module(module);
+        setup.set_engine_counters(EngineCounters::recorded_by(&recorder));
+        setup.lend_stream_state(slot);
+        let mut rng = Rng::seed_from_u64(STREAM_SEED);
+        let mut samples = Vec::new();
+        for groups in &case.calls {
+            if batched {
+                backend.run_trials(spec, &mut setup, groups, &mut rng, &mut samples);
+            } else {
+                for group in groups {
+                    samples.extend(backend.run_trial(spec, &mut setup, group, &mut rng));
+                }
+            }
+        }
+        let mut ns: Vec<u32> = case
+            .calls
+            .iter()
+            .flatten()
+            .map(|g| g.n_rows() as u32)
+            .collect();
+        ns.sort_unstable();
+        ns.dedup();
+        let snapshot = recorder.snapshot();
+        let trace = Trace {
+            samples: samples.into_iter().map(f64::to_bits).collect(),
+            next_draw: rng.next_u64(),
+            counters: snapshot.counters,
+            histograms: snapshot.histograms,
+            analog_trials_spent: ns
+                .iter()
+                .map(|&n| hybrid::analog_trials_spent(&mut setup, spec, n))
+                .collect(),
+        };
+        (trace, setup.take_stream_state())
+    }
+
+    #[test]
+    fn run_trials_equals_the_run_trial_loop_on_every_backend() {
+        let h = VendorProfile::mfr_h_m_die();
+        let m = VendorProfile::mfr_m_e_die();
+        let groups = |profile: &VendorProfile, ns: &[u32]| -> Vec<GroupSpec> {
+            let geometry = profile.geometry;
+            let mut draw = Rng::seed_from_u64(5);
+            ns.iter()
+                .map(|&n| sample_groups(&geometry, n, 1, 1, 1, &mut draw).remove(0))
+                .collect()
+        };
+        let act = TrialSpec::activation(ApaTiming::best_for_activation());
+        let maj = |x| TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
+        let mrc =
+            TrialSpec::multirowcopy(ApaTiming::best_for_multi_row_copy(), MrcSource::RandomBits);
+        let case = |label, profile: &VendorProfile, spec, calls: Vec<Vec<u32>>| Case {
+            label,
+            profile: profile.clone(),
+            spec,
+            calls: calls.iter().map(|ns| groups(profile, ns)).collect(),
+            measured: true,
+            prefill: None,
+        };
+        let cases = [
+            case("activation", &h, act, vec![vec![8; 12]]),
+            case("MAJ5", &h, maj(5), vec![vec![16; 12]]),
+            case("Multi-RowCopy", &h, mrc, vec![vec![8; 12]]),
+            Case {
+                measured: false,
+                ..case("MAJ9 on Mfr. M", &m, maj(9), vec![vec![16; 6]])
+            },
+            Case {
+                measured: false,
+                ..case("MAJ7 at N = 4", &h, maj(7), vec![vec![4; 6]])
+            },
+            Case {
+                measured: false,
+                ..case("an empty slice", &h, act, vec![vec![]])
+            },
+            case("mixed N", &h, maj(3), vec![vec![4, 4, 8, 8, 8, 4, 8, 4, 4]]),
+            Case {
+                prefill: Some(act.at_temperature(70.0)),
+                ..case("a pre-filled slot", &h, act, vec![vec![8; 12]])
+            },
+            case("a decided point", &h, act, vec![vec![8; 6], vec![8; 6]]),
+        ];
+        let untouched = Rng::seed_from_u64(STREAM_SEED).next_u64();
+        for case in &cases {
+            for name in ["analog", "surrogate", "hybrid"] {
+                let label = format!("{name}: {}", case.label);
+                let slot = || match &case.prefill {
+                    Some(other) => run_case(name, case, other, false, StateSlot::default()).1,
+                    None => StateSlot::default(),
+                };
+                let (want, _) = run_case(name, case, &case.spec, false, slot());
+                let (got, _) = run_case(name, case, &case.spec, true, slot());
+                assert_eq!(got, want, "{label}");
+                assert_eq!(!got.samples.is_empty(), case.measured, "{label}");
+                if !case.measured {
+                    assert_eq!(got.next_draw, untouched, "{label}: the stream moved");
+                }
+                if name == "hybrid" && case.label == "a decided point" {
+                    // One floor trial decides the point in the first call,
+                    // so the second call answers every trial from it.
+                    assert_eq!(got.analog_trials_spent, [1], "{label}");
+                }
+            }
+        }
     }
 
     #[test]

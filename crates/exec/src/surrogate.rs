@@ -21,11 +21,15 @@
 //!
 //! The key (`CalKey`) is a `Copy` value built from the trial spec and
 //! the profile fields a probe reads, so building it allocates nothing.
-//! Every trial of a sweep slot asks for the same key, so each rig mount
-//! remembers the last `key → p` it resolved, in its
-//! [`TestSetup::backend_state`]; only the first trial of a mount
-//! reaches the shared, locked table, and only a table miss runs a
-//! probe. Per trial, the lookup costs one key comparison.
+//! The lookup is per task, not per trial: the fleet hands each
+//! (module, point) task's groups to [`PudBackend::run_trials`] in one
+//! call, which builds the key, resolves `p` and borrows the stream's
+//! noise memo once per run of equal-N groups, then only samples. A
+//! [`PudBackend::run_trial`] caller (a probe that times single trials,
+//! a test) resolves per call, so each rig mount also remembers the last
+//! `key → p` it resolved, in its [`TestSetup::backend_state`]: only the
+//! first trial of a mount reaches the shared, locked table, and only a
+//! table miss runs a probe.
 //!
 //! # Noise cost
 //!
@@ -429,11 +433,46 @@ impl PudBackend for SurrogateBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
+        let mut sample = None;
+        self.run_point(spec, setup, std::slice::from_ref(group), rng, |s| {
+            sample = Some(s)
+        });
+        sample
+    }
+
+    fn run_trials(
+        &self,
+        spec: &TrialSpec,
+        setup: &mut TestSetup,
+        groups: &[GroupSpec],
+        rng: &mut Rng,
+        samples: &mut Vec<f64>,
+    ) {
+        for run in groups.chunk_by(|a, b| a.n_rows() == b.n_rows()) {
+            self.run_point(spec, setup, run, rng, |s| samples.push(s));
+        }
+    }
+}
+
+impl SurrogateBackend {
+    /// The trials of `groups`, a non-empty run at one N and so one key,
+    /// passing each sample to `emit`: the body of both entry points. The
+    /// key and its probability are resolved once, from the mount's last
+    /// resolved entry or else the table, and the stream's noise memo is
+    /// borrowed once.
+    fn run_point(
+        &self,
+        spec: &TrialSpec,
+        setup: &mut TestSetup,
+        groups: &[GroupSpec],
+        rng: &mut Rng,
+        mut emit: impl FnMut(f64),
+    ) {
         let profile = setup.module().profile();
         if spec.unsupported_on(profile) {
-            return None;
+            return;
         }
-        let key = CalKey::new(profile, spec, group.n_rows() as u32);
+        let key = CalKey::new(profile, spec, groups[0].n_rows() as u32);
         let p = match setup.backend_state::<LastResolved>().0 {
             Some((last, p)) if last == key => p,
             _ => {
@@ -443,9 +482,12 @@ impl PudBackend for SurrogateBackend {
             }
         };
         if p.is_nan() {
-            return None;
+            return;
         }
-        Some(noisy_success_sample(p, setup.stream_state(), rng))
+        let memo = setup.stream_state::<NoiseMemo>();
+        for _ in groups {
+            emit(noisy_success_sample(p, memo, rng));
+        }
     }
 }
 
