@@ -3,8 +3,16 @@ use simra_bender::TestSetup;
 use simra_core::act::activation_success;
 use simra_core::maj::{majx_success, MajConfig};
 use simra_core::multirowcopy::multirowcopy_success;
-use simra_core::rowgroup::sample_groups;
-use simra_dram::{ApaTiming, DataPattern, Rng, VendorProfile};
+use simra_core::rowgroup::{sample_groups, GroupSpec};
+use simra_dram::{ApaTiming, DataPattern, Geometry, Rng, VendorProfile};
+
+/// [`sample_groups`]' population, resolved to the rows each group opens.
+fn sample(geom: &Geometry, n: u32, per_subarray: usize, rng: &mut Rng) -> Vec<GroupSpec> {
+    sample_groups(geom, n, 2, 2, per_subarray, rng)
+        .iter()
+        .map(|pick| pick.resolve(geom))
+        .collect()
+}
 
 fn main() {
     let mut rng = Rng::seed_from_u64(42);
@@ -14,7 +22,7 @@ fn main() {
     let t = ApaTiming::best_for_majx();
 
     for n in [4u32, 8, 16, 32] {
-        let groups = sample_groups(&geom, n, 2, 2, 5, &mut rng);
+        let groups = sample(&geom, n, 5, &mut rng);
         let mut s3 = vec![];
         for g in &groups {
             s3.push(
@@ -27,7 +35,7 @@ fn main() {
             100.0 * s3.iter().sum::<f64>() / s3.len() as f64
         );
     }
-    let groups = sample_groups(&geom, 32, 2, 2, 5, &mut rng);
+    let groups = sample(&geom, 32, 5, &mut rng);
     for x in [5usize, 7, 9] {
         let mut s = vec![];
         for g in &groups {
@@ -79,7 +87,7 @@ fn main() {
         );
     }
     for n in [2u32, 4, 8, 16, 32] {
-        let groups = sample_groups(&geom, n, 2, 2, 3, &mut rng);
+        let groups = sample(&geom, n, 3, &mut rng);
         let mut s = vec![];
         for g in &groups {
             s.push(
@@ -100,7 +108,7 @@ fn main() {
     }
     let cols = geom.cols_per_row as usize;
     for n in [2u32, 4, 8, 16, 32] {
-        let groups = sample_groups(&geom, n, 2, 2, 3, &mut rng);
+        let groups = sample(&geom, n, 3, &mut rng);
         let mut s = vec![];
         for g in &groups {
             let img = DataPattern::Random.row_image(0, cols, &mut rng);
@@ -117,7 +125,7 @@ fn main() {
     }
     let mut setup_m = TestSetup::new(VendorProfile::mfr_m_e_die(), 7);
     let geom_m = *setup_m.module().geometry();
-    let groups_m = sample_groups(&geom_m, 32, 2, 2, 5, &mut rng);
+    let groups_m = sample(&geom_m, 32, 5, &mut rng);
     for x in [3usize, 5, 7, 9] {
         let mut s = vec![];
         for g in &groups_m {

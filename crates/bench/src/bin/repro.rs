@@ -9,7 +9,7 @@
 //! repro paper                   # the paper's full population
 //!                               # (1 197.2 s, 1 716 MB peak RSS)
 //! repro paper --backend surrogate  # the full population on the
-//!                               # calibrated table (~2 s)
+//!                               # calibrated table (~0.4 s)
 //! repro <scale> --timings       # also print per-figure wall-clock to stderr
 //! repro <scale> --backend <which>  # execution backend: analog (default)
 //!                               # | surrogate (calibrated fast model)

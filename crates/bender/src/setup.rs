@@ -6,9 +6,10 @@
 //! learns during the measurement in the mount's
 //! [`backend_state`](TestSetup::backend_state), which drops with it, and
 //! what it knows of the RNG stream the measurement replays in its
-//! [`stream_state`](TestSetup::stream_state). A fleet chain replays one
-//! stream at every sweep point of one (module, N), so it lends that
-//! stream's slot to each of those mounts and takes it back with the rig.
+//! [`stream_state`](TestSetup::stream_state). A campaign replays one
+//! stream at every sweep point of one (module, N), so the fleet keeps
+//! that stream's slot for the campaign, lends it to each of those
+//! mounts and takes it back with the rig.
 
 use std::any::Any;
 

@@ -135,7 +135,7 @@ pub fn measure_majx_throughput_on(
     let mut setup = TestSetup::with_module(DramModule::new(profile.clone(), seed));
     setup.set_engine_counters(engine_counters.clone());
     let mut rng = Rng::seed_from_u64(seed ^ 0xC0FFEE);
-    let specs = sample_groups(
+    let picks = sample_groups(
         setup.module().geometry(),
         n_rows,
         2,
@@ -144,8 +144,8 @@ pub fn measure_majx_throughput_on(
         &mut rng,
     );
     let spec = TrialSpec::majx(x, ApaTiming::best_for_majx(), DataPattern::Random);
-    let mut samples = Vec::with_capacity(specs.len());
-    backend.run_trials(&spec, &mut setup, &specs, &mut rng, &mut samples);
+    let mut samples = Vec::with_capacity(picks.len());
+    backend.run_trials(&spec, &mut setup, &picks, &mut rng, &mut samples);
     MajThroughput {
         x,
         n_rows,

@@ -17,12 +17,13 @@
 //!   rig is reset (`reset_for_reuse`, an exact reinitialisation) instead
 //!   of rebuilt, so voltage planes and fault overlays are allocated once
 //!   per module per figure;
-//! * **no per-point group draw** — a chain draws its module's row groups
-//!   once per distinct N and keeps them for every later point (and
-//!   retry) at that N, with the stream's backend-state slot, which it
+//! * **no per-sweep group draw** — the [`Session`] keeps each module's
+//!   row groups, drawn once per distinct N as compact
+//!   [`GroupPick`]s, for every later point, retry and sweep at that N,
+//!   with the stream's backend-state slot, which the module's chain
 //!   lends to each of those tasks' rigs (the surrogate keeps the
 //!   stream's trial noise there, so each position's noise is computed
-//!   once per chain instead of once per point);
+//!   once per session instead of once per point);
 //! * **no per-group dispatch** — a task without per-group hooks (a
 //!   module fault, a V_PP droop, a deadline) hands its whole draw to the
 //!   op in one call, so a figure sweep calls the backend's
@@ -54,21 +55,24 @@
 //! Scheduling freedom never changes results. A module's stream at N is
 //! seeded from `module_stream_seed``(config, module, index, n)` — a pure
 //! function that does not involve other points — and its group sample
-//! is drawn from it. Each chain draws once per N, on the first task at
-//! that N it runs, and keeps the groups together with the stream right
-//! after the draw; every (module, point) task at that N then hands `op`
-//! its groups in order, in one slice or one by one, on a clone of that
-//! post-draw stream: the exact sequential semantics of seeding and
-//! drawing per task, since faults never consume the stream, `op` never
-//! mutates a group, and a backend's `run_trials` equals its per-group
-//! `run_trial` loop bit for bit. The
+//! is drawn from it. The session draws once per (module, N), on the
+//! first task at that N that any of its sweeps runs, and keeps the
+//! groups together with the stream right after the draw; every
+//! (module, point) task at that N then hands `op` its groups in order,
+//! in one slice or one by one, on a clone of that post-draw stream: the
+//! exact sequential semantics of seeding and drawing per task, since
+//! faults never consume the stream, `op` never mutates a group, a pick
+//! resolves to exactly the group the draw made, and a backend's
+//! `run_trials` equals its per-group `run_trial` loop bit for bit. The
 //! draw's lent state slot holds only a cache of stream positions, which
-//! the serial reference never lends, so it changes no result. Results
-//! land in slots indexed by (point, module), so [`run_sweep`] output is
-//! **byte-identical** to running each point as its own one-point sweep,
-//! which in turn is bit-identical to the serial reference
-//! ([`collect_group_samples_serial`]), for every worker count and
-//! interleaving. The rig pool is invisible for the same reason: a reset
+//! the serial reference never lends, so it changes no result. A module
+//! chain holds its module's draws while it runs; a chain lost to a
+//! panic drops them, and the next sweep draws them again, identically.
+//! Results land in slots indexed by (point, module), so [`run_sweep`]
+//! output is **byte-identical** to running each point as its own
+//! one-point sweep, which in turn is bit-identical to the serial
+//! reference ([`collect_group_samples_serial`]), for every worker count
+//! and interleaving. The rig pool is invisible for the same reason: a reset
 //! module is observationally identical to a fresh one (asserted by
 //! tests here and in `tests/faults.rs`).
 //!
@@ -108,10 +112,12 @@
 //! (started/retried/completed/failed/panicked, deadline trips,
 //! charged backoff, attempts per task), the grid shape
 //! (`grid_tasks` = points × modules), the group draws (`group_draws`,
-//! one per chain per distinct N), and the rig pool (`pool_hit` /
-//! `pool_miss`). Events are a pure function of `(config, points,
-//! policy)` — never of scheduling — so all values are identical across
-//! worker counts (asserted by `crates/characterize/tests/telemetry.rs`).
+//! one per (module, N) per session: a sweep draws only the Ns the
+//! session has not drawn for that module yet), and the rig pool
+//! (`pool_hit` / `pool_miss`). Events are a pure function of the
+//! session's sweeps so far — `(config, points, policy)` of each —
+//! never of scheduling, so all values are identical across worker
+//! counts (asserted by `crates/characterize/tests/telemetry.rs`).
 
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
@@ -122,7 +128,7 @@ use std::time::Instant;
 use simra_analog::params::NOMINAL_VPP;
 use simra_bender::setup::VPP_RANGE_V;
 use simra_bender::{StateSlot, TestSetup};
-use simra_core::rowgroup::{assert_group_size, sample_groups, GroupSpec};
+use simra_core::rowgroup::{assert_group_size, sample_groups, GroupPick, GroupSpec};
 use simra_dram::{DramModule, Rng};
 use simra_faults::{FaultPlan, ModuleFaultKind};
 use simra_telemetry::{Counter, Histogram, Recorder};
@@ -375,7 +381,7 @@ struct FleetTelemetry {
     deadline_tripped: Counter,
     /// (module × point) tasks submitted as one grid.
     grid_tasks: Counter,
-    /// Group samples drawn: one per chain per distinct N it runs.
+    /// Group samples drawn: one per (module, N) per session.
     group_draws: Counter,
     /// Module rig acquisitions satisfied by resetting a pooled rig.
     pool_hit: Counter,
@@ -420,20 +426,23 @@ struct SweepCtx<'a, P, F> {
     journal: Option<&'a SweepJournal>,
 }
 
-/// One chain's group draw at `n`: the groups [`sample_groups`] drew from
-/// the module's [`module_stream_seed`] stream, that stream right after
-/// the draw, and the stream's backend-state slot. Pushed only once
-/// complete, and its groups and stream are never mutated, so a panicked
-/// attempt leaves its chain's draws consistent for the retry.
+/// One module's group draw at `n`: the groups [`sample_groups`] drew
+/// from the module's [`module_stream_seed`] stream, as compact picks,
+/// that stream right after the draw, and the stream's backend-state
+/// slot. The [`Session`] keeps every module's draws for the whole
+/// campaign (`Session::take_draws`), so each (module, N) is drawn once
+/// per session, not once per sweep. Pushed only once complete, and its
+/// groups and stream are never mutated, so a panicked attempt leaves
+/// its chain's draws consistent for the retry.
 ///
 /// Every task at `n` replays the same stream, so the chain lends `state`
 /// to each task's rig ([`TestSetup::lend_stream_state`]) and takes it
 /// back with the rig. A backend may keep only a cache of stream
 /// positions there (the surrogate's trial noise): a panicked attempt
 /// drops the slot with its rig, and the retry starts an empty one.
-struct GroupDraw {
+pub(crate) struct GroupDraw {
     n: u32,
-    groups: Vec<GroupSpec>,
+    groups: Vec<GroupPick>,
     rng: Rng,
     state: StateSlot,
 }
@@ -449,9 +458,10 @@ where
 {
     let module = &config.modules[index];
     let mut setup = TestSetup::with_module(DramModule::new(module.profile.clone(), module.seed));
+    let geometry = *setup.module().geometry();
     let mut rng = Rng::seed_from_u64(module_stream_seed(config, module, index, n));
     let groups = sample_groups(
-        setup.module().geometry(),
+        &geometry,
         n,
         config.banks,
         config.subarrays_per_bank,
@@ -459,8 +469,8 @@ where
         &mut rng,
     );
     let mut samples = Vec::with_capacity(groups.len());
-    for group in &groups {
-        if let Some(sample) = op(&mut setup, group, &mut rng) {
+    for pick in &groups {
+        if let Some(sample) = op(&mut setup, &pick.resolve(&geometry), &mut rng) {
             samples.push(sample);
         }
     }
@@ -478,10 +488,10 @@ where
 /// an empty plan, to exactly [`run_module`]'s loop. The group sample and
 /// RNG stream are identical to [`run_module`]: the chain's `draws` hold
 /// the sample at `point.n` and the stream right after it (drawn here on
-/// the chain's first task at that N), and the attempt runs on a clone
-/// of that stream. Faults only ever *interrupt* the stream (dropout,
-/// panic, deadline) or perturb the rig (cell overlay, V_PP droop),
-/// never consume from it.
+/// the session's first task at that (module, N)), and the attempt runs
+/// on a clone of that stream. Faults only ever *interrupt* the stream
+/// (dropout, panic, deadline) or perturb the rig (cell overlay, V_PP
+/// droop), never consume from it.
 ///
 /// Takes the mounted rig by value and hands it back with the verdict so
 /// the chain can return it to the rig pool; a panic (injected or real)
@@ -498,7 +508,7 @@ fn run_point_attempt<P, F>(
     started_ms: f64,
 ) -> (Result<Vec<f64>, FailureCause>, DramModule)
 where
-    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
+    F: Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>),
 {
     let config = ctx.config;
     let module = &config.modules[index];
@@ -643,7 +653,7 @@ fn run_slot<P, F>(
     draws: &mut Vec<GroupDraw>,
 ) -> ModuleResult
 where
-    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
+    F: Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>),
 {
     let mut carried_ms = 0.0;
     let mut attempt = 1u32;
@@ -734,24 +744,27 @@ where
 }
 
 /// One module's chain: every point it still owes (`owed[k]`), in order,
-/// on one pooled rig and one list of group draws, at most one per
-/// distinct N and dropped with the chain. Each fresh result goes to the
-/// journal, if any, and then into `slots[k]`, so a chain lost to a
-/// panic keeps the slots it finished. Skipping is invisible to the
-/// points that do run: a draw is a pure function of `(config, module,
-/// N)` ([`module_stream_seed`]), made lazily by the first scheduled
-/// task at its N, so a masked chain produces bit-identical results for
-/// the slots it executes and draws nothing at an N it never runs.
+/// on one pooled rig and the module's list of group draws, at most one
+/// per distinct N. The list belongs to the session: the chain takes it
+/// when it starts and puts it back when it ends, so a later sweep reuses
+/// every draw, and a chain lost to a panic drops it, so the next sweep
+/// draws again. Each fresh result goes to the journal, if any, and then
+/// into `slots[k]`, so a lost chain keeps the slots it finished.
+/// Skipping is invisible to the points that do run: a draw is a pure
+/// function of `(config, module, N)` ([`module_stream_seed`]), made
+/// lazily by the first scheduled task at its N, so a masked chain
+/// produces bit-identical results for the slots it executes and draws
+/// nothing at an N it never runs.
 fn run_chain<P, F>(
     ctx: &SweepCtx<'_, P, F>,
     index: usize,
     owed: &[bool],
     slots: &Mutex<Vec<Option<ModuleResult>>>,
 ) where
-    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>),
+    F: Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>),
 {
     let mut rig: Option<DramModule> = None;
-    let mut draws: Vec<GroupDraw> = Vec::new();
+    let mut draws = ctx.session.take_draws(index);
     for (point_index, point) in ctx.points.iter().enumerate() {
         if !owed[point_index] {
             continue;
@@ -762,6 +775,7 @@ fn run_chain<P, F>(
         }
         slots.lock().unwrap_or_else(PoisonError::into_inner)[point_index] = Some(result);
     }
+    ctx.session.put_draws(index, draws);
 }
 
 /// Resolves the worker count from an (injected) `SIMRA_THREADS` value:
@@ -894,19 +908,21 @@ where
     )
 }
 
-/// A per-group op as a chunk op: `op` on each group of the chunk in
-/// turn, keeping its `Some` samples.
+/// A per-group op as a chunk op: `op` on each pick of the chunk in
+/// turn, resolved on the mounted module's geometry, keeping its `Some`
+/// samples.
 fn each_group<P, F>(
     op: F,
-) -> impl Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync
+) -> impl Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>) + Send + Sync
 where
     F: Fn(&P, &mut TestSetup, &GroupSpec, &mut Rng) -> Option<f64> + Send + Sync,
 {
-    move |params, setup, groups, rng, samples| {
+    move |params, setup, picks, rng, samples| {
+        let geometry = *setup.module().geometry();
         samples.extend(
-            groups
+            picks
                 .iter()
-                .filter_map(|group| op(params, setup, group, rng)),
+                .filter_map(|pick| op(params, setup, &pick.resolve(&geometry), rng)),
         );
     }
 }
@@ -928,7 +944,7 @@ pub(crate) fn run_chunked_sweep_on<P, F>(
 ) -> Vec<FleetOutcome>
 where
     P: Sync + std::fmt::Debug,
-    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync,
+    F: Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>) + Send + Sync,
 {
     for point in points {
         assert_group_size(point.n);
@@ -1051,7 +1067,7 @@ pub(crate) fn run_chunked_sweep<P, F>(
 ) -> Vec<FleetOutcome>
 where
     P: Sync + std::fmt::Debug,
-    F: Fn(&P, &mut TestSetup, &[GroupSpec], &mut Rng, &mut Vec<f64>) + Send + Sync,
+    F: Fn(&P, &mut TestSetup, &[GroupPick], &mut Rng, &mut Vec<f64>) + Send + Sync,
 {
     let config = session.config();
     let policy = FleetPolicy {
@@ -1448,23 +1464,28 @@ mod tests {
         // point is replayed from its journal, so its masked chain draws
         // at N ∈ {2, 4} alone (2). An injected panic makes every module-0
         // task retry, and the retry must rerun the groups its first
-        // attempt drew, not draw again.
-        let points: Vec<SweepPoint<f64>> = [2u32, 4, 2, 8, 4]
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| SweepPoint::new(n, 1.0 + k as f64))
-            .collect();
-        let sweep = |session: &Session| {
+        // attempt drew, not draw again. The session keeps every draw:
+        // the next sweep of the same points draws only module 1's N = 8,
+        // the one after that nothing, and a sweep with one new N one
+        // group sample per module.
+        let points = |ns: &[u32]| -> Vec<SweepPoint<f64>> {
+            ns.iter()
+                .enumerate()
+                .map(|(k, &n)| SweepPoint::new(n, 1.0 + k as f64))
+                .collect()
+        };
+        let sweep = |session: &Session, points: &[SweepPoint<f64>]| {
             run_sweep_on(
                 FleetPool::global(),
                 session,
-                &points,
+                points,
                 FleetPolicy::default(),
                 &MockClock::new(),
                 2,
                 sweep_probe_op,
             )
         };
+        let grid = points(&[2, 4, 2, 8, 4]);
         for (tag, faults) in [
             ("draws", None),
             ("draws-retried", Some(panic_on_module_0())),
@@ -1480,11 +1501,11 @@ mod tests {
             fresh
                 .arm_checkpoints(&dir, false)
                 .expect("arm a fresh session");
-            sweep(&fresh);
+            sweep(&fresh, &grid);
             let path = dir.join("sweep-0000.journal");
             let journal = std::fs::read_to_string(&path).unwrap();
             let lines: Vec<&str> = journal.lines().collect();
-            let kept = format!("{}\n{}\n", lines[0], lines[1 + points.len() + 3]);
+            let kept = format!("{}\n{}\n", lines[0], lines[1 + grid.len() + 3]);
             std::fs::write(&path, kept).unwrap();
             let recorder = Recorder::new();
             recorder.enable();
@@ -1492,27 +1513,87 @@ mod tests {
             session
                 .arm_checkpoints(&dir, true)
                 .expect("resume the session");
-            let outcomes = sweep(&session);
-            assert_eq!(recorder.counter("fleet", "grid_tasks").get(), 9);
-            assert_eq!(recorder.counter("fleet", "group_draws").get(), 5);
             let per_module = config.groups_per_module();
-            for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
-                let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
-                    sweep_probe_op(&point.params, s, g, r)
-                });
-                for (module, slot) in outcome.slots.iter().enumerate() {
-                    let attempts = if retried && module == 0 { 2 } else { 1 };
-                    assert_eq!(
-                        slot,
-                        &ModuleResult::Completed {
-                            samples: serial[module * per_module..][..per_module].to_vec(),
-                            attempts,
-                        },
-                        "module {module} point {k} (retried: {retried})"
-                    );
+            let draws = || recorder.counter("fleet", "group_draws").get();
+            let widened = points(&[2, 4, 16, 8]);
+            // (points, grid tasks and draws after the sweep)
+            for (round, (points, tasks, drawn)) in [
+                (&grid, 9, 5),
+                (&grid, 19, 6),
+                (&grid, 29, 6),
+                (&widened, 37, 8),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let outcomes = sweep(&session, points);
+                let at = format!("round {round} (retried: {retried})");
+                assert_eq!(recorder.counter("fleet", "grid_tasks").get(), tasks, "{at}");
+                assert_eq!(draws(), drawn, "{at}");
+                for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
+                    let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                        sweep_probe_op(&point.params, s, g, r)
+                    });
+                    for (module, slot) in outcome.slots.iter().enumerate() {
+                        let attempts = if retried && module == 0 { 2 } else { 1 };
+                        assert_eq!(
+                            slot,
+                            &ModuleResult::Completed {
+                                samples: serial[module * per_module..][..per_module].to_vec(),
+                                attempts,
+                            },
+                            "module {module} point {k}, {at}"
+                        );
+                    }
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_lost_chain_costs_only_its_own_modules_draws() {
+        // Both chains draw at N ∈ {2, 4} (4 draws). Then a clock that
+        // panics on its first reading takes module 0's chain down outside
+        // the per-slot catch_unwind: its list of draws drops with it,
+        // while module 1 completes on the draws the session kept. The
+        // next sweep draws module 0's two samples again, and nothing for
+        // module 1, and matches the serial reference.
+        let config = two_module_config();
+        let points: Vec<SweepPoint<f64>> =
+            [2u32, 4].iter().map(|&n| SweepPoint::new(n, 1.0)).collect();
+        let recorder = Recorder::new();
+        recorder.enable();
+        let session = Session::recorded_by(config.clone(), recorder.clone());
+        let sweep = |clock: &dyn FleetClock| {
+            run_sweep_on(
+                FleetPool::global(),
+                &session,
+                &points,
+                FleetPolicy::default(),
+                clock,
+                1,
+                sweep_probe_op,
+            )
+        };
+        let draws = || recorder.counter("fleet", "group_draws").get();
+        let reference = sweep(&MockClock::new());
+        assert_eq!(draws(), 4);
+        let lost = sweep(&FailingClock::at(1));
+        assert_eq!(recorder.counter("fleet", "chain_panicked").get(), 1);
+        assert_eq!(draws(), 4, "module 1 reran its kept draws");
+        for (lost, reference) in lost.iter().zip(&reference) {
+            assert!(matches!(lost.slots[0], ModuleResult::Failed { .. }));
+            assert_eq!(lost.slots[1], reference.slots[1]);
+        }
+        let again = sweep(&MockClock::new());
+        assert_eq!(draws(), 6, "only module 0 drew again");
+        assert_eq!(again, reference);
+        for (point, outcome) in points.iter().zip(&again) {
+            let serial = collect_group_samples_serial(&config, point.n, |s, g, r| {
+                sweep_probe_op(&point.params, s, g, r)
+            });
+            assert_eq!(outcome.samples(), serial, "n = {}", point.n);
         }
     }
 
@@ -1530,9 +1611,11 @@ mod tests {
     #[test]
     fn a_chain_lends_each_draws_stream_slot_to_every_task_at_its_n() {
         // The op counts the trials its stream slot has seen. Every task
-        // at one (module, N) borrows the chain's slot for that N, so the
-        // second N = 4 point counts on from the first; a panicked attempt
-        // drops the slot with its rig, so its retry counts from 1 again.
+        // at one (module, N) borrows the session's slot for that N, so
+        // the second N = 4 point counts on from the first, and a second
+        // sweep on the session counts on from the first sweep; a panicked
+        // attempt drops the slot with its rig, so its retry counts from 1
+        // again.
         let points = [4u32, 8, 4].map(|n| SweepPoint::new(n, ()));
         let count = |_: &(), s: &mut TestSetup, _: &GroupSpec, _: &mut Rng| {
             *s.stream_state::<u32>() += 1;
@@ -1542,29 +1625,37 @@ mod tests {
             let mut config = two_module_config();
             config.faults = faults;
             let per_module = config.groups_per_module() as u32;
-            let outcomes = run_sweep_on(
-                FleetPool::global(),
-                &session_for(&config),
-                &points,
-                FleetPolicy::default(),
-                &MockClock::new(),
-                2,
-                count,
-            );
-            for (k, outcome) in outcomes.iter().enumerate() {
-                for (module, slot) in outcome.slots.iter().enumerate() {
-                    let panicked = config.faults.is_some() && module == 0;
-                    let first = if k == 2 && !panicked { per_module } else { 0 };
-                    let want: Vec<f64> = (first + 1..=first + per_module).map(f64::from).collect();
-                    let attempts = if panicked { 2 } else { 1 };
-                    assert_eq!(
-                        slot,
-                        &ModuleResult::Completed {
-                            samples: want,
-                            attempts
-                        },
-                        "module {module} point {k} (panicked: {panicked})"
-                    );
+            let session = session_for(&config);
+            // Tasks each (module, N) slot has served so far.
+            let mut served = std::collections::HashMap::new();
+            for round in 0..2 {
+                let outcomes = run_sweep_on(
+                    FleetPool::global(),
+                    &session,
+                    &points,
+                    FleetPolicy::default(),
+                    &MockClock::new(),
+                    2,
+                    count,
+                );
+                for (k, (point, outcome)) in points.iter().zip(&outcomes).enumerate() {
+                    let served = served.entry(point.n).or_insert(0);
+                    for (module, slot) in outcome.slots.iter().enumerate() {
+                        let panicked = config.faults.is_some() && module == 0;
+                        let first = if panicked { 0 } else { *served * per_module };
+                        let want: Vec<f64> =
+                            (first + 1..=first + per_module).map(f64::from).collect();
+                        let attempts = if panicked { 2 } else { 1 };
+                        assert_eq!(
+                            slot,
+                            &ModuleResult::Completed {
+                                samples: want,
+                                attempts
+                            },
+                            "round {round}, module {module} point {k} (panicked: {panicked})"
+                        );
+                    }
+                    *served += 1;
                 }
             }
         }

@@ -488,10 +488,12 @@ mod tests {
         // fig10 40, fig11 15, fig12a 25, fig12b 25. A point swept twice
         // replays the same stream, so only this count can see it.
         assert_eq!(tasks_before, 282);
-        // One group draw per distinct N of each sweep: fig3 5, fig4a 5,
+        // The session keeps its one module's group draws across the
+        // eleven sweeps: one per distinct N, N ∈ {2, 4, 8, 16, 32}. Each
+        // sweep drawing afresh would draw 46 times: fig3 5, fig4a 5,
         // fig4b 5, fig6 4, fig7 4, fig8 2, fig9 1, fig10 5, fig11 5,
         // fig12a 5, fig12b 5.
-        assert_eq!(draws_before, 46);
+        assert_eq!(draws_before, 5);
         check_observations(figures, recorder);
         assert_eq!(grid_tasks(), tasks_before);
         assert_eq!(group_draws(), draws_before);

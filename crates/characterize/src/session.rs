@@ -6,8 +6,9 @@
 //! the whole campaign), the telemetry [`Recorder`], the engine
 //! op-counter handles every rig reports through, one
 //! [`HybridBackend`] whose surrogate is the session's only calibration
-//! table, an optional armed [`CheckpointSession`], and the
-//! fleet-coverage accumulator the `--faults` footer reports.
+//! table, each module's row-group draws (one per N, with what a backend
+//! keeps about that stream), an optional armed [`CheckpointSession`],
+//! and the fleet-coverage accumulator the `--faults` footer reports.
 //!
 //! Two sessions can therefore run concurrently in one process — each
 //! sweep on its own scoped threads — with different seeds,
@@ -16,8 +17,8 @@
 //! each session's calibration table is instance-owned, the hybrid's
 //! history lives on each rig mount, and every (module, point) task
 //! seeds its own stream from a pure function of the session's config
-//! (`module_stream_seed`). `crates/characterize/tests/sessions.rs`
-//! asserts exactly that.
+//! (`module_stream_seed`), so a kept draw is the draw any sweep would
+//! make. `crates/characterize/tests/sessions.rs` asserts exactly that.
 //!
 //! [`Session::new`] binds to a fresh, disabled recorder;
 //! [`Session::recorded_by`] takes the caller's recorder — what the
@@ -26,7 +27,7 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use simra_analog::EngineCounters;
 use simra_exec::{AnalogBackend, BackendChoice, HybridBackend, PudBackend, ShardSpec};
@@ -34,7 +35,7 @@ use simra_telemetry::Recorder;
 
 use crate::checkpoint::{CheckpointError, CheckpointSession};
 use crate::config::ExperimentConfig;
-use crate::fleet::{FleetCoverage, FleetOutcome, ModuleResult};
+use crate::fleet::{FleetCoverage, FleetOutcome, GroupDraw, ModuleResult};
 
 /// Cap on retained failure lines — coverage must not grow without bound
 /// under a pathological fault plan.
@@ -54,6 +55,9 @@ pub struct Session {
     recorder: Recorder,
     engine_counters: EngineCounters,
     hybrid: HybridBackend,
+    /// Each module's group draws, at most one per distinct N, kept for
+    /// every sweep; a module chain holds its list while it runs.
+    draws: Vec<Mutex<Vec<GroupDraw>>>,
     checkpoint: OnceLock<CheckpointSession>,
     coverage: Mutex<CoverageState>,
 }
@@ -79,11 +83,13 @@ impl Session {
     pub fn recorded_by(config: ExperimentConfig, recorder: Recorder) -> Self {
         let hybrid = HybridBackend::new(&recorder);
         let engine_counters = EngineCounters::recorded_by(&recorder);
+        let draws = config.modules.iter().map(|_| Mutex::default()).collect();
         Session {
             config,
             recorder,
             engine_counters,
             hybrid,
+            draws,
             checkpoint: OnceLock::new(),
             coverage: Mutex::new(CoverageState::default()),
         }
@@ -112,6 +118,25 @@ impl Session {
     /// The engine op-counter handles this session's rigs report through.
     pub fn engine_counters(&self) -> &EngineCounters {
         &self.engine_counters
+    }
+
+    /// Takes module `index`'s group draws for a chain to run on; the
+    /// chain returns them with [`Session::put_draws`]. A draw is a pure
+    /// function of `(config, module, N)`, so a list lost with a panicked
+    /// chain, or taken twice by concurrent sweeps, only costs draws.
+    pub(crate) fn take_draws(&self, index: usize) -> Vec<GroupDraw> {
+        std::mem::take(
+            &mut self.draws[index]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
+    /// Gives module `index`'s group draws back for later sweeps.
+    pub(crate) fn put_draws(&self, index: usize, draws: Vec<GroupDraw>) {
+        *self.draws[index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = draws;
     }
 
     /// Runs one figure body under its telemetry span — the shared

@@ -200,7 +200,7 @@ fn sweep_grid_and_rig_pool_counters_are_deterministic() {
     // Module 1: 2 retries per point; everyone completes in the end.
     assert_eq!(counter("task_retried"), 6);
     assert_eq!(counter("task_started"), 18);
-    // Each chain draws its groups once per N (4 modules × 3 N); module
+    // Each module's groups are drawn once per N (4 modules × 3 N); module
     // 1's six retries reuse its draws.
     assert_eq!(counter("group_draws"), 12);
     assert_eq!(counter("task_completed"), 12);

@@ -26,10 +26,11 @@
 //!
 //! let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 7);
 //! let mut rng = Rng::seed_from_u64(1);
-//! let groups = sample_groups(setup.module().geometry(), 32, 1, 1, 1, &mut rng);
+//! let geometry = *setup.module().geometry();
+//! let group = sample_groups(&geometry, 32, 1, 1, 1, &mut rng)[0].resolve(&geometry);
 //! let s = majx_success(
 //!     &mut setup,
-//!     &groups[0],
+//!     &group,
 //!     3,
 //!     ApaTiming::best_for_majx(),
 //!     DataPattern::Solid,

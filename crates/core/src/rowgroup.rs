@@ -66,6 +66,43 @@ pub fn assert_group_size(n: u32) {
     );
 }
 
+/// One drawn group in compact form: its bank, its subarray, the local
+/// indices of `R_F` and `R_S`, and N, in 10 bytes with nothing on the
+/// heap. A table-backed trial needs only N ([`GroupPick::n_rows`]); a
+/// physical trial needs the rows the APA opens, which
+/// [`GroupPick::resolve`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GroupPick {
+    bank: BankId,
+    subarray: SubarrayId,
+    local_f: u16,
+    local_s: u16,
+    n: u8,
+}
+
+impl GroupPick {
+    /// Number of simultaneously activated rows.
+    pub fn n_rows(&self) -> usize {
+        usize::from(self.n)
+    }
+
+    /// The group as a [`GroupSpec`] on `geometry`, the geometry it was
+    /// drawn on: its bank-level addresses and every row its APA opens.
+    pub fn resolve(&self, geometry: &Geometry) -> GroupSpec {
+        let (local_f, local_s) = (u32::from(self.local_f), u32::from(self.local_s));
+        let decoder = RowDecoder::for_subarray_rows(geometry.rows_per_subarray);
+        let local_rows = decoder.simultaneous_rows(local_f, local_s);
+        debug_assert_eq!(local_rows.len(), self.n_rows(), "{self:?}");
+        GroupSpec {
+            bank: self.bank,
+            subarray: self.subarray,
+            r_f: geometry.join_row(self.subarray, local_f),
+            r_s: geometry.join_row(self.subarray, local_s),
+            local_rows,
+        }
+    }
+}
+
 /// Builds a group with exactly `n` rows (power of two ≤ 32) in the given
 /// bank/subarray, choosing `R_F` at random and `R_S` by re-drawing random
 /// outputs in `log2(n)` random predecoder groups.
@@ -74,9 +111,8 @@ pub fn assert_group_size(n: u32) {
 /// happen near the clipped top of non-power-of-two subarrays); callers
 /// retry with a fresh draw.
 ///
-/// Builds a [`RowDecoder`] for the one draw. [`sample_groups`] draws
-/// many groups from one decoder and makes exactly the same RNG draws,
-/// so a loop of these calls returns the groups it returns.
+/// [`sample_groups`] makes exactly the same RNG draws per group, so a
+/// loop of these calls returns its groups, resolved.
 pub fn random_group(
     geometry: &Geometry,
     bank: BankId,
@@ -85,19 +121,21 @@ pub fn random_group(
     rng: &mut Rng,
 ) -> Option<GroupSpec> {
     let decoder = RowDecoder::for_subarray_rows(geometry.rows_per_subarray);
-    draw_group(&decoder, geometry, bank, subarray, n, rng)
+    draw_pick(&decoder, geometry, bank, subarray, n, rng).map(|pick| pick.resolve(geometry))
 }
 
-/// The body of [`random_group`], on a decoder the caller built once for
-/// `geometry.rows_per_subarray`.
-fn draw_group(
+/// The one draw body of [`random_group`] and [`sample_groups`], on a
+/// decoder the caller built for `geometry.rows_per_subarray`. The draw
+/// opens exactly `n` rows unless the top row of its product lies past
+/// the subarray ([`top_row`]), so it allocates nothing.
+fn draw_pick(
     decoder: &RowDecoder,
     geometry: &Geometry,
     bank: BankId,
     subarray: SubarrayId,
     n: u32,
     rng: &mut Rng,
-) -> Option<GroupSpec> {
+) -> Option<GroupPick> {
     assert_group_size(n);
     let local_f = rng.gen_range(0..geometry.rows_per_subarray);
     let d = n.trailing_zeros() as usize;
@@ -118,20 +156,32 @@ fn draw_group(
         }
         local_s = (local_s & !((g.outputs() - 1) << g.shift)) | (alt << g.shift);
     }
-    if local_s >= geometry.rows_per_subarray {
+    // Each flipped predecoder differs, so the product has 2^d = n rows
+    // unless the decoder has fewer than d predecoders or the product
+    // reaches past the subarray's last row.
+    if d > group_idx.len() || top_row(decoder, local_f, local_s) >= geometry.rows_per_subarray {
         return None;
     }
-    let rows = decoder.simultaneous_rows(local_f, local_s);
-    if rows.len() != n as usize {
-        return None;
-    }
-    Some(GroupSpec {
+    // Subarray heights fit 13 bits (`RowDecoder::for_subarray_rows`).
+    Some(GroupPick {
         bank,
         subarray,
-        r_f: geometry.join_row(subarray, local_f),
-        r_s: geometry.join_row(subarray, local_s),
-        local_rows: rows,
+        local_f: local_f as u16,
+        local_s: local_s as u16,
+        n: n as u8,
     })
+}
+
+/// The highest row of the product an APA on `(r_f, r_s)` opens before
+/// clipping: the higher of the two outputs in every predecoder. The
+/// product is clipped (some of its `2^d` rows do not exist) exactly when
+/// this row lies past the subarray's last.
+fn top_row(decoder: &RowDecoder, r_f: u32, r_s: u32) -> u32 {
+    decoder
+        .groups()
+        .iter()
+        .map(|g| g.output_for(r_f).max(g.output_for(r_s)) << g.shift)
+        .fold(0, |top, field| top | field)
 }
 
 /// Samples the paper's test population: `groups_per_subarray` random
@@ -140,9 +190,10 @@ fn draw_group(
 /// banks. (The paper uses 100 × 3 × 16; experiments here default lower and
 /// report the reduction.)
 ///
-/// Every group comes from one [`RowDecoder`], built once per call; the
-/// result and the RNG's final position equal those of the same loop
-/// over [`random_group`].
+/// Returns each group as a [`GroupPick`]; a caller that needs rows
+/// resolves it. Every group comes from one [`RowDecoder`], built once
+/// per call; the resolved result and the RNG's final position equal
+/// those of the same loop over [`random_group`].
 pub fn sample_groups(
     geometry: &Geometry,
     n: u32,
@@ -150,7 +201,7 @@ pub fn sample_groups(
     subarrays_per_bank: u16,
     groups_per_subarray: usize,
     rng: &mut Rng,
-) -> Vec<GroupSpec> {
+) -> Vec<GroupPick> {
     let decoder = RowDecoder::for_subarray_rows(geometry.rows_per_subarray);
     let banks = banks.min(geometry.banks);
     let subarrays_per_bank = subarrays_per_bank.min(geometry.subarrays_per_bank);
@@ -166,7 +217,7 @@ pub fn sample_groups(
             let mut attempts = 0;
             while found < groups_per_subarray && attempts < groups_per_subarray * 50 {
                 attempts += 1;
-                let drawn = draw_group(
+                let drawn = draw_pick(
                     &decoder,
                     geometry,
                     BankId::new(b),
@@ -174,8 +225,8 @@ pub fn sample_groups(
                     n,
                     rng,
                 );
-                if let Some(g) = drawn {
-                    out.push(g);
+                if let Some(pick) = drawn {
+                    out.push(pick);
                     found += 1;
                 }
             }
@@ -287,9 +338,36 @@ mod tests {
         assert_eq!(groups.len(), 2 * 3 * 5);
         // All groups have 8 rows.
         assert!(groups.iter().all(|g| g.n_rows() == 8));
+        assert!(groups.iter().all(|g| g.resolve(&geom()).n_rows() == 8));
         // Both banks represented.
         assert!(groups.iter().any(|g| g.bank == BankId::new(0)));
         assert!(groups.iter().any(|g| g.bank == BankId::new(1)));
+    }
+
+    #[test]
+    fn a_pick_is_ten_bytes() {
+        assert_eq!(std::mem::size_of::<GroupPick>(), 10);
+    }
+
+    #[test]
+    fn the_top_row_decides_whether_a_product_is_whole() {
+        // Every (R_F, R_S) pair of the tested subarray heights: the
+        // product of the two addresses keeps all of its 2^d rows exactly
+        // when its top row exists.
+        for rows in [512u32, 640, 1024] {
+            let decoder = RowDecoder::for_subarray_rows(rows);
+            for r_f in 0..rows {
+                for r_s in 0..rows {
+                    let whole = decoder.simultaneous_rows(r_f, r_s).len()
+                        == 1 << decoder.differing_groups(r_f, r_s);
+                    assert_eq!(
+                        top_row(&decoder, r_f, r_s) < rows,
+                        whole,
+                        "({r_f}, {r_s}) of {rows}"
+                    );
+                }
+            }
+        }
     }
 
     /// [`sample_groups`]'s loop, drawing every group through
@@ -338,7 +416,10 @@ mod tests {
                 for seed in [1u64, 2, 3] {
                     let mut shared = Rng::seed_from_u64(seed);
                     let mut fresh = Rng::seed_from_u64(seed);
-                    let a = sample_groups(&geometry, n, 2, 3, 4, &mut shared);
+                    let a: Vec<GroupSpec> = sample_groups(&geometry, n, 2, 3, 4, &mut shared)
+                        .iter()
+                        .map(|pick| pick.resolve(&geometry))
+                        .collect();
                     let b = sample_by_random_group(&geometry, n, 2, 3, 4, &mut fresh);
                     let at = (geometry.rows_per_subarray, n, seed);
                     assert_eq!(a, b, "{at:?}");
@@ -402,7 +483,7 @@ mod tests {
                         digest = (digest ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
                     }
                 };
-                for g in &groups {
+                for g in groups.iter().map(|pick| pick.resolve(&geometry)) {
                     fold(u64::from(g.bank.raw()) << 16 | u64::from(g.subarray.raw()));
                     fold(u64::from(g.r_f.raw()) << 32 | u64::from(g.r_s.raw()));
                     g.local_rows.iter().for_each(|&r| fold(u64::from(r)));
@@ -431,15 +512,29 @@ mod tests {
 
     #[test]
     fn non_power_of_two_subarray_still_samples() {
-        let mut g640 = geom();
-        g640.rows_per_subarray = 640;
-        let mut rng = Rng::seed_from_u64(5);
-        let groups = sample_groups(&g640, 32, 1, 1, 10, &mut rng);
-        assert!(!groups.is_empty());
-        for g in &groups {
-            assert_eq!(g.n_rows(), 32);
-            assert!(g.local_rows.iter().all(|r| *r < 640));
+        // 640 rows populate whole 128-row blocks of the top predecoder;
+        // 600 rows populate part of one, so there a drawn R_S can exist
+        // while a row of its product does not, and only the top-row rule
+        // rejects the draw.
+        for rows in [600u32, 640] {
+            let mut geometry = geom();
+            geometry.rows_per_subarray = rows;
+            for n in [2u32, 4, 8, 16, 32] {
+                let mut rng = Rng::seed_from_u64(5);
+                let groups = sample_groups(&geometry, n, 2, 3, 50, &mut rng);
+                assert!(!groups.is_empty(), "{rows} rows, N = {n}");
+                for g in groups.iter().map(|pick| pick.resolve(&geometry)) {
+                    assert_eq!(g.n_rows(), n as usize, "{rows} rows: {g:?}");
+                    assert!(g.local_rows.iter().all(|r| *r < rows));
+                }
+            }
         }
+        // A 128-row decoder has four predecoders: too few for 32 rows.
+        let mut short = geom();
+        short.rows_per_subarray = 128;
+        let mut rng = Rng::seed_from_u64(5);
+        assert!(sample_groups(&short, 32, 1, 1, 4, &mut rng).is_empty());
+        assert_eq!(sample_groups(&short, 16, 1, 1, 4, &mut rng).len(), 4);
     }
 
     #[test]

@@ -15,15 +15,16 @@ fn majx_per_group(params: Option<CircuitParams>, x: usize, timing: ApaTiming) ->
     let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 7);
     setup.set_circuit_params(params);
     let mut rng = Rng::seed_from_u64(1);
-    let groups = sample_groups(setup.module().geometry(), 32, 1, 4, 4, &mut rng);
+    let geometry = *setup.module().geometry();
+    let groups = sample_groups(&geometry, 32, 1, 4, 4, &mut rng);
     assert_eq!(groups.len(), 16);
     let config = MajConfig::default();
     groups
         .iter()
-        .map(|group| {
+        .map(|pick| {
             majx_success(
                 &mut setup,
-                group,
+                &pick.resolve(&geometry),
                 x,
                 timing,
                 DataPattern::Random,

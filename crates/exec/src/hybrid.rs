@@ -76,13 +76,16 @@
 //! [`PudBackend::run_trial`] decides one, and it goes back after the
 //! run. So a task costs one map lookup, not two per trial, and the
 //! decisions, samples and counters are those of the per-trial loop.
+//! The groups arrive as compact picks, and a table answer reads no row,
+//! so a pick is resolved to its rows only when its trial escalates.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
 use simra_analog::montecarlo::{SequentialEstimate, Z_95};
 use simra_bender::TestSetup;
-use simra_core::rowgroup::GroupSpec;
+use simra_core::rowgroup::{GroupPick, GroupSpec};
 use simra_dram::Rng;
 use simra_telemetry::{Counter, Histogram, Recorder};
 
@@ -274,10 +277,9 @@ impl PudBackend for HybridBackend {
         group: &GroupSpec,
         rng: &mut Rng,
     ) -> Option<f64> {
-        let mut sample = None;
-        self.run_point(spec, setup, std::slice::from_ref(group), rng, |s| {
-            sample = Some(s)
-        });
+        let (n, mut sample) = (group.n_rows() as u32, None);
+        let group = |_| Cow::Borrowed(group);
+        self.run_point(spec, setup, n, 1, group, rng, |s| sample = Some(s));
         sample
     }
 
@@ -285,27 +287,34 @@ impl PudBackend for HybridBackend {
         &self,
         spec: &TrialSpec,
         setup: &mut TestSetup,
-        groups: &[GroupSpec],
+        groups: &[GroupPick],
         rng: &mut Rng,
         samples: &mut Vec<f64>,
     ) {
+        let geometry = *setup.module().geometry();
         for run in groups.chunk_by(|a, b| a.n_rows() == b.n_rows()) {
-            self.run_point(spec, setup, run, rng, |s| samples.push(s));
+            let group = |i: usize| Cow::Owned(run[i].resolve(&geometry));
+            let n = run[0].n_rows() as u32;
+            self.run_point(spec, setup, n, run.len(), group, rng, |s| samples.push(s));
         }
     }
 }
 
 impl HybridBackend {
-    /// The trials of `groups`, a non-empty run at one N and so one point,
-    /// passing each sample to `emit`: the body of both entry points. The
-    /// point's state leaves the mount's [`Points`] for the run, each
-    /// trial is decided from it in turn, and it goes back afterwards;
-    /// the mount's first trial of a point resolves its table entry.
-    fn run_point(
+    /// `trials` trials at `n` rows, and so at one point, passing each
+    /// sample to `emit`: the body of both entry points. The point's state
+    /// leaves the mount's [`Points`] for the run, each trial is decided
+    /// from it in turn, and it goes back afterwards; the mount's first
+    /// trial of a point resolves its table entry. Only an escalated trial
+    /// asks `group` for its group, the `i`-th of the run.
+    #[allow(clippy::too_many_arguments)]
+    fn run_point<'g>(
         &self,
         spec: &TrialSpec,
         setup: &mut TestSetup,
-        groups: &[GroupSpec],
+        n: u32,
+        trials: usize,
+        group: impl Fn(usize) -> Cow<'g, GroupSpec>,
         rng: &mut Rng,
         mut emit: impl FnMut(f64),
     ) {
@@ -313,7 +322,7 @@ impl HybridBackend {
         if spec.unsupported_on(profile) {
             return;
         }
-        let key = CalKey::new(profile, spec, groups[0].n_rows() as u32);
+        let key = CalKey::new(profile, spec, n);
         let mut state = match setup.backend_state::<Points>().remove(&key) {
             Some(state) => state,
             None => PointState {
@@ -324,11 +333,11 @@ impl HybridBackend {
             },
         };
         if !state.p_cal.is_nan() {
-            for group in groups {
+            for i in 0..trials {
                 match self.decide(&mut state, &spec.op) {
                     Action::Answer(p) => emit(noisy_success_sample(p, setup.stream_state(), rng)),
                     Action::Escalate => {
-                        if let Some(s) = AnalogBackend.run_trial(spec, setup, group, rng) {
+                        if let Some(s) = AnalogBackend.run_trial(spec, setup, &group(i), rng) {
                             state.estimate.observe(s, SAMPLE_WEIGHT);
                             state.analog_trials += 1;
                             emit(s);

@@ -38,9 +38,11 @@
 //! so a backend drops into `run_sweep` as a closure capture; the row
 //! count N still lives on the sweep point and arrives here via the
 //! [`GroupSpec`]. [`PudBackend::run_trials`] takes a whole task's groups
-//! in one call, which is how the figure sweeps dispatch: the surrogate
-//! and the hybrid resolve their point once per call instead of once per
-//! trial, and the analog backend keeps the default per-group loop.
+//! in one call, as the compact [`GroupPick`]s the session drew, which is
+//! how the figure sweeps dispatch: the surrogate reads only N and the
+//! count from them, the hybrid resolves a pick's rows only when it
+//! escalates that group, and the analog backend keeps the default loop,
+//! which resolves every pick.
 
 #![forbid(unsafe_code)]
 
@@ -52,7 +54,7 @@ use simra_bender::TestSetup;
 use simra_core::act::activation_success;
 use simra_core::maj::{majx_success, MajConfig};
 use simra_core::multirowcopy::multirowcopy_success;
-use simra_core::rowgroup::GroupSpec;
+use simra_core::rowgroup::{GroupPick, GroupSpec};
 use simra_dram::{ApaTiming, BitRow, DataPattern, Manufacturer, Rng, VendorProfile};
 
 pub use hybrid::HybridBackend;
@@ -240,10 +242,12 @@ impl TrialSpec {
 ///
 /// [`run_trials`](Self::run_trials) runs a whole list of groups in one
 /// call — what the fleet hands a backend per (module, point) task, and
-/// what a per-profile table or a throughput probe measures. Its result
-/// is, bit for bit, that of the [`run_trial`](Self::run_trial) loop over
-/// the list; an override only does once per call (or per run of
-/// equal-N groups) what the loop would redo per trial.
+/// what a per-profile table or a throughput probe measures. It takes the
+/// groups as drawn, compact [`GroupPick`]s, and its result is, bit for
+/// bit, that of the [`run_trial`](Self::run_trial) loop over the
+/// resolved groups; an override only does once per call (or per run of
+/// equal-N groups) what the loop would redo per trial, and resolves a
+/// pick only where a trial reads its rows.
 pub trait PudBackend: Send + Sync {
     /// Short stable name (`"analog"` / `"surrogate"`), for reports.
     fn name(&self) -> &'static str;
@@ -259,19 +263,21 @@ pub trait PudBackend: Send + Sync {
 
     /// Executes one trial on each of `groups` in order, on one stream,
     /// and appends the `Some` results to `samples`: exactly the loop of
-    /// [`run_trial`](Self::run_trial) calls, which is the default.
+    /// [`run_trial`](Self::run_trial) calls on the groups resolved on the
+    /// mounted module's geometry, which is the default.
     fn run_trials(
         &self,
         spec: &TrialSpec,
         setup: &mut TestSetup,
-        groups: &[GroupSpec],
+        groups: &[GroupPick],
         rng: &mut Rng,
         samples: &mut Vec<f64>,
     ) {
+        let geometry = *setup.module().geometry();
         samples.extend(
             groups
                 .iter()
-                .filter_map(|group| self.run_trial(spec, setup, group, rng)),
+                .filter_map(|pick| self.run_trial(spec, setup, &pick.resolve(&geometry), rng)),
         );
     }
 }
@@ -446,7 +452,7 @@ mod tests {
         label: &'static str,
         profile: VendorProfile,
         spec: TrialSpec,
-        calls: Vec<Vec<GroupSpec>>,
+        calls: Vec<Vec<GroupPick>>,
         /// Whether any trial returns a sample; if none does, none may
         /// draw from the stream either.
         measured: bool,
@@ -471,9 +477,10 @@ mod tests {
     const STREAM_SEED: u64 = 11;
 
     /// Runs the case's calls of `spec` on a fresh mount of its profile
-    /// lent `slot`, through a fresh `name` backend's `run_trials` when
-    /// `batched`, else through its `run_trial` loop. Returns what the
-    /// mount, the recorder and the stream hold afterwards, and the slot.
+    /// lent `slot`, through a fresh `name` backend's `run_trials` on the
+    /// picks when `batched`, else through its `run_trial` loop on the
+    /// resolved groups. Returns what the mount, the recorder and the
+    /// stream hold afterwards, and the slot.
     fn run_case(
         name: &str,
         case: &Case,
@@ -494,8 +501,9 @@ mod tests {
             if batched {
                 backend.run_trials(spec, &mut setup, groups, &mut rng, &mut samples);
             } else {
-                for group in groups {
-                    samples.extend(backend.run_trial(spec, &mut setup, group, &mut rng));
+                for pick in groups {
+                    let group = pick.resolve(&case.profile.geometry);
+                    samples.extend(backend.run_trial(spec, &mut setup, &group, &mut rng));
                 }
             }
         }
@@ -525,7 +533,7 @@ mod tests {
     fn run_trials_equals_the_run_trial_loop_on_every_backend() {
         let h = VendorProfile::mfr_h_m_die();
         let m = VendorProfile::mfr_m_e_die();
-        let groups = |profile: &VendorProfile, ns: &[u32]| -> Vec<GroupSpec> {
+        let groups = |profile: &VendorProfile, ns: &[u32]| -> Vec<GroupPick> {
             let geometry = profile.geometry;
             let mut draw = Rng::seed_from_u64(5);
             ns.iter()

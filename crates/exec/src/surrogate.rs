@@ -36,14 +36,15 @@
 //! A trial's noise `z` is a function of the stream position it starts
 //! from, and every sweep point at one (module, N) replays one stream.
 //! So the surrogate keeps each position's `z` in a bounded `NoiseMemo`
-//! in the mount's [`TestSetup::stream_state`], which a fleet chain lends
-//! to every task at that N: a stream's positions are computed once per
-//! chain draw, not once per point. `repro paper --backend surrogate`
-//! asks for 24.0 M noise values over 5 076 tasks and computes 4.08 M of
-//! them (828 draws × 4 800 positions, plus the per-die and Fig. 16 rigs,
-//! which keep their own). A hit advances the stream by the same two
-//! draws, so no sample and no stream position changes. The hybrid's
-//! table answers read the same memo.
+//! in the mount's [`TestSetup::stream_state`]. The fleet keeps that slot
+//! with the session's draw of the stream and lends it to every task at
+//! that (module, N), in every sweep: a stream's positions are computed
+//! once per session, not once per point. `repro paper --backend
+//! surrogate` asks for 24.0 M noise values over 5 076 tasks and computes
+//! 0.54 M of them (90 draws × 4 800 positions, plus the calibration,
+//! per-die and Fig. 16 rigs, which keep their own). A hit advances the
+//! stream by the same two draws, so no sample and no stream position
+//! changes. The hybrid's table answers read the same memo.
 //!
 //! # Why paired observations survive
 //!
@@ -83,7 +84,7 @@ use std::sync::Mutex;
 
 use simra_analog::EngineCounters;
 use simra_bender::TestSetup;
-use simra_core::rowgroup::{sample_groups, GroupSpec};
+use simra_core::rowgroup::{sample_groups, GroupPick, GroupSpec};
 use simra_dram::{
     DataPattern, DieRevision, DramModule, Geometry, Manufacturer, Rng, VendorProfile,
 };
@@ -406,18 +407,12 @@ fn calibrate(
     setup.set_engine_counters(engine_counters.clone());
     let mut rng = Rng::seed_from_u64(seed);
     let groups = sample_groups(setup.module().geometry(), n, 1, 1, CAL_GROUPS, &mut rng);
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for group in &groups {
-        if let Some(s) = AnalogBackend.run_trial(spec, &mut setup, group, &mut rng) {
-            sum += s;
-            count += 1;
-        }
-    }
-    if count == 0 {
+    let mut samples = Vec::with_capacity(groups.len());
+    AnalogBackend.run_trials(spec, &mut setup, &groups, &mut rng, &mut samples);
+    if samples.is_empty() {
         f64::NAN
     } else {
-        sum / count as f64
+        samples.iter().sum::<f64>() / samples.len() as f64
     }
 }
 
@@ -434,7 +429,7 @@ impl PudBackend for SurrogateBackend {
         rng: &mut Rng,
     ) -> Option<f64> {
         let mut sample = None;
-        self.run_point(spec, setup, std::slice::from_ref(group), rng, |s| {
+        self.run_point(spec, setup, group.n_rows() as u32, 1, rng, |s| {
             sample = Some(s)
         });
         sample
@@ -444,27 +439,30 @@ impl PudBackend for SurrogateBackend {
         &self,
         spec: &TrialSpec,
         setup: &mut TestSetup,
-        groups: &[GroupSpec],
+        groups: &[GroupPick],
         rng: &mut Rng,
         samples: &mut Vec<f64>,
     ) {
         for run in groups.chunk_by(|a, b| a.n_rows() == b.n_rows()) {
-            self.run_point(spec, setup, run, rng, |s| samples.push(s));
+            let n = run[0].n_rows() as u32;
+            self.run_point(spec, setup, n, run.len(), rng, |s| samples.push(s));
         }
     }
 }
 
 impl SurrogateBackend {
-    /// The trials of `groups`, a non-empty run at one N and so one key,
-    /// passing each sample to `emit`: the body of both entry points. The
-    /// key and its probability are resolved once, from the mount's last
-    /// resolved entry or else the table, and the stream's noise memo is
-    /// borrowed once.
+    /// `trials` trials at `n` rows, and so at one key, passing each
+    /// sample to `emit`: the body of both entry points. A table answer
+    /// reads no row of its group, so the body takes only N and the count.
+    /// The key and its probability are resolved once, from the mount's
+    /// last resolved entry or else the table, and the stream's noise memo
+    /// is borrowed once.
     fn run_point(
         &self,
         spec: &TrialSpec,
         setup: &mut TestSetup,
-        groups: &[GroupSpec],
+        n: u32,
+        trials: usize,
         rng: &mut Rng,
         mut emit: impl FnMut(f64),
     ) {
@@ -472,7 +470,7 @@ impl SurrogateBackend {
         if spec.unsupported_on(profile) {
             return;
         }
-        let key = CalKey::new(profile, spec, groups[0].n_rows() as u32);
+        let key = CalKey::new(profile, spec, n);
         let p = match setup.backend_state::<LastResolved>().0 {
             Some((last, p)) if last == key => p,
             _ => {
@@ -485,7 +483,7 @@ impl SurrogateBackend {
             return;
         }
         let memo = setup.stream_state::<NoiseMemo>();
-        for _ in groups {
+        for _ in 0..trials {
             emit(noisy_success_sample(p, memo, rng));
         }
     }
@@ -523,7 +521,7 @@ const MEMO_POSITIONS: u64 = 8_192;
 /// The trial noise computed so far on one RNG stream, kept in the
 /// stream's [`TestSetup::stream_state`]. Every sweep point at one
 /// (module, N) replays the same stream, so each position's `z` is
-/// computed once per chain instead of once per point.
+/// computed once per session instead of once per point.
 ///
 /// A position is the stream state a trial starts from; the memo names it
 /// by its distance in draws from `origin`, the state of its first trial.

@@ -192,12 +192,13 @@ fn wipe_pipeline_covers_a_whole_subarray() {
 fn group_sampling_and_ops_compose_across_banks() {
     let mut setup = TestSetup::new(VendorProfile::mfr_m_e_die(), 6);
     let mut rng = rng(5);
-    let groups = sample_groups(setup.module().geometry(), 8, 4, 2, 2, &mut rng);
+    let geometry = *setup.module().geometry();
+    let groups = sample_groups(&geometry, 8, 4, 2, 2, &mut rng);
     assert_eq!(groups.len(), 4 * 2 * 2);
-    for g in &groups {
+    for g in groups.iter().map(|pick| pick.resolve(&geometry)) {
         let s = activation_success(
             &mut setup,
-            g,
+            &g,
             ApaTiming::best_for_activation(),
             DataPattern::Random,
             &mut rng,
