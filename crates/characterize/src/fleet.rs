@@ -44,9 +44,10 @@
 //! from disk and says which slots this process owns; it then runs only
 //! the slots still owed, appends each fresh result to the journal as it
 //! lands, assembles the outcomes and records coverage once, and has
-//! the journal compact itself. Figure runners reach it through
-//! [`sweep_trial_samples`](crate::backend::sweep_trial_samples), which
-//! passes the session backend's `run_trials` as the op. A fleet run at
+//! the journal compact itself. Figure runners reach it through the
+//! crate's `figure_table`, which passes the session backend's
+//! `run_trials` as the op and reads each cell's samples in place, from
+//! the completed modules' slots of the point's outcome. A fleet run at
 //! a single N is a one-point sweep. [`collect_group_samples_serial`] is
 //! the serial reference the identity tests compare against.
 //!
@@ -299,19 +300,19 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// All samples from completed modules, ordered by module then group.
+    /// The samples of each completed module, in module order, where the
+    /// sweep left them: one slice per module, none for a failed one.
+    pub(crate) fn completed_samples(&self) -> impl Iterator<Item = &[f64]> {
+        self.slots.iter().filter_map(|slot| match slot {
+            ModuleResult::Completed { samples, .. } => Some(samples.as_slice()),
+            ModuleResult::Failed { .. } => None,
+        })
+    }
+
+    /// All samples from completed modules, ordered by module then group:
+    /// each completed slot's samples, concatenated.
     pub fn samples(&self) -> Vec<f64> {
-        let completed = || {
-            self.slots.iter().filter_map(|slot| match slot {
-                ModuleResult::Completed { samples, .. } => Some(samples.as_slice()),
-                ModuleResult::Failed { .. } => None,
-            })
-        };
-        let mut out = Vec::with_capacity(completed().map(<[f64]>::len).sum());
-        for samples in completed() {
-            out.extend_from_slice(samples);
-        }
-        out
+        self.completed_samples().collect::<Vec<_>>().concat()
     }
 
     /// Consuming variant of [`FleetOutcome::samples`].
@@ -834,9 +835,9 @@ impl FleetCoverage {
 /// can digest the sweep. Their tables are garbage for unowned slots,
 /// but a worker's stdout is discarded, and it exits after the last
 /// figure sweep: only its journal matters. The sample must be finite:
-/// a non-finite sample would trip the finite-samples check in
-/// `BoxStats::from_samples`. The `attempts: 0` marker distinguishes it
-/// from any real result.
+/// a figure cell reads each completed slot in place, and a non-finite
+/// sample would trip the finite-samples check in `BoxStats::from_parts`.
+/// The `attempts: 0` marker distinguishes it from any real result.
 fn unowned_slot() -> ModuleResult {
     ModuleResult::Completed {
         samples: vec![0.0],

@@ -21,7 +21,8 @@
 //! campaign opens twelve such jobs at every scale — eleven figure sweeps
 //! and the per-die table — however many points and modules they span,
 //! plus one job per figure table that sorts its box cells' samples
-//! (Figs. 3, 6 and 10). (The
+//! (Figs. 3, 6 and 10), each cell's sort keys built straight from the
+//! sweep's per-module sample slots. (The
 //! executor before the grid scheduler spawned threads once per sweep
 //! *point*; that is what a persistent pool used to save.)
 //!

@@ -22,61 +22,80 @@ pub struct BoxStats {
 }
 
 impl BoxStats {
-    /// Summarises a sample set.
-    ///
-    /// Sorts total-order integer keys (`order_key`) without keeping
-    /// equal keys in input order: equal keys are equal bit patterns, so
-    /// the sorted values, and every statistic read from them, are
-    /// bit-identical to a stable `partial_cmp` sort's. The one exception
-    /// is +0.0 beside −0.0, which compare equal but sort apart here; no
-    /// backend emits −0.0, and debug builds assert that.
+    /// Summarises a sample set: [`BoxStats::from_parts`] of one part.
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty or contains non-finite values.
     pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarise an empty sample set");
-        let mut keys: Vec<u64> = samples
-            .iter()
-            .map(|&x| {
+        BoxStats::from_parts(&[samples])
+    }
+
+    /// Summarises the concatenation of `parts` without building it: a
+    /// sweep point's samples are one part per module that completed, and
+    /// a figure cell reads them where the sweep left them.
+    ///
+    /// Sorts total-order integer keys (`order_key`), built straight from
+    /// the parts, without keeping equal keys in input order: equal keys
+    /// are equal bit patterns, so every statistic read from the sorted
+    /// keys is bit-identical to a stable `partial_cmp` sort's of the
+    /// concatenation, whatever the split. The one exception is +0.0
+    /// beside −0.0, which compare equal but sort apart here; no backend
+    /// emits −0.0, and debug builds assert that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every part is empty or any sample is non-finite.
+    pub fn from_parts(parts: &[&[f64]]) -> Self {
+        let count: usize = parts.iter().map(|part| part.len()).sum();
+        assert!(count > 0, "cannot summarise an empty sample set");
+        let mut keys: Vec<u64> = Vec::with_capacity(count);
+        for part in parts {
+            keys.extend(part.iter().map(|&x| {
                 assert!(x.is_finite(), "samples must be finite");
                 order_key(x)
-            })
-            .collect();
+            }));
+        }
         keys.sort_unstable();
-        let s: Vec<f64> = keys.into_iter().map(from_order_key).collect();
+        let at = |i: usize| from_order_key(keys[i]);
         debug_assert!(
-            s.windows(2)
-                .all(|w| w[0] < w[1] || w[0].to_bits() == w[1].to_bits()),
+            (1..count).all(|i| at(i - 1) < at(i) || at(i - 1).to_bits() == at(i).to_bits()),
             "+0.0 and -0.0 in one sample set sort apart from the stable order"
         );
         let q = |p: f64| -> f64 {
             // Linear interpolation between closest ranks.
-            let pos = p * (s.len() - 1) as f64;
+            let pos = p * (count - 1) as f64;
             let lo = pos.floor() as usize;
             let hi = pos.ceil() as usize;
             if lo == hi {
-                s[lo]
+                at(lo)
             } else {
-                s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+                at(lo) + (at(hi) - at(lo)) * (pos - lo as f64)
             }
         };
         BoxStats {
-            min: s[0],
+            min: at(0),
             q1: q(0.25),
             median: q(0.5),
             q3: q(0.75),
-            max: *s.last().expect("nonempty"),
-            mean: s.iter().sum::<f64>() / s.len() as f64,
-            count: s.len(),
+            max: at(count - 1),
+            mean: keys.iter().map(|&key| from_order_key(key)).sum::<f64>() / count as f64,
+            count,
         }
     }
 
-    /// Like [`BoxStats::from_samples`], but an empty set — a sweep point
-    /// whose every module failed — summarises to NaN in every statistic
-    /// (with `count == 0`), as [`mean`] does, instead of panicking.
+    /// Like [`BoxStats::from_samples`], but an empty set summarises to
+    /// NaN: [`BoxStats::from_parts_or_nan`] of one part.
     pub fn from_samples_or_nan(samples: &[f64]) -> Self {
-        if samples.is_empty() {
+        BoxStats::from_parts_or_nan(&[samples])
+    }
+
+    /// Like [`BoxStats::from_parts`], but parts that are all empty — a
+    /// sweep point whose every module failed — summarise to NaN in every
+    /// statistic (with `count == 0`), as [`mean_of_parts`] does, instead
+    /// of panicking.
+    pub fn from_parts_or_nan(parts: &[&[f64]]) -> Self {
+        if parts.iter().all(|part| part.is_empty()) {
             return BoxStats {
                 min: f64::NAN,
                 q1: f64::NAN,
@@ -87,7 +106,7 @@ impl BoxStats {
                 count: 0,
             };
         }
-        BoxStats::from_samples(samples)
+        BoxStats::from_parts(parts)
     }
 
     /// Inter-quartile range (the box height).
@@ -130,10 +149,18 @@ fn from_order_key(key: u64) -> f64 {
 
 /// Mean of a slice (success rates are usually averaged across groups).
 pub fn mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
+    mean_of_parts(&[samples])
+}
+
+/// [`mean`] of the concatenation of `parts`, summed part by part in
+/// order: the same fold over the same values, so the same bits, without
+/// building the concatenation. NaN when every part is empty.
+pub fn mean_of_parts(parts: &[&[f64]]) -> f64 {
+    let count: usize = parts.iter().map(|part| part.len()).sum();
+    if count == 0 {
         return f64::NAN;
     }
-    samples.iter().sum::<f64>() / samples.len() as f64
+    parts.iter().copied().flatten().sum::<f64>() / count as f64
 }
 
 /// Converts a 0–1 fraction to percent.
@@ -182,15 +209,38 @@ mod tests {
 
     #[test]
     fn empty_quorum_summarises_to_nan() {
-        let s = BoxStats::from_samples_or_nan(&[]);
-        assert_eq!(s.count, 0);
-        assert!([s.min, s.q1, s.median, s.q3, s.max, s.mean]
-            .iter()
-            .all(|v| v.is_nan()));
+        let empty: [&[f64]; 3] = [&[], &[], &[]];
+        for s in [
+            BoxStats::from_samples_or_nan(&[]),
+            BoxStats::from_parts_or_nan(&[]),
+            BoxStats::from_parts_or_nan(&empty),
+        ] {
+            assert_eq!(s.count, 0);
+            assert!([s.min, s.q1, s.median, s.q3, s.max, s.mean]
+                .iter()
+                .all(|v| v.is_nan()));
+        }
+        assert!(mean_of_parts(&empty).is_nan());
         assert_eq!(
             BoxStats::from_samples_or_nan(&[1.0, 2.0]),
             BoxStats::from_samples(&[1.0, 2.0])
         );
+        assert_eq!(
+            BoxStats::from_parts_or_nan(&[&[], &[1.0], &[], &[2.0]]),
+            BoxStats::from_samples(&[1.0, 2.0])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn all_empty_parts_rejected() {
+        BoxStats::from_parts(&[&[], &[], &[]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must be finite")]
+    fn non_finite_sample_in_a_later_part_rejected() {
+        BoxStats::from_parts_or_nan(&[&[0.5, 1.0], &[], &[0.25, f64::NAN]]);
     }
 
     #[test]
@@ -226,28 +276,89 @@ mod tests {
         }
     }
 
+    /// `len` seeded samples shaped like success rates: the rails 0.0 and
+    /// 1.0, a few repeated levels, arbitrary fractions, and some
+    /// negatives for the order key's other half.
+    fn rate_like_samples(rng: &mut simra_dram::Rng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0u32..5) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => f64::from(rng.gen_range(0u32..8)) / 8.0,
+                3 => rng.gen::<f64>(),
+                _ => -rng.gen::<f64>() * 1e3,
+            })
+            .collect()
+    }
+
+    /// Every statistic's bits, `count` aside.
+    fn bits(s: BoxStats) -> [u64; 6] {
+        [s.min, s.q1, s.median, s.q3, s.max, s.mean].map(f64::to_bits)
+    }
+
     #[test]
     fn key_sort_matches_the_stable_sort_bit_for_bit() {
         let mut rng = simra_dram::Rng::seed_from_u64(0xB0C5);
-        let bits = |s: BoxStats| [s.min, s.q1, s.median, s.q3, s.max, s.mean].map(f64::to_bits);
         for len in [1usize, 2, 3, 4, 5, 7, 8, 64, 999, 4096] {
             for _ in 0..16 {
-                // Success rates: the rails 0.0 and 1.0, a few repeated
-                // levels, arbitrary fractions, and some negatives for the
-                // key's other half.
-                let samples: Vec<f64> = (0..len)
-                    .map(|_| match rng.gen_range(0u32..5) {
-                        0 => 0.0,
-                        1 => 1.0,
-                        2 => f64::from(rng.gen_range(0u32..8)) / 8.0,
-                        3 => rng.gen::<f64>(),
-                        _ => -rng.gen::<f64>() * 1e3,
-                    })
-                    .collect();
+                let samples = rate_like_samples(&mut rng, len);
                 let summary = BoxStats::from_samples(&samples);
                 let oracle = stable_sort_summary(&samples);
                 assert_eq!(bits(summary), bits(oracle), "{len} samples");
                 assert_eq!(summary.count, oracle.count);
+            }
+        }
+    }
+
+    #[test]
+    fn every_split_into_parts_summarises_like_the_whole() {
+        // Short sets are cut at every pair of cut points, equal and end
+        // cuts included (empty parts); long ones at seeded random cuts,
+        // with empty parts spliced in. Every split must summarise, and
+        // average, bit for bit like the whole set.
+        let mut rng = simra_dram::Rng::seed_from_u64(0xB0C5);
+        for len in [1usize, 2, 3, 4, 5, 7, 8, 64, 999, 4096] {
+            for _ in 0..4 {
+                let samples = rate_like_samples(&mut rng, len);
+                let whole = BoxStats::from_samples(&samples);
+                let whole_mean = mean(&samples).to_bits();
+                let check = |cuts: &[usize]| {
+                    let mut parts: Vec<&[f64]> = Vec::new();
+                    let mut start = 0;
+                    for &cut in cuts.iter().chain([&len]) {
+                        parts.push(&samples[start..cut]);
+                        start = cut;
+                    }
+                    for summary in [
+                        BoxStats::from_parts(&parts),
+                        BoxStats::from_parts_or_nan(&parts),
+                    ] {
+                        assert_eq!(bits(summary), bits(whole), "{len} samples cut at {cuts:?}");
+                        assert_eq!(summary.count, len);
+                    }
+                    let mean = mean_of_parts(&parts).to_bits();
+                    assert_eq!(mean, whole_mean, "{len} samples cut at {cuts:?}");
+                };
+                if len <= 8 {
+                    for a in 0..=len {
+                        for b in a..=len {
+                            check(&[a, b]);
+                        }
+                    }
+                } else {
+                    for _ in 0..32 {
+                        let mut cuts: Vec<usize> = (0..rng.gen_range(1usize..20))
+                            .map(|_| rng.gen_range(0..len + 1))
+                            .collect();
+                        cuts.sort_unstable();
+                        // Repeat some cuts: an empty part between them.
+                        let repeats: Vec<usize> =
+                            cuts.iter().copied().filter(|_| rng.gen::<bool>()).collect();
+                        cuts.extend(repeats);
+                        cuts.sort_unstable();
+                        check(&cuts);
+                    }
+                }
             }
         }
     }

@@ -483,6 +483,7 @@ impl SurrogateBackend {
             return;
         }
         let memo = setup.stream_state::<NoiseMemo>();
+        memo.reserve(rng, trials);
         for _ in 0..trials {
             emit(noisy_success_sample(p, memo, rng));
         }
@@ -539,6 +540,22 @@ pub(crate) struct NoiseMemo {
 }
 
 impl NoiseMemo {
+    /// Makes room for a run of `trials` trials starting at `rng`'s
+    /// position: the memo grows once, to the `min(offset + trials,
+    /// MEMO_POSITIONS)` positions the run can keep (exactly that many
+    /// when it was empty), instead of doubling as the trials reach them.
+    fn reserve(&mut self, rng: &Rng, trials: usize) {
+        let offset = rng.draws_since(self.origin.get_or_insert_with(|| rng.clone()));
+        if offset.is_multiple_of(2) && offset / 2 < MEMO_POSITIONS {
+            let end = (offset / 2)
+                .saturating_add(trials as u64)
+                .min(MEMO_POSITIONS);
+            if end as usize > self.z.len() {
+                self.z.resize(end as usize, f64::NAN);
+            }
+        }
+    }
+
     /// The `z` of the trial starting at `rng`'s position, advancing `rng`
     /// past its two draws.
     fn z(&mut self, rng: &mut Rng) -> f64 {
@@ -766,6 +783,23 @@ mod tests {
             "the first 48 even positions were hit repeatedly"
         );
         assert!(memo.z.len() as u64 <= MEMO_POSITIONS);
+    }
+
+    #[test]
+    fn a_run_sizes_the_noise_memo_to_its_positions() {
+        // The paper's 4 800 groups per (module, N) as one run: the fresh
+        // memo grows once, to exactly those positions, and a replay of
+        // the run from the same stream finds them all and grows nothing.
+        let surrogate = SurrogateBackend::new();
+        let spec = TrialSpec::activation(ApaTiming::best_for_activation());
+        let (mut setup, rng) = rig(VendorProfile::mfr_h_m_die(), 7);
+        for _ in 0..2 {
+            surrogate.run_point(&spec, &mut setup, 8, 4_800, &mut rng.clone(), |_| {});
+            let memo = setup.stream_state::<NoiseMemo>();
+            assert_eq!(memo.z.len(), 4_800);
+            assert_eq!(memo.z.capacity(), 4_800);
+            assert!(memo.z.iter().all(|z| !z.is_nan()), "every position kept");
+        }
     }
 
     /// Runs `count` trials of `spec` from `rng` on a fresh mount lent
